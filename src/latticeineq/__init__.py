@@ -3,9 +3,7 @@ inequalities on integer lattices.
 
 Exact rational arithmetic decides every equality claim through integer
 certificates; floating point is only used where fractional powers and
-logarithms force it.  The grid kernels behind enumeration and annealing have
-a compiled (Cython) backend with a pure-Python fallback selected at import;
-``latticeineq.kernels.BACKEND`` says which one is active.
+logarithms force it.
 """
 
 from .certify import (

@@ -35,6 +35,7 @@ from .errors import (
     InvalidInputError,
     PreconditionError,
 )
+from .fileio import function_to_dict, set_to_dict
 
 DEFAULT_TOL = 1e-9
 
@@ -145,18 +146,13 @@ def set_counts(A: LatticeSet) -> SetCounts:
     )
 
 
-def classify_counts(counts: SetCounts) -> ShapeClass:
-    """Most specific shape class implied by the statistics."""
-    if counts.size != math.prod(counts.proj_size):
+def classify_counts(size, proj_size, proj_min, proj_max) -> ShapeClass:
+    """Most specific shape class implied by the set statistics."""
+    if size != math.prod(proj_size):
         return ShapeClass.NONE
-    sides = counts.proj_size
-    intervals = all(
-        s == hi - lo + 1
-        for s, lo, hi in zip(sides, counts.proj_min, counts.proj_max)
-    )
-    if not intervals:
+    if any(s != hi - lo + 1 for s, lo, hi in zip(proj_size, proj_min, proj_max)):
         return ShapeClass.PRODUCT_SET
-    if all(s == sides[0] for s in sides):
+    if all(s == proj_size[0] for s in proj_size):
         return ShapeClass.CUBE
     return ShapeClass.CUBOID
 
@@ -168,7 +164,8 @@ def classify_shape(A: LatticeSet) -> ShapeClass:
     projection sizes; a cuboid additionally has interval projections; a cube
     additionally has equal side lengths.
     """
-    return classify_counts(set_counts(A))
+    c = set_counts(A)
+    return classify_counts(c.size, c.proj_size, c.proj_min, c.proj_max)
 
 
 def is_scaled_indicator(f: SparseFunction) -> Optional[tuple]:
@@ -202,17 +199,6 @@ def _relation(lhs: float, rhs: float, tol: float,
     return Relation.STRICT
 
 
-def _echo_function(f: SparseFunction) -> dict:
-    return {
-        "dim": f.dim,
-        "entries": [{"z": list(z), "v": str(v)} for z, v in f.items()],
-    }
-
-
-def _echo_set(A: LatticeSet) -> dict:
-    return {"dim": A.dim, "points": [list(z) for z in A.sorted_points()]}
-
-
 def _report(ineq, n, p, lhs, rhs, tol, cert, shape, echo) -> InequalityReport:
     relation = _relation(lhs, rhs, tol, cert)
     return InequalityReport(
@@ -243,14 +229,14 @@ def _require_nonnegative(f: SparseFunction):
         raise DomainError("this inequality requires a nonnegative function")
 
 
-def _indicator_data(f: SparseFunction):
-    """(|lambda|, counts, shape) when f is a scaled indicator, else None."""
+def _indicator_certificate(f: SparseFunction, certificate) -> tuple:
+    """(certificate, shape) when f is a scaled indicator, else (None, None)."""
     ind = is_scaled_indicator(f)
     if ind is None:
-        return None
-    lam, A = ind
-    counts = set_counts(A)
-    return abs(lam), counts, classify_counts(counts)
+        return None, None
+    c = set_counts(ind[1])
+    shape = classify_counts(c.size, c.proj_size, c.proj_min, c.proj_max)
+    return certificate(c, f.dim), shape
 
 
 def gn_certificate(counts: SetCounts, n: int) -> ExactCertificate:
@@ -290,13 +276,9 @@ def check_gn(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     sigmas = [axis_variation(f, i) for i in range(1, n + 1)]
     lhs = float(norm(f, Fraction(n, n - 1)))
     rhs = 0.5 * float(math.prod(sigmas)) ** (1.0 / n)
-    cert = shape = None
-    ind = _indicator_data(f)
-    if ind is not None:
-        _, counts, shape = ind
-        cert = gn_certificate(counts, n)
+    cert, shape = _indicator_certificate(f, gn_certificate)
     return _report(Inequality.GN, n, None, lhs, rhs, tol, cert, shape,
-                   lambda: _echo_function(f))
+                   lambda: function_to_dict(f))
 
 
 def check_sobolev(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -307,13 +289,9 @@ def check_sobolev(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityRepo
     sigmas = [axis_variation(f, i) for i in range(1, n + 1)]
     lhs = float(norm(f, Fraction(n, n - 1)))
     rhs = float(sum(sigmas, ZERO)) / (2 * n)
-    cert = shape = None
-    ind = _indicator_data(f)
-    if ind is not None:
-        _, counts, shape = ind
-        cert = sobolev_certificate(counts, n)
+    cert, shape = _indicator_certificate(f, sobolev_certificate)
     return _report(Inequality.SOBOLEV, n, None, lhs, rhs, tol, cert, shape,
-                   lambda: _echo_function(f))
+                   lambda: function_to_dict(f))
 
 
 def check_isoperimetric(A: LatticeSet, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -322,16 +300,16 @@ def check_isoperimetric(A: LatticeSet, tol: float = DEFAULT_TOL) -> InequalityRe
         raise InvalidInputError(
             f"inequalities need ambient dimension >= 2, got n={A.dim}"
         )
-    if not A.points:
-        raise DegenerateInputError("empty set")
     n = A.dim
     counts = set_counts(A)
     cert = sobolev_certificate(counts, n)
     lhs = float(counts.size ** (n - 1))
     rhs = counts.boundary ** n / float((2 * n) ** n)
-    shape = classify_counts(counts)
+    shape = classify_counts(
+        counts.size, counts.proj_size, counts.proj_min, counts.proj_max
+    )
     return _report(Inequality.ISOPERIMETRIC, n, None, lhs, rhs, tol, cert, shape,
-                   lambda: _echo_set(A))
+                   lambda: set_to_dict(A))
 
 
 def check_bl(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -343,13 +321,9 @@ def check_bl(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     masses = [norm(max_projection(f, i), 1) for i in range(1, n + 1)]
     lhs = float(norm(f, Fraction(n, n - 1)))
     rhs = float(math.prod(masses)) ** (1.0 / n)
-    cert = shape = None
-    ind = _indicator_data(f)
-    if ind is not None:
-        _, counts, shape = ind
-        cert = bl_certificate(counts, n)
+    cert, shape = _indicator_certificate(f, bl_certificate)
     return _report(Inequality.BL, n, None, lhs, rhs, tol, cert, shape,
-                   lambda: _echo_function(f))
+                   lambda: function_to_dict(f))
 
 
 def check_loomis_whitney(A: LatticeSet, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -358,16 +332,16 @@ def check_loomis_whitney(A: LatticeSet, tol: float = DEFAULT_TOL) -> InequalityR
         raise InvalidInputError(
             f"inequalities need ambient dimension >= 2, got n={A.dim}"
         )
-    if not A.points:
-        raise DegenerateInputError("empty set")
     n = A.dim
     counts = set_counts(A)
     cert = bl_certificate(counts, n)
     lhs = float(counts.size ** (n - 1))
     rhs = float(math.prod(counts.shadow_size))
-    shape = classify_counts(counts)
+    shape = classify_counts(
+        counts.size, counts.proj_size, counts.proj_min, counts.proj_max
+    )
     return _report(Inequality.LW, n, None, lhs, rhs, tol, cert, shape,
-                   lambda: _echo_set(A))
+                   lambda: set_to_dict(A))
 
 
 # -- logarithmic variants ----------------------------------------------------
@@ -442,13 +416,10 @@ def check_log_sobolev(
     else:
         rhs = math.log(float(sum(sigmas, ZERO)) / scale / (2 * n))
         ineq = Inequality.LOG_SOBOLEV
-    cert = shape = None
-    ind = _indicator_data(f)
-    if ind is not None:
-        _, counts, shape = ind
-        cert = (gn_certificate if directional else sobolev_certificate)(counts, n)
+    certificate = gn_certificate if directional else sobolev_certificate
+    cert, shape = _indicator_certificate(f, certificate)
     return _report(ineq, n, p, lhs, rhs, tol, cert, shape,
-                   lambda: _echo_function(f))
+                   lambda: function_to_dict(f))
 
 
 def check_log_bl(
@@ -471,13 +442,9 @@ def check_log_bl(
     lhs = _entropy_coefficient(n, p) * _normalized_entropy(f, p, scale)
     masses = [norm(max_projection(f, i), 1) for i in range(1, n + 1)]
     rhs = math.fsum(math.log(float(m) / scale) for m in masses) / n
-    cert = shape = None
-    ind = _indicator_data(f)
-    if ind is not None:
-        _, counts, shape = ind
-        cert = bl_certificate(counts, n)
+    cert, shape = _indicator_certificate(f, bl_certificate)
     return _report(Inequality.LOG_BL, n, p, lhs, rhs, tol, cert, shape,
-                   lambda: _echo_function(f))
+                   lambda: function_to_dict(f))
 
 
 # ---------------------------------------------------------------------------

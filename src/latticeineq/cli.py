@@ -444,6 +444,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"overflow: input out of floating-point range: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

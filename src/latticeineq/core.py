@@ -450,14 +450,7 @@ def boundary_count(A: LatticeSet) -> int:
 
     Equals the exact 1-norm of the differential of the indicator of A.
     """
-    count = 0
-    pts = A.points
-    for z in pts:
-        for ax in range(A.dim):
-            lo = z[:ax] + (z[ax] - 1,) + z[ax + 1:]
-            hi = z[:ax] + (z[ax] + 1,) + z[ax + 1:]
-            count += (lo not in pts) + (hi not in pts)
-    return count
+    return len(boundary_edges(A))
 
 
 def entropy(f: SparseFunction, p) -> float:

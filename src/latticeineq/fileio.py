@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .certify import ExactCertificate, InequalityReport
 from .core import LatticeSet, SparseFunction, as_fraction
 from .errors import InvalidInputError
-from .fuzzing import FuzzSummary
-from .search import SearchTrace
+
+if TYPE_CHECKING:
+    from .certify import ExactCertificate, InequalityReport
+    from .fuzzing import FuzzSummary
+    from .search import SearchTrace
 
 REPORT_CSV_HEADER = "inequality,n,p,lhs,rhs,deficit,relation,extremal_class"
 

@@ -15,6 +15,7 @@ index order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -37,6 +38,7 @@ from .certify import (
 )
 from .core import LatticeSet, SparseFunction, pointwise_line_bound
 from .errors import InvalidInputError
+from .fileio import function_to_dict, set_to_dict
 
 P_CYCLE = (Fraction(1, 2), Fraction(1), Fraction(2))
 
@@ -183,29 +185,21 @@ def _fuzz_range(seed, n, window, q, denominator, tol, start, stop) -> FuzzSummar
     for index in range(start, stop):
         outcome = run_instance(seed, index, n, window, q, denominator, tol)
         for key, report in outcome["reports"].items():
-            echo = outcome["set"] if key in (
-                Inequality.ISOPERIMETRIC, Inequality.LW
-            ) else outcome["function"]
+            if key in (Inequality.ISOPERIMETRIC, Inequality.LW):
+                echo = functools.partial(set_to_dict, outcome["set"])
+            else:
+                echo = functools.partial(function_to_dict, outcome["function"])
             summary.per_inequality[key.value].update(
                 report.deficit,
                 report.relation is Relation.VIOLATED,
                 index,
-                lambda e=echo: _echo(e),
+                echo,
             )
         summary.line_bound_checks += 1
         summary.line_bound_failures += not outcome["line_ok"]
         summary.chain_checks += 1
         summary.chain_failures += not outcome["chain_ok"]
     return summary
-
-
-def _echo(obj):
-    if isinstance(obj, SparseFunction):
-        return {
-            "dim": obj.dim,
-            "entries": [{"z": list(z), "v": str(v)} for z, v in obj.items()],
-        }
-    return {"dim": obj.dim, "points": [list(z) for z in obj.sorted_points()]}
 
 
 def _worker(args):

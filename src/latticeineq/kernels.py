@@ -1,11 +1,10 @@
-"""Pure-Python twin of the compiled grid kernels.
+"""Grid kernels: packed-bitmask subset statistics.
 
-A subset of the box prod_i [0, dims[i]-1] is packed as a bitmask: the cell
-with coordinates (c_0, .., c_{n-1}) sits at bit c_0 + dims[0]*(c_1 + dims[1]*...),
-axis 0 fastest.  Works for boxes of any size (Python integers).
+The inner loops of rigidity enumeration and set annealing.  A subset of the
+box prod_i [0, dims[i]-1] is packed as a bitmask: the cell with coordinates
+(c_0, .., c_{n-1}) sits at bit c_0 + dims[0]*(c_1 + dims[1]*...), axis 0
+fastest.  Works for boxes of any size (Python integers).
 """
-
-import math
 
 
 def strides(dims):
@@ -13,10 +12,6 @@ def strides(dims):
     for d in dims[:-1]:
         out.append(out[-1] * d)
     return tuple(out)
-
-
-def cell_count(dims):
-    return math.prod(dims)
 
 
 def pack(points, dims):

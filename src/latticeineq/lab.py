@@ -21,6 +21,7 @@ from . import kernels
 from .certify import (
     ShapeClass,
     bl_certificate,
+    classify_counts,
     gn_certificate,
     is_scaled_indicator,
     set_counts,
@@ -161,16 +162,6 @@ def _masks(cells: int, max_size: int):
             yield mask
 
 
-def classify_from_stats(size, proj_size, proj_min, proj_max) -> ShapeClass:
-    if size != math.prod(proj_size):
-        return ShapeClass.NONE
-    if any(s != hi - lo + 1 for s, lo, hi in zip(proj_size, proj_min, proj_max)):
-        return ShapeClass.PRODUCT_SET
-    if all(s == proj_size[0] for s in proj_size):
-        return ShapeClass.CUBE
-    return ShapeClass.CUBOID
-
-
 def enumerate_rigidity(
     n: int,
     box_side: int,
@@ -218,7 +209,7 @@ def enumerate_rigidity(
         gn_equal = two_n * pow_size == math.prod(crossings)
         iso_equal = iso_factor * pow_size == sum(crossings) ** n
         lw_equal = pow_size == math.prod(shadow)
-        shape = classify_from_stats(size, proj_size, proj_min, proj_max)
+        shape = classify_counts(size, proj_size, proj_min, proj_max)
         canonical = all(m == 0 for m in proj_min)
         row = RigidityRow(
             set_id=mask,

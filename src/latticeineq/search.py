@@ -65,8 +65,14 @@ def anneal_sets(
         raise InvalidInputError("annealing needs ambient dimension >= 2")
     if size < 1:
         raise InvalidInputError("set size must be >= 1")
+    if not (0 < t0 and math.isfinite(t0)):
+        raise InvalidInputError(f"t0 must be finite and positive, got {t0}")
+    if not 0 < alpha <= 1:
+        raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
     if box_side is None:
         box_side = _box_side_for(size, n)
+    if box_side < 1:
+        raise InvalidInputError(f"box side must be >= 1, got {box_side}")
     cells = box_side ** n
     if cells < size:
         raise InvalidInputError(f"box {box_side}^{n} cannot hold {size} points")

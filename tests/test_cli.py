@@ -153,6 +153,20 @@ class TestSearchCommand:
         assert main(["search", "--mode", "anneal", "--n", "2"]) == 2
         assert "--size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--t0", "0", "t0"), ("--t0", "-1", "t0"), ("--t0", "nan", "t0"),
+        ("--t0", "inf", "t0"), ("--alpha", "0", "alpha"),
+        ("--alpha", "1.5", "alpha"), ("--alpha", "nan", "alpha"),
+        ("--box-side", "-3", "box side"),
+    ])
+    def test_anneal_rejects_bad_parameters(self, flag, value, message, capsys):
+        code = main(["search", "--mode", "anneal", "--n", "2", "--size", "9",
+                     "--iters", "3", "--seed", "0", flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: " + message)
+        assert err.count("\n") == 1
+
     def test_ascend(self, capsys):
         code = main(["search", "--mode", "ascend", "--n", "2",
                      "--window-side", "2", "--iters", "300", "--seed", "0",
@@ -252,6 +266,18 @@ class TestExitCodeContract:
         assert main(["check", "--input", str(path), "--ineq", "logbl", "--p", "0"]) == 2
         assert "p must be positive" in capsys.readouterr().err
         assert main(["check", "--input", str(path), "--ineq", "logbl", "--p", "x"]) == 2
+
+    @pytest.mark.parametrize("payload,args", [
+        ({"dim": 2, "entries": [{"z": [0, 0], "v": "1e400"}]}, []),
+        ({"dim": 2, "points": [[0, 0], [0, 1]]},
+         ["--ineq", "logsob", "--p", "1/1000000000000000000000"]),
+    ])
+    def test_float_overflow_exit_2(self, payload, args, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        assert main(["check", "--input", str(path)] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("overflow: ") and err.count("\n") == 1
 
     def test_violation_reports_exit_1(self, tmp_path, capsys, monkeypatch):
         # a VIOLATED relation cannot arise from valid inputs, so fake one to

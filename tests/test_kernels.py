@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 
 from latticeineq import kernels
-from latticeineq.kernels import _pure
+from latticeineq.certify import classify_counts, classify_shape, set_counts
+from latticeineq.core import LatticeSet
 
 from oracles import oracle_subset_stats
 
@@ -24,57 +26,41 @@ def random_cases(seed=7, count=300):
 
 def test_pure_matches_oracle():
     for mask, dims in random_cases():
-        assert _pure.subset_stats(mask, dims) == oracle_subset_stats(mask, dims)
+        assert kernels.subset_stats(mask, dims) == oracle_subset_stats(mask, dims)
 
 
 def test_boundary_consistent_with_stats():
     for mask, dims in random_cases(seed=8):
-        _, crossings, *_ = _pure.subset_stats(mask, dims)
-        assert _pure.subset_boundary(mask, dims) == sum(crossings)
+        _, crossings, *_ = kernels.subset_stats(mask, dims)
+        assert kernels.subset_boundary(mask, dims) == sum(crossings)
 
 
 def test_pack_unpack_roundtrip():
     dims = (3, 4)
     pts = [(0, 0), (2, 3), (1, 1)]
-    mask = _pure.pack(pts, dims)
-    assert _pure.unpack(mask, dims) == sorted(pts)
+    mask = kernels.pack(pts, dims)
+    assert kernels.unpack(mask, dims) == sorted(pts)
 
 
 def test_pack_rejects_outside_box():
     with pytest.raises(ValueError):
-        _pure.pack([(3, 0)], (3, 3))
+        kernels.pack([(3, 0)], (3, 3))
 
 
-@pytest.mark.skipif("compiled" not in kernels.backends(), reason="pure-only build")
-class TestCompiledParity:
-    def test_matches_pure_on_random_masks(self):
-        compiled = kernels.backends()["compiled"]
-        for mask, dims in random_cases(seed=9, count=500):
-            assert compiled.subset_stats(mask, dims) == _pure.subset_stats(mask, dims)
-            assert compiled.subset_boundary(mask, dims) == _pure.subset_boundary(
-                mask, dims
-            )
-
-    def test_matches_pure_exhaustively_small_boxes(self):
-        compiled = kernels.backends()["compiled"]
-        for dims in ((4, 4), (2, 2, 2), (5,), (2, 3)):
-            cells = 1
-            for d in dims:
-                cells *= d
-            for mask in range(1 << cells):
-                assert compiled.subset_stats(mask, dims) == _pure.subset_stats(
-                    mask, dims
-                )
-
-    def test_rejects_oversized_box(self):
-        compiled = kernels.backends()["compiled"]
-        with pytest.raises(ValueError):
-            compiled.subset_stats(0, (9, 8))  # 72 cells
-
-    def test_dispatch_routes_large_boxes_to_pure(self):
-        # 72 cells: wrapper must not raise
-        assert kernels.subset_stats(1, (9, 8))[0] == 1
+def test_matches_set_counts_and_shape_classifier():
+    # kernel statistics on packed masks vs certify's on explicit point sets
+    cases = [(mask, dims) for dims in ((3, 3), (2, 2, 2))
+             for mask in range(1, 1 << math.prod(dims))]
+    cases += [(mask, dims) for mask, dims in random_cases(seed=9) if mask]
+    for mask, dims in cases:
+        stats = kernels.subset_stats(mask, dims)
+        A = LatticeSet(len(dims), kernels.unpack(mask, dims))
+        c = set_counts(A)
+        assert stats == (c.size, c.crossings, c.proj_size, c.proj_min,
+                         c.proj_max, c.shadow_size)
+        size, _, proj_size, proj_min, proj_max, _ = stats
+        assert classify_counts(size, proj_size, proj_min, proj_max) == classify_shape(A)
 
 
 def test_empty_mask():
-    assert _pure.subset_stats(0, (2, 2)) == (0, (0, 0), (0, 0), (0, 0), (0, 0), (0, 0))
+    assert kernels.subset_stats(0, (2, 2)) == (0, (0, 0), (0, 0), (0, 0), (0, 0), (0, 0))
