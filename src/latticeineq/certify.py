@@ -24,11 +24,10 @@ from .core import (
     LatticeSet,
     SparseFunction,
     axis_variation,
-    entropy,
     max_projection,
     norm,
 )
-from .core import ZERO, _check_exponent
+from .core import ZERO, _check_exponent, _entropy_sum
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -164,8 +163,7 @@ def classify_shape(A: LatticeSet) -> ShapeClass:
     projection sizes; a cuboid additionally has interval projections; a cube
     additionally has equal side lengths.
     """
-    c = set_counts(A)
-    return classify_counts(c.size, c.proj_size, c.proj_min, c.proj_max)
+    return _shape(set_counts(A))
 
 
 def is_scaled_indicator(f: SparseFunction) -> Optional[tuple]:
@@ -229,14 +227,35 @@ def _require_nonnegative(f: SparseFunction):
         raise DomainError("this inequality requires a nonnegative function")
 
 
-def _indicator_certificate(f: SparseFunction, certificate) -> tuple:
-    """(certificate, shape) when f is a scaled indicator, else (None, None)."""
+def _shape(c: SetCounts) -> ShapeClass:
+    return classify_counts(c.size, c.proj_size, c.proj_min, c.proj_max)
+
+
+def _function_report(ineq, f, p, lhs, rhs, tol, certificate) -> InequalityReport:
+    """Shared tail of the function checkers: certified, with its shape, when
+    f is a scaled indicator."""
+    cert = shape = None
     ind = is_scaled_indicator(f)
-    if ind is None:
-        return None, None
-    c = set_counts(ind[1])
-    shape = classify_counts(c.size, c.proj_size, c.proj_min, c.proj_max)
-    return certificate(c, f.dim), shape
+    if ind is not None:
+        counts = set_counts(ind[1])
+        cert, shape = certificate(counts, f.dim), _shape(counts)
+    return _report(ineq, f.dim, p, lhs, rhs, tol, cert, shape,
+                   lambda: function_to_dict(f))
+
+
+def _set_report(ineq: Inequality, A: LatticeSet, tol: float, certificate,
+                divisor: int) -> InequalityReport:
+    """Shared body of the set checkers: both sides are the certificate's
+    integers over `divisor`."""
+    if A.dim < 2:
+        raise InvalidInputError(
+            f"inequalities need ambient dimension >= 2, got n={A.dim}"
+        )
+    counts = set_counts(A)
+    cert = certificate(counts, A.dim)
+    return _report(ineq, A.dim, None, cert.lhs_integer / divisor,
+                   cert.rhs_integer / float(divisor), tol, cert, _shape(counts),
+                   lambda: set_to_dict(A))
 
 
 def gn_certificate(counts: SetCounts, n: int) -> ExactCertificate:
@@ -263,6 +282,15 @@ def bl_certificate(counts: SetCounts, n: int) -> ExactCertificate:
     )
 
 
+# The rigidity theorems: each certificate is an equality exactly on the
+# indicators of sets in its class.
+EQUALITY_CLASSES = {
+    Reduction.GN_CUBOID: frozenset({ShapeClass.CUBE, ShapeClass.CUBOID}),
+    Reduction.SOBOLEV_ISO: frozenset({ShapeClass.CUBE}),
+    Reduction.BL_LW: frozenset(ShapeClass) - {ShapeClass.NONE},
+}
+
+
 # ---------------------------------------------------------------------------
 # the eight checkers
 # ---------------------------------------------------------------------------
@@ -276,9 +304,7 @@ def check_gn(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     sigmas = [axis_variation(f, i) for i in range(1, n + 1)]
     lhs = float(norm(f, Fraction(n, n - 1)))
     rhs = 0.5 * float(math.prod(sigmas)) ** (1.0 / n)
-    cert, shape = _indicator_certificate(f, gn_certificate)
-    return _report(Inequality.GN, n, None, lhs, rhs, tol, cert, shape,
-                   lambda: function_to_dict(f))
+    return _function_report(Inequality.GN, f, None, lhs, rhs, tol, gn_certificate)
 
 
 def check_sobolev(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -289,27 +315,14 @@ def check_sobolev(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityRepo
     sigmas = [axis_variation(f, i) for i in range(1, n + 1)]
     lhs = float(norm(f, Fraction(n, n - 1)))
     rhs = float(sum(sigmas, ZERO)) / (2 * n)
-    cert, shape = _indicator_certificate(f, sobolev_certificate)
-    return _report(Inequality.SOBOLEV, n, None, lhs, rhs, tol, cert, shape,
-                   lambda: function_to_dict(f))
+    return _function_report(Inequality.SOBOLEV, f, None, lhs, rhs, tol,
+                            sobolev_certificate)
 
 
 def check_isoperimetric(A: LatticeSet, tol: float = DEFAULT_TOL) -> InequalityReport:
     """|A|^(n-1) <= |bd A|^n / (2^n n^n); equality exactly on cubes."""
-    if A.dim < 2:
-        raise InvalidInputError(
-            f"inequalities need ambient dimension >= 2, got n={A.dim}"
-        )
-    n = A.dim
-    counts = set_counts(A)
-    cert = sobolev_certificate(counts, n)
-    lhs = float(counts.size ** (n - 1))
-    rhs = counts.boundary ** n / float((2 * n) ** n)
-    shape = classify_counts(
-        counts.size, counts.proj_size, counts.proj_min, counts.proj_max
-    )
-    return _report(Inequality.ISOPERIMETRIC, n, None, lhs, rhs, tol, cert, shape,
-                   lambda: set_to_dict(A))
+    return _set_report(Inequality.ISOPERIMETRIC, A, tol, sobolev_certificate,
+                       (2 * A.dim) ** A.dim)
 
 
 def check_bl(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -321,27 +334,12 @@ def check_bl(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     masses = [norm(max_projection(f, i), 1) for i in range(1, n + 1)]
     lhs = float(norm(f, Fraction(n, n - 1)))
     rhs = float(math.prod(masses)) ** (1.0 / n)
-    cert, shape = _indicator_certificate(f, bl_certificate)
-    return _report(Inequality.BL, n, None, lhs, rhs, tol, cert, shape,
-                   lambda: function_to_dict(f))
+    return _function_report(Inequality.BL, f, None, lhs, rhs, tol, bl_certificate)
 
 
 def check_loomis_whitney(A: LatticeSet, tol: float = DEFAULT_TOL) -> InequalityReport:
     """|A|^(n-1) <= prod_i |shadow_i(A)|; equality exactly on product sets."""
-    if A.dim < 2:
-        raise InvalidInputError(
-            f"inequalities need ambient dimension >= 2, got n={A.dim}"
-        )
-    n = A.dim
-    counts = set_counts(A)
-    cert = bl_certificate(counts, n)
-    lhs = float(counts.size ** (n - 1))
-    rhs = float(math.prod(counts.shadow_size))
-    shape = classify_counts(
-        counts.size, counts.proj_size, counts.proj_min, counts.proj_max
-    )
-    return _report(Inequality.LW, n, None, lhs, rhs, tol, cert, shape,
-                   lambda: set_to_dict(A))
+    return _set_report(Inequality.LW, A, tol, bl_certificate, 1)
 
 
 # -- logarithmic variants ----------------------------------------------------
@@ -353,7 +351,12 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
     For integer p the unit-norm precondition is checked exactly.
     """
     if normalize:
-        return float(norm(f, p))
+        nf = float(norm(f, p))
+        if not nf:
+            raise InvalidInputError(
+                f"||f||_{p} underflows the floating-point range; cannot normalize"
+            )
+        return nf
     if p.denominator == 1:
         total = sum((abs(v) ** p.numerator for _, v in f.items()), ZERO)
         if total != 1:
@@ -369,22 +372,15 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
     return 1.0
 
 
-def _entropy_coefficient(n: int, p: Fraction) -> float:
-    return float(Fraction(1, n) + 1 / p - 1)
-
-
-def _normalized_entropy(f: SparseFunction, p: Fraction, scale: float) -> float:
-    """Entropy integral of f/scale at exponent p, float track."""
-    if scale == 1.0:
-        return entropy(f, p)
-    pf = float(p)
-    total = 0.0
-    for _, v in f.items():
-        if v < 0:
-            raise DomainError("entropy requires a nonnegative function")
-        x = float(v) / scale
-        total += pf * (x ** pf) * math.log(x)
-    return total
+def _entropy_side(f: SparseFunction, p, tol: float, normalize: bool) -> tuple:
+    """(p, N, (1/n + 1/p - 1) * ent_p(f/N)): the checked exponent, the norm
+    factor of `_norm_factor` and the left side of the log inequalities."""
+    _require_checkable(f)
+    _require_nonnegative(f)
+    p = _check_exponent(p)
+    scale = _norm_factor(f, p, tol, normalize)
+    coefficient = float(Fraction(1, f.dim) + 1 / p - 1)
+    return p, scale, coefficient * _entropy_sum(f, float(p), scale)
 
 
 def check_log_sobolev(
@@ -401,12 +397,8 @@ def check_log_sobolev(
     Otherwise the rhs is log(||df||_1 / 2n), equality exactly on normalized
     cube indicators.  `normalize` rescales f to unit p-norm first.
     """
-    _require_checkable(f)
-    _require_nonnegative(f)
-    p = _check_exponent(p)
+    p, scale, lhs = _entropy_side(f, p, tol, normalize)
     n = f.dim
-    scale = _norm_factor(f, p, tol, normalize)
-    lhs = _entropy_coefficient(n, p) * _normalized_entropy(f, p, scale)
     sigmas = [axis_variation(f, i) for i in range(1, n + 1)]
     if directional:
         rhs = -math.log(2.0) + math.fsum(
@@ -417,9 +409,7 @@ def check_log_sobolev(
         rhs = math.log(float(sum(sigmas, ZERO)) / scale / (2 * n))
         ineq = Inequality.LOG_SOBOLEV
     certificate = gn_certificate if directional else sobolev_certificate
-    cert, shape = _indicator_certificate(f, certificate)
-    return _report(ineq, n, p, lhs, rhs, tol, cert, shape,
-                   lambda: function_to_dict(f))
+    return _function_report(ineq, f, p, lhs, rhs, tol, certificate)
 
 
 def check_log_bl(
@@ -434,17 +424,11 @@ def check_log_bl(
 
     equality exactly on normalized product-set indicators.
     """
-    _require_checkable(f)
-    _require_nonnegative(f)
-    p = _check_exponent(p)
+    p, scale, lhs = _entropy_side(f, p, tol, normalize)
     n = f.dim
-    scale = _norm_factor(f, p, tol, normalize)
-    lhs = _entropy_coefficient(n, p) * _normalized_entropy(f, p, scale)
     masses = [norm(max_projection(f, i), 1) for i in range(1, n + 1)]
     rhs = math.fsum(math.log(float(m) / scale) for m in masses) / n
-    cert, shape = _indicator_certificate(f, bl_certificate)
-    return _report(Inequality.LOG_BL, n, p, lhs, rhs, tol, cert, shape,
-                   lambda: function_to_dict(f))
+    return _function_report(Inequality.LOG_BL, f, p, lhs, rhs, tol, bl_certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +442,8 @@ def projection_chain(f: SparseFunction) -> tuple:
     The middle term uses max projections of |f|; the last is the difference-
     norm product bound.  Useful as a three-term soundness probe.
     """
-    _require_checkable(f)
-    n = f.dim
-    g = f.abs()
-    lhs = float(norm(f, Fraction(n, n - 1)))
-    masses = [norm(max_projection(g, i), 1) for i in range(1, n + 1)]
-    mid = float(math.prod(masses)) ** (1.0 / n)
-    sigmas = [axis_variation(f, i) for i in range(1, n + 1)]
-    rhs = 0.5 * float(math.prod(sigmas)) ** (1.0 / n)
-    return lhs, mid, rhs
+    gn = check_gn(f)
+    return gn.lhs, check_bl(f.abs()).rhs, gn.rhs
 
 
 def jensen_gap(f: SparseFunction, p) -> float:
@@ -475,10 +452,6 @@ def jensen_gap(f: SparseFunction, p) -> float:
     Nonnegative for every nonnegative f (concavity of log); zero exactly when
     f^p is uniform on its support.
     """
-    _require_checkable(f)
-    _require_nonnegative(f)
-    p = _check_exponent(p)
+    p, scale, entropy_side = _entropy_side(f, p, 0.0, normalize=True)
     n = f.dim
-    scale = float(norm(f, p))
-    lhs = math.log(float(norm(f, Fraction(n, n - 1))) / scale)
-    return lhs - _entropy_coefficient(n, p) * _normalized_entropy(f, p, scale)
+    return math.log(float(norm(f, Fraction(n, n - 1))) / scale) - entropy_side

@@ -300,6 +300,8 @@ def emit_table(
 ) -> str:
     """CSV sweep over cuboid shapes: per selected inequality the two sides,
     the certificate integers and the relation."""
+    if n < 2:
+        raise InvalidInputError(f"table needs ambient dimension >= 2, got n={n}")
     if min_side < 1 or max_side < min_side:
         raise InvalidInputError(
             f"invalid side range {min_side}..{max_side}; need 1 <= min <= max"

@@ -459,13 +459,21 @@ def entropy(f: SparseFunction, p) -> float:
     The sum runs over the support only, so 0·log 0 never arises.  Requires a
     nonnegative function.
     """
-    q = _check_exponent(p)
-    pf = float(q)
+    return _entropy_sum(f, float(_check_exponent(p)), 1.0)
+
+
+def _entropy_sum(f: SparseFunction, pf: float, scale: float) -> float:
+    """sum over supp f of pf * x^pf * log x with x = f/scale (the entropy of
+    f/scale at exponent pf); rejects a value whose x underflows to 0.0."""
     total = 0.0
-    for _, v in f.items():
+    for z, v in f.items():
         if v < 0:
             raise DomainError("entropy requires a nonnegative function")
-        x = float(v)
+        x = float(v) / scale
+        if not x:
+            raise InvalidInputError(
+                f"the value at {z} underflows the floating-point range"
+            )
         total += pf * (x ** pf) * math.log(x)
     return total
 

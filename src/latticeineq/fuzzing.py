@@ -34,7 +34,6 @@ from .certify import (
     check_log_sobolev,
     check_loomis_whitney,
     check_sobolev,
-    projection_chain,
 )
 from .core import LatticeSet, SparseFunction, pointwise_line_bound
 from .errors import InvalidInputError
@@ -161,7 +160,10 @@ def run_instance(seed: int, index: int, n: int, window: int, q: float,
     line_ok = all(
         pointwise_line_bound(f_signed, i).ok for i in range(1, n + 1)
     )
-    lo, mid, hi = projection_chain(f_signed)
+    # the three terms of certify.projection_chain(f_signed), read off the
+    # reports: GN was checked on f_signed and BL on its absolute value f
+    gn, bl = reports[Inequality.GN], reports[Inequality.BL]
+    lo, mid, hi = gn.lhs, bl.rhs, gn.rhs
     chain_ok = (
         lo - mid <= tol * max(1.0, abs(lo), abs(mid))
         and mid - hi <= tol * max(1.0, abs(mid), abs(hi))
@@ -208,7 +210,13 @@ def _worker(args):
 
 def resolve_threads(threads: Optional[int]) -> int:
     if threads is None:
-        threads = int(os.environ.get("LATTICE_INEQ_THREADS", "1") or "1")
+        raw = os.environ.get("LATTICE_INEQ_THREADS", "1") or "1"
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise InvalidInputError(
+                f"LATTICE_INEQ_THREADS must be an integer, got {raw!r}"
+            ) from None
     return max(1, threads)
 
 

@@ -37,6 +37,11 @@ class SearchTrace:
     history: list = field(default_factory=list)  # (iteration, running best)
 
 
+def _check_iters(iters: int):
+    if iters < 0:
+        raise InvalidInputError(f"iters must be >= 0, got {iters}")
+
+
 def _box_side_for(size: int, n: int) -> int:
     side = max(2, math.ceil(size ** (1.0 / n)) * 2 + 1)
     while side ** n < size:
@@ -65,6 +70,7 @@ def anneal_sets(
         raise InvalidInputError("annealing needs ambient dimension >= 2")
     if size < 1:
         raise InvalidInputError("set size must be >= 1")
+    _check_iters(iters)
     if not (0 < t0 and math.isfinite(t0)):
         raise InvalidInputError(f"t0 must be finite and positive, got {t0}")
     if not 0 < alpha <= 1:
@@ -198,6 +204,7 @@ def ascend_function(
     known supremum 1.  `start` is "random" (seeded grid values) or
     "indicator" (all ones, which is already extremal on a cuboid window).
     """
+    _check_iters(iters)
     if isinstance(window, int):
         window = Cuboid.from_sides((window,) * n)
     if window.dim != n:

@@ -138,6 +138,13 @@ class TestFuzzCommand:
         assert obj["count"] == 60
         assert obj["per_inequality"]["GN"]["count"] == 60
 
+    def test_bad_thread_variable_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("LATTICE_INEQ_THREADS", "abc")
+        assert main(["fuzz", "--count", "2", "--n", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: LATTICE_INEQ_THREADS")
+        assert err.count("\n") == 1
+
 
 class TestSearchCommand:
     def test_anneal(self, capsys):
@@ -157,11 +164,13 @@ class TestSearchCommand:
         ("--t0", "0", "t0"), ("--t0", "-1", "t0"), ("--t0", "nan", "t0"),
         ("--t0", "inf", "t0"), ("--alpha", "0", "alpha"),
         ("--alpha", "1.5", "alpha"), ("--alpha", "nan", "alpha"),
-        ("--box-side", "-3", "box side"),
+        ("--box-side", "-3", "box side"), ("--iters", "-5", "iters"),
+        # later options override the base command's, so this runs ascend
+        ("--mode ascend --window-side 2 --iters", "-5", "iters"),
     ])
     def test_anneal_rejects_bad_parameters(self, flag, value, message, capsys):
         code = main(["search", "--mode", "anneal", "--n", "2", "--size", "9",
-                     "--iters", "3", "--seed", "0", flag, value])
+                     "--iters", "3", "--seed", "0", *flag.split(), value])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid input: " + message)
@@ -233,6 +242,12 @@ class TestTableCommand:
         assert main(["table", "--n", "2", "--min-side", "3", "--max-side", "2"]) == 2
         assert "side range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["-1", "0", "1"])
+    def test_dimension_below_two_exit_2(self, n, capsys):
+        assert main(["table", "--n", n, "--max-side", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"invalid input: table needs ambient dimension >= 2, got n={n}\n"
+
 
 class TestLogChecksFromCli:
     def test_set_input_logbl(self, tmp_path, capsys):
@@ -278,6 +293,21 @@ class TestExitCodeContract:
         assert main(["check", "--input", str(path)] + args) == 2
         err = capsys.readouterr().err
         assert err.startswith("overflow: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("values,args", [
+        (["1e-400"], ["--normalize"]),
+        (["1e-400", "1"], ["--normalize"]),
+        (["1e-400", "1"], ["--ineq", "logsob", "--p", "3/2"]),
+    ])
+    def test_float_underflow_exit_2(self, values, args, tmp_path, capsys):
+        # "1e-400" is an exact rational whose float is 0.0
+        entries = [{"z": [i, 0], "v": v} for i, v in enumerate(values)]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"dim": 2, "entries": entries}))
+        assert main(["check", "--input", str(path)] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and "underflows" in err
+        assert err.count("\n") == 1
 
     def test_violation_reports_exit_1(self, tmp_path, capsys, monkeypatch):
         # a VIOLATED relation cannot arise from valid inputs, so fake one to

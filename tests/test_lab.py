@@ -101,6 +101,23 @@ class TestEnumerateRigidity:
             enumerate_rigidity(2, 4, budget=1000)
         assert err.value.estimate == 65535
 
+    def test_equality_is_decided_by_certify_certificates(self, monkeypatch):
+        from latticeineq import certify, lab
+
+        def off_by_one(counts, n):
+            cert = certify.gn_certificate(counts, n)
+            return certify.ExactCertificate(
+                cert.reduction, cert.lhs_integer + 1, cert.rhs_integer
+            )
+
+        monkeypatch.setattr(lab, "gn_certificate", off_by_one)
+        rep = enumerate_rigidity(2, 2)
+        # 4|A| + 1 is odd and the crossing product even: no set is GN-equal,
+        # so each of the 9 cuboids of the 2x2 box is a mismatch
+        assert rep.equality_counts["gn"] == 0
+        assert rep.mismatch_count == 9
+        assert {r.shape_class.value for r in rep.mismatches} == {"CUBE", "CUBOID"}
+
     def test_row_sink_sees_every_subset(self):
         rows = []
         enumerate_rigidity(2, 2, row_sink=rows.append)
