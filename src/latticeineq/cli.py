@@ -3,13 +3,15 @@
 Exit codes: 0 all checks hold, 1 a violation was found (a theorem
 counterexample, i.e. an implementation bug — the offending input is echoed
 in the report), 2 input or configuration error (one-line diagnostic naming
-the offending field).
+the offending field), 3 internal error (one-line diagnostic naming the
+exception; nothing is written to stdout).
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -99,8 +101,8 @@ def _parse_p(raw: str) -> Fraction:
 
 
 def _check_tol(tol: float) -> float:
-    if not tol > 0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InvalidInputError(f"tol must be finite and positive, got {tol}")
     return tol
 
 
@@ -449,6 +451,10 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"overflow: input out of floating-point range: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not a verdict: never exit 1 for it
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

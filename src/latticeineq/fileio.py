@@ -205,4 +205,4 @@ def summary_to_dict(summary: FuzzSummary) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2)
+    return json.dumps(obj, indent=2, allow_nan=False)

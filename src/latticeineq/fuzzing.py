@@ -217,7 +217,11 @@ def resolve_threads(threads: Optional[int]) -> int:
             raise InvalidInputError(
                 f"LATTICE_INEQ_THREADS must be an integer, got {raw!r}"
             ) from None
-    return max(1, threads)
+        if threads < 1:
+            raise InvalidInputError(f"LATTICE_INEQ_THREADS must be >= 1, got {raw!r}")
+    elif threads < 1:
+        raise InvalidInputError(f"--threads must be >= 1, got {threads}")
+    return threads
 
 
 def fuzz(
@@ -259,7 +263,7 @@ def fuzz(
     )
     for key in Inequality:
         total.per_inequality[key.value] = IneqStats()
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(spans))) as pool:
         for part in pool.map(_worker, args):  # map preserves chunk order
             total.merge(part)
     return total

@@ -1,6 +1,7 @@
 """Grid kernels: packed-bitmask subset statistics.
 
-The inner loops of rigidity enumeration and set annealing.  A subset of the
+The inner loop of rigidity enumeration; set annealing counts only its
+initial boundary here and updates it incrementally.  A subset of the
 box prod_i [0, dims[i]-1] is packed as a bitmask: the cell with coordinates
 (c_0, .., c_{n-1}) sits at bit c_0 + dims[0]*(c_1 + dims[1]*...), axis 0
 fastest.  Works for boxes of any size (Python integers).

@@ -64,7 +64,16 @@ def anneal_sets(
     Moves swap one member for a point adjacent to the set, so cardinality
     never changes and the set stays inside the box.  Geometric cooling
     T_k = t0 * alpha^k with Metropolis acceptance exp(delta/T); stops early
-    once the theorem maximum 1 is attained.
+    once the theorem maximum 1 is attained, or when the set fills the box.
+
+    The state is kept incrementally, so a proposal costs O(n) whatever |A|
+    and the box size: `adjacent[c]` counts the members among the in-box
+    neighbours of cell c, and the shell (the free cells with adjacent[c] > 0)
+    is an indexed list with a position map, sampled by index and shrunk by
+    swap-with-last.  Swapping `out` for `in` changes the boundary by
+    2 * (adjacent[out] - adjacent[in] + [in adjacent to out]); an accepted
+    swap updates the counts and the shell from the 2n neighbours of the two
+    cells.  The boundary is counted in full only once, for the initial set.
     """
     if n < 2:
         raise InvalidInputError("annealing needs ambient dimension >= 2")
@@ -102,17 +111,30 @@ def anneal_sets(
 
     rng = random.Random(seed)
     members = rng.sample(range(cells), size)
-    member_set = set(members)
-    mask = 0
+    is_member = bytearray(cells)
+    adjacent = [0] * cells
     for idx in members:
-        mask |= 1 << idx
+        is_member[idx] = 1
+        for nb in neighbors[idx]:
+            adjacent[nb] += 1
+    shell = [c for c in range(cells) if adjacent[c] and not is_member[c]]
+    position = {c: i for i, c in enumerate(shell)}
 
-    def ratio_of(m: int) -> float:
-        return iso_ratio_from_counts(size, kernels.subset_boundary(m, dims), n)
+    def shell_add(c: int):
+        position[c] = len(shell)
+        shell.append(c)
 
-    current = ratio_of(mask)
+    def shell_drop(c: int):
+        i = position.pop(c)
+        last = shell.pop()
+        if last != c:
+            shell[i] = last
+            position[last] = i
+
+    boundary = kernels.subset_boundary(sum(1 << idx for idx in members), dims)
+    current = iso_ratio_from_counts(size, boundary, n)
     best = current
-    best_mask = mask
+    best_members = list(members)
     history = [(0, best)]
     sample_every = max(1, iters // 256)
     temperature = t0
@@ -122,35 +144,45 @@ def anneal_sets(
         steps = k
         if best == 1.0:
             break
-        # swap proposal: drop a member, add a free neighbor of the set
-        shell = set()
-        for idx in members:
-            for nb in neighbors[idx]:
-                if nb not in member_set:
-                    shell.add(nb)
         if not shell:
             break  # set fills the box
+        # swap proposal: drop a member, add a free neighbor of the set
         out_pos = rng.randrange(size)
         out_idx = members[out_pos]
-        in_idx = rng.choice(sorted(shell))
-        new_mask = mask ^ (1 << out_idx) | (1 << in_idx)
-        proposal = ratio_of(new_mask)
+        in_idx = shell[rng.randrange(len(shell))]
+        out_nbs = neighbors[out_idx]
+        in_adjacent = adjacent[in_idx] - (in_idx in out_nbs)
+        new_boundary = boundary + 2 * (adjacent[out_idx] - in_adjacent)
+        proposal = iso_ratio_from_counts(size, new_boundary, n)
         delta = proposal - current
         if delta >= 0 or rng.random() < math.exp(delta / temperature):
-            mask = new_mask
+            boundary = new_boundary
             current = proposal
             members[out_pos] = in_idx
-            member_set.discard(out_idx)
-            member_set.add(in_idx)
+            is_member[out_idx] = 0
+            for nb in out_nbs:
+                adjacent[nb] -= 1
+                if not adjacent[nb] and not is_member[nb]:
+                    shell_drop(nb)
+            if adjacent[out_idx]:
+                shell_add(out_idx)
+            if in_idx in position:  # not dropped above as out's last member neighbour
+                shell_drop(in_idx)
+            is_member[in_idx] = 1
+            for nb in neighbors[in_idx]:
+                adjacent[nb] += 1
+                if adjacent[nb] == 1 and not is_member[nb]:
+                    shell_add(nb)
             if current > best:
                 best = current
-                best_mask = mask
+                best_members = list(members)
         temperature = max(temperature * alpha, 1e-300)
         if k % sample_every == 0:
             history.append((k, best))
 
     if not history or history[-1][0] != steps:
         history.append((steps, best))
+    best_mask = sum(1 << idx for idx in best_members)
     best_set = LatticeSet(n, kernels.unpack(best_mask, dims))
     return SearchTrace(
         seed=seed,

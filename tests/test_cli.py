@@ -67,6 +67,12 @@ class TestCheckCommand:
         assert main(["check", "--input", rect_file, "--tol", "-1"]) == 2
         assert "tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_exit_2(self, tol, rect_file, capsys):
+        assert main(["check", "--input", rect_file, "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: tol") and err.count("\n") == 1
+
     def test_signed_function_default_selection(self, tmp_path, capsys):
         path = tmp_path / "signed.json"
         path.write_text(json.dumps({
@@ -144,6 +150,22 @@ class TestFuzzCommand:
         err = capsys.readouterr().err
         assert err.startswith("invalid input: LATTICE_INEQ_THREADS")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw", ["-3", "0"])
+    def test_thread_variable_below_one_exit_2(self, raw, monkeypatch, capsys):
+        monkeypatch.setenv("LATTICE_INEQ_THREADS", raw)
+        assert main(["fuzz", "--count", "2", "--n", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: LATTICE_INEQ_THREADS must be >= 1")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("threads", ["-3", "0"])
+    def test_bad_thread_flag_exit_2(self, threads, capsys):
+        assert main(["fuzz", "--count", "2", "--n", "2", "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid input: --threads")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 class TestSearchCommand:
@@ -330,6 +352,37 @@ class TestExitCodeContract:
         obj = json.loads(capsys.readouterr().out)
         assert obj["reports"][0]["relation"] == "VIOLATED"
         assert "input_echo" in obj["reports"][0]
+
+    def test_internal_error_exit_3(self, rect_file, capsys, monkeypatch):
+        import latticeineq.cli as cli
+
+        def broken(f, tol):
+            raise RuntimeError("checker fell over\non two lines")
+
+        monkeypatch.setattr(cli, "check_gn", broken)
+        assert main(["check", "--input", rect_file, "--ineq", "gn"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: checker fell over on two lines\n"
+        assert captured.out == ""
+
+    def test_nan_in_output_exit_3(self, capsys, monkeypatch):
+        # JSON has no NaN; emitting one must not produce an unparseable report
+        import latticeineq.cli as cli
+        from latticeineq import LatticeSet
+        from latticeineq.search import Objective, SearchTrace
+
+        def nan_trace(**kwargs):
+            return SearchTrace(seed=0, objective=Objective.ISO_RATIO, iterations=0,
+                               best_value=float("nan"),
+                               best_input=LatticeSet(2, [(0, 0)]), history=[])
+
+        monkeypatch.setattr(cli, "anneal_sets", nan_trace)
+        code = main(["search", "--mode", "anneal", "--n", "2", "--size", "1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ValueError: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestCrossProcessByteStability:

@@ -19,6 +19,43 @@ class TestThreadResolution:
         monkeypatch.delenv("LATTICE_INEQ_THREADS", raising=False)
         assert resolve_threads(None) == 1
 
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_env_var_below_one_rejected(self, raw, monkeypatch):
+        monkeypatch.setenv("LATTICE_INEQ_THREADS", raw)
+        with pytest.raises(InvalidInputError, match="LATTICE_INEQ_THREADS"):
+            resolve_threads(None)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_argument_below_one_rejected(self, threads):
+        with pytest.raises(InvalidInputError, match="--threads"):
+            resolve_threads(threads)
+
+    def test_pool_never_exceeds_chunk_count(self, monkeypatch):
+        # record the pool size and run the chunks inline: no process starts
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        serial = summary_to_dict(fuzz(600, 2, seed=5, threads=1))
+        assert sizes == []
+        for threads in (2, 64, 10_000):
+            assert summary_to_dict(fuzz(600, 2, seed=5, threads=threads)) == serial
+        # 600 instances in chunks of at least 256 make 3 chunks
+        assert sizes == [2, 3, 3]
+
 
 class TestFuzz:
     def test_small_run_no_violations(self):

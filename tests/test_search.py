@@ -1,4 +1,6 @@
-from latticeineq import Cuboid, anneal_sets, ascend_function, classify_shape
+import pytest
+
+from latticeineq import Cuboid, anneal_sets, ascend_function, classify_shape, lab, search
 from latticeineq.certify import ShapeClass
 
 from oracles import oracle_exhaustive_best_iso
@@ -37,6 +39,35 @@ class TestAnnealSets:
         assert a.best_value == b.best_value
         assert a.best_input == b.best_input
         assert a.history == b.history
+
+    @pytest.mark.parametrize("n,size,box_side", [
+        (2, 5, None), (2, 40, None), (3, 7, None), (3, 30, None),
+        (2, 6, 3), (2, 8, 3), (2, 9, 3), (2, 3, 2), (2, 15, 4),
+        (3, 10, 3), (3, 26, 3), (3, 7, 2), (3, 8, 2),
+    ])
+    def test_incremental_boundary_matches_recount(self, n, size, box_side):
+        # sizes up to the whole box: one free cell, then none
+        for seed in range(3):
+            trace = anneal_sets(n, size, iters=1_500, seed=seed, box_side=box_side)
+            assert trace.best_value == lab.iso_ratio(trace.best_input)
+            assert len(trace.best_input) == size
+            side = box_side or search._box_side_for(size, n)
+            for z in trace.best_input:
+                assert all(0 <= c < side for c in z)
+
+    @pytest.mark.parametrize("iters", [0, 1, 3_000])
+    def test_boundary_counted_once_per_run(self, iters, monkeypatch):
+        calls = []
+        full_count = search.kernels.subset_boundary
+
+        def counting(mask, dims):
+            calls.append(mask)
+            return full_count(mask, dims)
+
+        monkeypatch.setattr(search.kernels, "subset_boundary", counting)
+        trace = anneal_sets(2, 40, iters=iters, seed=4)
+        assert len(calls) == 1
+        assert trace.iterations == iters
 
     def test_history_running_max_nondecreasing(self):
         trace = anneal_sets(2, 8, iters=5_000, seed=2)
