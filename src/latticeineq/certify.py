@@ -24,6 +24,7 @@ from .core import (
     LatticeSet,
     SparseFunction,
     axis_variation,
+    indicator,
     max_projection,
     norm,
 )
@@ -48,6 +49,16 @@ class Inequality(str, Enum):
     BL = "BL"
     LOG_BL = "LOG_BL"
     LW = "LW"
+
+
+# How each inequality is called.  A set inequality reads a set; the log
+# inequalities take an exponent p and need unit p-norm; the nonnegative ones
+# reject a signed function.
+SET_INEQUALITIES = frozenset({Inequality.ISOPERIMETRIC, Inequality.LW})
+LOG_INEQUALITIES = frozenset(
+    {Inequality.LOG_SOBOLEV_DIR, Inequality.LOG_SOBOLEV, Inequality.LOG_BL}
+)
+NONNEGATIVE_INEQUALITIES = LOG_INEQUALITIES | {Inequality.BL}
 
 
 class Relation(str, Enum):
@@ -429,6 +440,39 @@ def check_log_bl(
     masses = [norm(max_projection(f, i), 1) for i in range(1, n + 1)]
     rhs = math.fsum(math.log(float(m) / scale) for m in masses) / n
     return _function_report(Inequality.LOG_BL, f, p, lhs, rhs, tol, bl_certificate)
+
+
+def check(
+    ineq: Inequality,
+    x,
+    p=None,
+    tol: float = DEFAULT_TOL,
+    normalize: bool = False,
+) -> InequalityReport:
+    """Check one of the eight inequalities on a function or a set.
+
+    A set inequality on a function reads its support; a function inequality
+    on a set reads its indicator, rescaled to unit p-norm for the log
+    inequalities.  `p` and `normalize` matter only to the log inequalities.
+    """
+    ineq = Inequality(ineq)
+    if ineq in SET_INEQUALITIES:
+        A = x if isinstance(x, LatticeSet) else LatticeSet(x.dim, x.support())
+        if ineq is Inequality.ISOPERIMETRIC:
+            return check_isoperimetric(A, tol)
+        return check_loomis_whitney(A, tol)
+    if isinstance(x, LatticeSet):
+        x, normalize = indicator(x), True
+    if ineq is Inequality.GN:
+        return check_gn(x, tol)
+    if ineq is Inequality.SOBOLEV:
+        return check_sobolev(x, tol)
+    if ineq is Inequality.BL:
+        return check_bl(x, tol)
+    if ineq is Inequality.LOG_BL:
+        return check_log_bl(x, p, tol=tol, normalize=normalize)
+    return check_log_sobolev(x, p, directional=ineq is Inequality.LOG_SOBOLEV_DIR,
+                             tol=tol, normalize=normalize)
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,13 @@ from typing import Optional
 from . import fileio
 from .certify import (
     DEFAULT_TOL,
+    LOG_INEQUALITIES,
+    NONNEGATIVE_INEQUALITIES,
     Inequality,
-    InequalityReport,
     Relation,
-    check_bl,
-    check_gn,
-    check_isoperimetric,
-    check_log_bl,
-    check_log_sobolev,
-    check_loomis_whitney,
-    check_sobolev,
+    check,
 )
-from .core import Cuboid, LatticeSet, SparseFunction, indicator
+from .core import Cuboid, SparseFunction, indicator
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -55,20 +50,6 @@ INEQ_TOKENS = {
     "loomis-whitney": Inequality.LW,
 }
 
-SET_INEQS = (Inequality.ISOPERIMETRIC, Inequality.LW)
-LOG_INEQS = (Inequality.LOG_SOBOLEV_DIR, Inequality.LOG_SOBOLEV, Inequality.LOG_BL)
-
-DEFAULT_ORDER = (
-    Inequality.GN,
-    Inequality.SOBOLEV,
-    Inequality.ISOPERIMETRIC,
-    Inequality.LOG_SOBOLEV_DIR,
-    Inequality.LOG_SOBOLEV,
-    Inequality.BL,
-    Inequality.LOG_BL,
-    Inequality.LW,
-)
-
 
 def _parse_ineqs(raw: Optional[str]):
     if raw is None:
@@ -79,7 +60,7 @@ def _parse_ineqs(raw: Optional[str]):
         if not token:
             continue
         if token == "all":
-            return list(DEFAULT_ORDER)
+            return list(Inequality)
         if token not in INEQ_TOKENS:
             raise InvalidInputError(
                 f"unknown inequality {token!r}; choose from {', '.join(sorted(INEQ_TOKENS))}"
@@ -116,56 +97,25 @@ def _write(text: str, out: Optional[str]):
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _run_one(
-    ineq: Inequality,
-    f: Optional[SparseFunction],
-    A: Optional[LatticeSet],
-    p: Fraction,
-    tol: float,
-    normalize: bool,
-) -> InequalityReport:
-    if ineq in SET_INEQS:
-        target = A if A is not None else LatticeSet(f.dim, f.support())
-        if ineq is Inequality.ISOPERIMETRIC:
-            return check_isoperimetric(target, tol)
-        return check_loomis_whitney(target, tol)
-    func = f if f is not None else indicator(A)
-    norm_flag = normalize if f is not None else True
-    if ineq is Inequality.GN:
-        return check_gn(func, tol)
-    if ineq is Inequality.SOBOLEV:
-        return check_sobolev(func, tol)
-    if ineq is Inequality.LOG_SOBOLEV_DIR:
-        return check_log_sobolev(func, p, directional=True, tol=tol, normalize=norm_flag)
-    if ineq is Inequality.LOG_SOBOLEV:
-        return check_log_sobolev(func, p, directional=False, tol=tol, normalize=norm_flag)
-    if ineq is Inequality.BL:
-        return check_bl(func, tol)
-    return check_log_bl(func, p, tol=tol, normalize=norm_flag)
-
-
 def cmd_check(args) -> int:
     tol = _check_tol(args.tol)
     p = _parse_p(args.p)
     obj = fileio.load_input(args.input)
-    f = obj if isinstance(obj, SparseFunction) else None
-    A = obj if isinstance(obj, LatticeSet) else None
 
     selected = _parse_ineqs(args.ineq)
     if selected is None:
         # default: everything applicable that cannot fail a precondition;
-        # log inequalities need unit p-norm, so they join only with --normalize
-        if A is not None:
-            selected = [i for i in DEFAULT_ORDER if i not in LOG_INEQS]
-        elif f.is_nonnegative():
-            selected = [
-                i for i in DEFAULT_ORDER if args.normalize or i not in LOG_INEQS
-            ]
+        # log inequalities need unit p-norm, so a function gets them only
+        # with --normalize, and a signed function skips the nonnegative ones
+        if not isinstance(obj, SparseFunction):
+            skip = LOG_INEQUALITIES
+        elif not obj.is_nonnegative():
+            skip = NONNEGATIVE_INEQUALITIES
         else:
-            selected = [Inequality.GN, Inequality.SOBOLEV,
-                        Inequality.ISOPERIMETRIC, Inequality.LW]
+            skip = frozenset() if args.normalize else LOG_INEQUALITIES
+        selected = [i for i in Inequality if i not in skip]
 
-    reports = [_run_one(i, f, A, p, tol, args.normalize) for i in selected]
+    reports = [check(i, obj, p, tol, args.normalize) for i in selected]
     if args.exact:
         for report in reports:
             if report.exact_certificate is None:
@@ -271,13 +221,7 @@ def cmd_enumerate(args) -> int:
     return 1 if report.mismatch_count else 0
 
 
-TABLE_INEQS = (
-    Inequality.GN,
-    Inequality.SOBOLEV,
-    Inequality.ISOPERIMETRIC,
-    Inequality.BL,
-    Inequality.LW,
-)
+TABLE_INEQS = tuple(i for i in Inequality if i not in LOG_INEQUALITIES)
 
 SHORT_NAME = {
     Inequality.GN: "gn",
@@ -323,7 +267,7 @@ def emit_table(
         f = indicator(cuboid)
         row = ["x".join(str(s) for s in sides), str(cuboid.size())]
         for ineq in ineqs:
-            report = _run_one(ineq, f, None, p, tol, normalize=True)
+            report = check(ineq, f, p, tol, normalize=True)
             cert = report.exact_certificate
             row += [
                 fileio.format_float(report.lhs),

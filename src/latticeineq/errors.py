@@ -25,12 +25,14 @@ class PreconditionError(LatticeError):
 class BudgetExceededError(LatticeError):
     """An enumeration would exceed the configured budget.
 
-    Carries the estimated instance count so callers can report it.
+    Carries the estimated instance count so callers can report it; when
+    `exact` is false the estimate is only a lower bound.
     """
 
-    def __init__(self, estimate: int, budget: int):
+    def __init__(self, estimate: int, budget: int, exact: bool = True):
         self.estimate = estimate
         self.budget = budget
         super().__init__(
-            f"enumeration would visit {estimate} subsets, over the budget of {budget}"
+            f"enumeration would visit {'' if exact else 'at least '}{estimate} "
+            f"subsets, over the budget of {budget}"
         )

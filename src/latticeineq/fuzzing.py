@@ -25,15 +25,11 @@ from typing import Optional
 
 from .certify import (
     DEFAULT_TOL,
+    NONNEGATIVE_INEQUALITIES,
+    SET_INEQUALITIES,
     Inequality,
     Relation,
-    check_bl,
-    check_gn,
-    check_isoperimetric,
-    check_log_bl,
-    check_log_sobolev,
-    check_loomis_whitney,
-    check_sobolev,
+    check,
 )
 from .core import LatticeSet, SparseFunction, pointwise_line_bound
 from .errors import InvalidInputError
@@ -102,6 +98,7 @@ class FuzzSummary:
         )
 
     def merge(self, other: "FuzzSummary"):
+        self.count += other.count
         for key, stats in other.per_inequality.items():
             self.per_inequality.setdefault(key, IneqStats()).merge(stats)
         self.line_bound_checks += other.line_bound_checks
@@ -143,18 +140,13 @@ def run_instance(seed: int, index: int, n: int, window: int, q: float,
     p = P_CYCLE[index % len(P_CYCLE)]
 
     reports = {
-        Inequality.GN: check_gn(f_signed, tol),
-        Inequality.SOBOLEV: check_sobolev(f_signed, tol),
-        Inequality.LOG_SOBOLEV_DIR: check_log_sobolev(
-            f, p, directional=True, tol=tol, normalize=True
-        ),
-        Inequality.LOG_SOBOLEV: check_log_sobolev(
-            f, p, directional=False, tol=tol, normalize=True
-        ),
-        Inequality.BL: check_bl(f, tol),
-        Inequality.LOG_BL: check_log_bl(f, p, tol=tol, normalize=True),
-        Inequality.ISOPERIMETRIC: check_isoperimetric(A, tol),
-        Inequality.LW: check_loomis_whitney(A, tol),
+        ineq: check(
+            ineq,
+            A if ineq in SET_INEQUALITIES
+            else f if ineq in NONNEGATIVE_INEQUALITIES else f_signed,
+            p, tol, normalize=True,
+        )
+        for ineq in Inequality
     }
 
     line_ok = all(
@@ -187,7 +179,7 @@ def _fuzz_range(seed, n, window, q, denominator, tol, start, stop) -> FuzzSummar
     for index in range(start, stop):
         outcome = run_instance(seed, index, n, window, q, denominator, tol)
         for key, report in outcome["reports"].items():
-            if key in (Inequality.ISOPERIMETRIC, Inequality.LW):
+            if key in SET_INEQUALITIES:
                 echo = functools.partial(set_to_dict, outcome["set"])
             else:
                 echo = functools.partial(function_to_dict, outcome["function"])
@@ -206,6 +198,14 @@ def _fuzz_range(seed, n, window, q, denominator, tol, start, stop) -> FuzzSummar
 
 def _worker(args):
     return _fuzz_range(*args)
+
+
+def _merged(parts) -> FuzzSummary:
+    """The chunk summaries, in chunk order, folded into the first."""
+    total = next(parts)
+    for part in parts:
+        total.merge(part)
+    return total
 
 
 def resolve_threads(threads: Optional[int]) -> int:
@@ -247,23 +247,13 @@ def fuzz(
         raise InvalidInputError("denominator must be >= 1")
     threads = resolve_threads(threads)
 
+    chunk = max(256, -(-count // (threads * 4)))
+    args = [(seed, n, window, q, denominator, tol, start, min(start + chunk, count))
+            for start in range(0, count, chunk)]
     if threads == 1:
-        summary = _fuzz_range(seed, n, window, q, denominator, tol, 0, count)
-        summary.count = count
-        return summary
+        return _merged(map(_worker, args))
 
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(256, -(-count // (threads * 4)))
-    spans = [(start, min(start + chunk, count)) for start in range(0, count, chunk)]
-    args = [(seed, n, window, q, denominator, tol, a, b) for a, b in spans]
-    total = FuzzSummary(
-        seed=seed, n=n, count=count, window=window, q=q,
-        denominator=denominator, tol=tol,
-    )
-    for key in Inequality:
-        total.per_inequality[key.value] = IneqStats()
-    with ProcessPoolExecutor(max_workers=min(threads, len(spans))) as pool:
-        for part in pool.map(_worker, args):  # map preserves chunk order
-            total.merge(part)
-    return total
+    with ProcessPoolExecutor(max_workers=min(threads, len(args))) as pool:
+        return _merged(pool.map(_worker, args))  # map preserves chunk order

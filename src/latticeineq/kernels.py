@@ -1,10 +1,11 @@
 """Grid kernels: packed-bitmask subset statistics.
 
 The inner loop of rigidity enumeration; set annealing counts only its
-initial boundary here and updates it incrementally.  A subset of the
-box prod_i [0, dims[i]-1] is packed as a bitmask: the cell with coordinates
-(c_0, .., c_{n-1}) sits at bit c_0 + dims[0]*(c_1 + dims[1]*...), axis 0
-fastest.  Works for boxes of any size (Python integers).
+initial boundary here (the sum of the crossings) and updates it
+incrementally.  A subset of the box prod_i [0, dims[i]-1] is packed as a
+bitmask: the cell with coordinates (c_0, .., c_{n-1}) sits at bit
+c_0 + dims[0]*(c_1 + dims[1]*...), axis 0 fastest.  Works for boxes of
+any size (Python integers).
 """
 
 
@@ -101,22 +102,3 @@ def subset_stats(mask, dims):
         tuple(pmax),
         tuple(len(s) for s in shadow),
     )
-
-
-def subset_boundary(mask, dims):
-    """Total number of boundary edges of the packed subset (all axes)."""
-    n = len(dims)
-    st = strides(dims)
-    runs = 0
-    m = mask
-    while m:
-        low = m & -m
-        idx = low.bit_length() - 1
-        m ^= low
-        rem = idx
-        for ax in range(n):
-            c = rem % dims[ax]
-            rem //= dims[ax]
-            if c == 0 or not (mask >> (idx - st[ax])) & 1:
-                runs += 1
-    return 2 * runs

@@ -91,11 +91,6 @@ class RigidityRow:
     lw_equal: bool
     canonical: bool          # per-axis minimum at 0 (translation-class rep)
 
-    @property
-    def mismatch(self) -> bool:
-        flags = (self.gn_equal, self.iso_equal, self.lw_equal)
-        return flags != _EXPECTED_FLAGS[self.shape_class]
-
 
 # (gn, iso, lw) equality flags, in Reduction order, that the rigidity
 # theorems predict for each shape
@@ -121,11 +116,26 @@ class RigidityReport:
         return len(self.mismatches)
 
 
-def enumeration_size(cells: int, max_size: int) -> int:
-    """Number of nonempty subsets with at most max_size elements."""
-    if max_size >= cells:
+# a refusal quotes the exact subset count up to this many (or the budget, if
+# larger); past it counting stops, so a huge box is refused at once
+_EXACT_COUNT_LIMIT = 1 << 64
+
+
+def enumeration_size(cells: int, max_size: int, limit: Optional[int] = None) -> int:
+    """Number of nonempty subsets with at most max_size elements.
+
+    With `limit`, counting stops once the count passes it: the result is
+    then a lower bound above `limit`, and its cost is bounded by the size of
+    `limit` rather than of the box.
+    """
+    if max_size >= cells and (limit is None or cells <= limit.bit_length()):
         return (1 << cells) - 1
-    return sum(math.comb(cells, j) for j in range(1, max_size + 1))
+    total = 0
+    for j in range(1, min(max_size, cells) + 1):
+        total += math.comb(cells, j)
+        if limit is not None and total > limit:
+            break
+    return total
 
 
 def _masks(cells: int, max_size: int):
@@ -169,9 +179,10 @@ def enumerate_rigidity(
         max_size = cells
     if max_size < 1:
         raise InvalidInputError("max size must be >= 1")
-    estimate = enumeration_size(cells, max_size)
+    limit = max(budget, _EXACT_COUNT_LIMIT)
+    estimate = enumeration_size(cells, max_size, limit)
     if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
+        raise BudgetExceededError(estimate, budget, exact=estimate <= limit)
 
     dims = (box_side,) * n
     report = RigidityReport(n=n, box_side=box_side, max_size=max_size)

@@ -24,7 +24,6 @@ from .lab import gn_ratio, iso_ratio_from_counts
 class Objective(str, Enum):
     GN_RATIO = "GN_RATIO"
     ISO_RATIO = "ISO_RATIO"
-    BL_RATIO = "BL_RATIO"
 
 
 @dataclass
@@ -73,7 +72,8 @@ def anneal_sets(
     swap-with-last.  Swapping `out` for `in` changes the boundary by
     2 * (adjacent[out] - adjacent[in] + [in adjacent to out]); an accepted
     swap updates the counts and the shell from the 2n neighbours of the two
-    cells.  The boundary is counted in full only once, for the initial set.
+    cells.  The boundary is counted in full only once, for the initial set,
+    and the ratio once per distinct boundary.
     """
     if n < 2:
         raise InvalidInputError("annealing needs ambient dimension >= 2")
@@ -131,8 +131,10 @@ def anneal_sets(
             shell[i] = last
             position[last] = i
 
-    boundary = kernels.subset_boundary(sum(1 << idx for idx in members), dims)
-    current = iso_ratio_from_counts(size, boundary, n)
+    boundary = sum(kernels.subset_stats(sum(1 << idx for idx in members), dims)[1])
+    # with |A| and n fixed the ratio depends only on the boundary
+    ratio_of = {boundary: iso_ratio_from_counts(size, boundary, n)}
+    current = ratio_of[boundary]
     best = current
     best_members = list(members)
     history = [(0, best)]
@@ -153,7 +155,10 @@ def anneal_sets(
         out_nbs = neighbors[out_idx]
         in_adjacent = adjacent[in_idx] - (in_idx in out_nbs)
         new_boundary = boundary + 2 * (adjacent[out_idx] - in_adjacent)
-        proposal = iso_ratio_from_counts(size, new_boundary, n)
+        proposal = ratio_of.get(new_boundary)
+        if proposal is None:
+            proposal = ratio_of[new_boundary] = iso_ratio_from_counts(
+                size, new_boundary, n)
         delta = proposal - current
         if delta >= 0 or rng.random() < math.exp(delta / temperature):
             boundary = new_boundary

@@ -8,6 +8,7 @@ from latticeineq import (
     Cuboid,
     DegenerateInputError,
     DomainError,
+    Inequality,
     InvalidInputError,
     LatticeSet,
     PreconditionError,
@@ -29,6 +30,13 @@ from latticeineq import (
     norm,
     projection_chain,
     set_counts,
+)
+
+from latticeineq.certify import (
+    LOG_INEQUALITIES,
+    NONNEGATIVE_INEQUALITIES,
+    SET_INEQUALITIES,
+    check,
 )
 
 from oracles import oracle_boundary, oracle_shadow_size
@@ -404,3 +412,46 @@ class TestReportShape:
         assert check_gn(f) == check_gn(g)
         assert check_sobolev(f) == check_sobolev(g)
         assert check_bl(f.abs()) == check_bl(g.abs())
+
+
+class TestCheckDispatcher:
+    def test_matches_direct_calls(self):
+        f = SparseFunction(2, {(0, 0): 2, (1, 0): 1, (0, 1): F(2, 3)})
+        A = LatticeSet(2, f.support())
+        p = F(1, 2)
+        direct = {
+            Inequality.GN: check_gn(f),
+            Inequality.SOBOLEV: check_sobolev(f),
+            Inequality.ISOPERIMETRIC: check_isoperimetric(A),
+            Inequality.LOG_SOBOLEV_DIR: check_log_sobolev(f, p, normalize=True),
+            Inequality.LOG_SOBOLEV: check_log_sobolev(
+                f, p, directional=False, normalize=True),
+            Inequality.BL: check_bl(f),
+            Inequality.LOG_BL: check_log_bl(f, p, normalize=True),
+            Inequality.LW: check_loomis_whitney(A),
+        }
+        for ineq in Inequality:
+            assert check(ineq, f, p, normalize=True) == direct[ineq], ineq
+
+    def test_set_reads_its_normalized_indicator(self):
+        A = LatticeSet(2, [(0, 0), (0, 2), (1, 0), (1, 2)])
+        for ineq in Inequality:
+            assert check(ineq, A, 2) == check(ineq, indicator(A), 2,
+                                              normalize=True), ineq
+
+    def test_declared_kinds_match_preconditions(self):
+        signed = SparseFunction(2, {(0, 0): 1, (1, 0): -1})
+        doubled = indicator(RECT, 2)  # not unit norm
+        assert SET_INEQUALITIES <= set(Inequality) - NONNEGATIVE_INEQUALITIES
+        for ineq in Inequality:
+            if ineq in NONNEGATIVE_INEQUALITIES:
+                with pytest.raises(DomainError):
+                    check(ineq, signed, 2)
+            else:
+                check(ineq, signed, 2)
+            if ineq in LOG_INEQUALITIES:
+                with pytest.raises(PreconditionError):
+                    check(ineq, doubled, 2)
+                assert check(ineq, doubled, 2, normalize=True).p == 2
+            else:
+                assert check(ineq, doubled, 2).p is None

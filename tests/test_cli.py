@@ -83,7 +83,26 @@ class TestCheckCommand:
         assert code == 0
         obj = json.loads(capsys.readouterr().out)
         names = [r["inequality"] for r in obj["reports"]]
-        assert "BL" not in names and "GN" in names
+        assert names == ["GN", "SOBOLEV", "ISOPERIMETRIC", "LW"]
+
+    @pytest.mark.parametrize("payload,args,expected", [
+        ({"dim": 2, "points": [[0, 0], [2, 1]]}, [],
+         ["GN", "SOBOLEV", "ISOPERIMETRIC", "BL", "LW"]),
+        ({"dim": 2, "points": [[0, 0], [2, 1]]}, ["--normalize"],
+         ["GN", "SOBOLEV", "ISOPERIMETRIC", "BL", "LW"]),
+        ({"dim": 2, "entries": [{"z": [0, 0], "v": "2"}, {"z": [3, 1], "v": "1"}]}, [],
+         ["GN", "SOBOLEV", "ISOPERIMETRIC", "BL", "LW"]),
+        ({"dim": 2, "entries": [{"z": [0, 0], "v": "2"}, {"z": [3, 1], "v": "1"}]},
+         ["--normalize"],
+         ["GN", "SOBOLEV", "ISOPERIMETRIC", "LOG_SOBOLEV_DIR", "LOG_SOBOLEV",
+          "BL", "LOG_BL", "LW"]),
+    ], ids=["set", "set-normalize", "nonnegative", "nonnegative-normalize"])
+    def test_default_selection(self, payload, args, expected, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        assert main(["check", "--input", str(path)] + args) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert [r["inequality"] for r in obj["reports"]] == expected
 
     def test_bl_on_signed_function_domain_error(self, tmp_path, capsys):
         path = tmp_path / "signed.json"
@@ -225,6 +244,33 @@ class TestEnumerateCommand:
         err = capsys.readouterr().err
         assert "65535" in err
 
+    def test_many_binomials_refused_at_once(self, capsys):
+        # 10^6 cells, subsets of up to 16000: counting stops past 2^64
+        args = ["enumerate", "--n", "2", "--box", "1000", "--max-size", "16000"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: enumeration would visit at least ")
+        assert err.count("\n") == 1
+
+    def test_huge_box_refused_in_bounded_memory(self):
+        # 2^36 cells: the full subset count would be a 2^36-bit integer (8 GiB)
+        import resource
+        import subprocess
+        import sys
+
+        def limit_memory():
+            cap = 3 << 29  # 1.5 GiB of address space, this child only
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "latticeineq.cli", "enumerate", "--n", "2",
+             "--box", "262144"],
+            capture_output=True, text=True, preexec_fn=limit_memory, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "at least" in proc.stderr and proc.stderr.count("\n") == 1
+
 
 class TestTableCommand:
     def test_nine_rows_all_gn_equal(self, capsys):
@@ -334,7 +380,7 @@ class TestExitCodeContract:
     def test_violation_reports_exit_1(self, tmp_path, capsys, monkeypatch):
         # a VIOLATED relation cannot arise from valid inputs, so fake one to
         # pin down the exit-code plumbing and the input echo
-        import latticeineq.cli as cli
+        import latticeineq.certify as certify
         from latticeineq.certify import InequalityReport, Inequality, Relation
 
         def fake_check(f, tol):
@@ -344,7 +390,7 @@ class TestExitCodeContract:
                 input_echo={"dim": 2, "entries": []},
             )
 
-        monkeypatch.setattr(cli, "check_gn", fake_check)
+        monkeypatch.setattr(certify, "check_gn", fake_check)
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"dim": 2, "entries": [{"z": [0, 0], "v": "1"}]}))
         code = main(["check", "--input", str(path), "--ineq", "gn"])
@@ -354,12 +400,12 @@ class TestExitCodeContract:
         assert "input_echo" in obj["reports"][0]
 
     def test_internal_error_exit_3(self, rect_file, capsys, monkeypatch):
-        import latticeineq.cli as cli
+        import latticeineq.certify as certify
 
         def broken(f, tol):
             raise RuntimeError("checker fell over\non two lines")
 
-        monkeypatch.setattr(cli, "check_gn", broken)
+        monkeypatch.setattr(certify, "check_gn", broken)
         assert main(["check", "--input", rect_file, "--ineq", "gn"]) == 3
         captured = capsys.readouterr()
         assert captured.err == "internal error: RuntimeError: checker fell over on two lines\n"

@@ -29,12 +29,6 @@ def test_pure_matches_oracle():
         assert kernels.subset_stats(mask, dims) == oracle_subset_stats(mask, dims)
 
 
-def test_boundary_consistent_with_stats():
-    for mask, dims in random_cases(seed=8):
-        _, crossings, *_ = kernels.subset_stats(mask, dims)
-        assert kernels.subset_boundary(mask, dims) == sum(crossings)
-
-
 def test_pack_unpack_roundtrip():
     dims = (3, 4)
     pts = [(0, 0), (2, 3), (1, 1)]

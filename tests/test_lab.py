@@ -62,6 +62,20 @@ class TestEnumerationSize:
     def test_capped(self):
         assert enumeration_size(4, 2) == 4 + 6
 
+    def test_exact_up_to_limit(self):
+        assert enumeration_size(16, 16, limit=1 << 64) == 65535
+        assert enumeration_size(4, 2, limit=10) == 4 + 6
+
+    @pytest.mark.parametrize("cells,max_size,limit,count", [
+        (16, 16, 10, 65535),
+        (10**6, 16_000, 1 << 64, None),
+        (1 << 36, 1 << 36, 1 << 64, None),
+    ])
+    def test_counting_stops_past_limit(self, cells, max_size, limit, count):
+        # a lower bound above the limit, whatever the size of the full count
+        estimate = enumeration_size(cells, max_size, limit=limit)
+        assert limit < estimate <= (count or 1 << 128)
+
 
 class TestEnumerateRigidity:
     def test_two_by_two_box(self):

@@ -58,16 +58,31 @@ class TestAnnealSets:
     @pytest.mark.parametrize("iters", [0, 1, 3_000])
     def test_boundary_counted_once_per_run(self, iters, monkeypatch):
         calls = []
-        full_count = search.kernels.subset_boundary
+        full_count = search.kernels.subset_stats
 
         def counting(mask, dims):
             calls.append(mask)
             return full_count(mask, dims)
 
-        monkeypatch.setattr(search.kernels, "subset_boundary", counting)
+        monkeypatch.setattr(search.kernels, "subset_stats", counting)
         trace = anneal_sets(2, 40, iters=iters, seed=4)
         assert len(calls) == 1
         assert trace.iterations == iters
+
+    @pytest.mark.parametrize("n,size", [(2, 40), (3, 30)])
+    def test_ratio_computed_once_per_boundary(self, n, size, monkeypatch):
+        boundaries = []
+        ratio = search.iso_ratio_from_counts
+
+        def recording(size, boundary, n):
+            boundaries.append(boundary)
+            return ratio(size, boundary, n)
+
+        monkeypatch.setattr(search, "iso_ratio_from_counts", recording)
+        trace = anneal_sets(n, size, iters=3_000, seed=6)
+        assert trace.iterations == 3_000
+        assert len(boundaries) == len(set(boundaries))
+        assert trace.best_value == lab.iso_ratio(trace.best_input)
 
     def test_history_running_max_nondecreasing(self):
         trace = anneal_sets(2, 8, iters=5_000, seed=2)
