@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .core import (
@@ -35,7 +36,7 @@ from .errors import (
     InvalidInputError,
     PreconditionError,
 )
-from .fileio import function_to_dict, set_to_dict
+from .fileio import input_to_dict
 
 DEFAULT_TOL = 1e-9
 
@@ -190,6 +191,41 @@ def is_scaled_indicator(f: SparseFunction) -> Optional[tuple]:
     return lam, LatticeSet(f.dim, f.support())
 
 
+class FunctionCounts:
+    """What the function checkers read of f, each computed on first use: per
+    axis ||d_i f||_1 (`sigmas`) and ||max_projection(f, i)||_1 (`masses`),
+    exact; ||f||_{n/(n-1)} (`norm`), the float of core.norm; and the SetCounts
+    of supp f when f is a scaled indicator (`indicator`), else None."""
+
+    def __init__(self, f: SparseFunction):
+        self._f = f._twin()  # f itself would make f and its counts a cycle
+        self._axes = range(1, f.dim + 1)
+
+    @cached_property
+    def sigmas(self) -> tuple:
+        return tuple(axis_variation(self._f, i) for i in self._axes)
+
+    @cached_property
+    def masses(self) -> tuple:
+        return tuple(norm(max_projection(self._f, i), 1) for i in self._axes)
+
+    @cached_property
+    def norm(self) -> float:  # the body's `norm` is this module's core.norm
+        return norm(self._f, Fraction(self._f.dim, self._f.dim - 1))
+
+    @cached_property
+    def indicator(self) -> Optional[SetCounts]:
+        ind = is_scaled_indicator(self._f)
+        return None if ind is None else set_counts(ind[1])
+
+
+def function_counts(f: SparseFunction) -> FunctionCounts:
+    """The FunctionCounts of f, made on first use and kept on f."""
+    if f._counts is None:
+        f._counts = FunctionCounts(f)
+    return f._counts
+
+
 # ---------------------------------------------------------------------------
 # relation / report plumbing
 # ---------------------------------------------------------------------------
@@ -208,11 +244,11 @@ def _relation(lhs: float, rhs: float, tol: float,
     return Relation.STRICT
 
 
-def _report(ineq, n, p, lhs, rhs, tol, cert, shape, echo) -> InequalityReport:
+def _report(ineq, x, p, lhs, rhs, tol, cert, shape) -> InequalityReport:
     relation = _relation(lhs, rhs, tol, cert)
     return InequalityReport(
         inequality=ineq,
-        n=n,
+        n=x.dim,
         p=p,
         lhs=lhs,
         rhs=rhs,
@@ -220,7 +256,7 @@ def _report(ineq, n, p, lhs, rhs, tol, cert, shape, echo) -> InequalityReport:
         relation=relation,
         extremal_class=shape,
         exact_certificate=cert,
-        input_echo=echo() if relation is Relation.VIOLATED else None,
+        input_echo=input_to_dict(x) if relation is Relation.VIOLATED else None,
     )
 
 
@@ -246,12 +282,10 @@ def _function_report(ineq, f, p, lhs, rhs, tol, certificate) -> InequalityReport
     """Shared tail of the function checkers: certified, with its shape, when
     f is a scaled indicator."""
     cert = shape = None
-    ind = is_scaled_indicator(f)
-    if ind is not None:
-        counts = set_counts(ind[1])
+    counts = function_counts(f).indicator
+    if counts is not None:
         cert, shape = certificate(counts, f.dim), _shape(counts)
-    return _report(ineq, f.dim, p, lhs, rhs, tol, cert, shape,
-                   lambda: function_to_dict(f))
+    return _report(ineq, f, p, lhs, rhs, tol, cert, shape)
 
 
 def _set_report(ineq: Inequality, A: LatticeSet, tol: float, certificate,
@@ -264,9 +298,8 @@ def _set_report(ineq: Inequality, A: LatticeSet, tol: float, certificate,
         )
     counts = set_counts(A)
     cert = certificate(counts, A.dim)
-    return _report(ineq, A.dim, None, cert.lhs_integer / divisor,
-                   cert.rhs_integer / float(divisor), tol, cert, _shape(counts),
-                   lambda: set_to_dict(A))
+    return _report(ineq, A, None, cert.lhs_integer / divisor,
+                   cert.rhs_integer / float(divisor), tol, cert, _shape(counts))
 
 
 def gn_certificate(counts: SetCounts, n: int) -> ExactCertificate:
@@ -311,22 +344,18 @@ def check_gn(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     """||f||_{n/(n-1)} <= (1/2) prod_i ||d_i f||_1^{1/n}; equality exactly on
     scaled cuboid indicators."""
     _require_checkable(f)
-    n = f.dim
-    sigmas = [axis_variation(f, i) for i in range(1, n + 1)]
-    lhs = float(norm(f, Fraction(n, n - 1)))
-    rhs = 0.5 * float(math.prod(sigmas)) ** (1.0 / n)
-    return _function_report(Inequality.GN, f, None, lhs, rhs, tol, gn_certificate)
+    counts = function_counts(f)
+    rhs = 0.5 * float(math.prod(counts.sigmas)) ** (1.0 / f.dim)
+    return _function_report(Inequality.GN, f, None, counts.norm, rhs, tol, gn_certificate)
 
 
 def check_sobolev(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     """||f||_{n/(n-1)} <= (1/2n) ||df||_1; equality exactly on scaled cube
     indicators."""
     _require_checkable(f)
-    n = f.dim
-    sigmas = [axis_variation(f, i) for i in range(1, n + 1)]
-    lhs = float(norm(f, Fraction(n, n - 1)))
-    rhs = float(sum(sigmas, ZERO)) / (2 * n)
-    return _function_report(Inequality.SOBOLEV, f, None, lhs, rhs, tol,
+    counts = function_counts(f)
+    rhs = float(sum(counts.sigmas, ZERO)) / (2 * f.dim)
+    return _function_report(Inequality.SOBOLEV, f, None, counts.norm, rhs, tol,
                             sobolev_certificate)
 
 
@@ -341,11 +370,9 @@ def check_bl(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     projection; equality exactly on scaled product-set indicators."""
     _require_checkable(f)
     _require_nonnegative(f)
-    n = f.dim
-    masses = [norm(max_projection(f, i), 1) for i in range(1, n + 1)]
-    lhs = float(norm(f, Fraction(n, n - 1)))
-    rhs = float(math.prod(masses)) ** (1.0 / n)
-    return _function_report(Inequality.BL, f, None, lhs, rhs, tol, bl_certificate)
+    counts = function_counts(f)
+    rhs = float(math.prod(counts.masses)) ** (1.0 / f.dim)
+    return _function_report(Inequality.BL, f, None, counts.norm, rhs, tol, bl_certificate)
 
 
 def check_loomis_whitney(A: LatticeSet, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -410,7 +437,7 @@ def check_log_sobolev(
     """
     p, scale, lhs = _entropy_side(f, p, tol, normalize)
     n = f.dim
-    sigmas = [axis_variation(f, i) for i in range(1, n + 1)]
+    sigmas = function_counts(f).sigmas
     if directional:
         rhs = -math.log(2.0) + math.fsum(
             math.log(float(s) / scale) for s in sigmas
@@ -436,9 +463,8 @@ def check_log_bl(
     equality exactly on normalized product-set indicators.
     """
     p, scale, lhs = _entropy_side(f, p, tol, normalize)
-    n = f.dim
-    masses = [norm(max_projection(f, i), 1) for i in range(1, n + 1)]
-    rhs = math.fsum(math.log(float(m) / scale) for m in masses) / n
+    masses = function_counts(f).masses
+    rhs = math.fsum(math.log(float(m) / scale) for m in masses) / f.dim
     return _function_report(Inequality.LOG_BL, f, p, lhs, rhs, tol, bl_certificate)
 
 
@@ -497,5 +523,4 @@ def jensen_gap(f: SparseFunction, p) -> float:
     f^p is uniform on its support.
     """
     p, scale, entropy_side = _entropy_side(f, p, 0.0, normalize=True)
-    n = f.dim
-    return math.log(float(norm(f, Fraction(n, n - 1))) / scale) - entropy_side
+    return math.log(function_counts(f).norm / scale) - entropy_side

@@ -25,7 +25,7 @@ from .certify import (
     Relation,
     check,
 )
-from .core import Cuboid, SparseFunction, indicator
+from .core import Cuboid, SparseFunction, check_box, indicator
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -172,7 +172,7 @@ def cmd_search(args) -> int:
             raise InvalidInputError("--window-side is required for --mode ascend")
         trace = ascend_function(
             n=args.n,
-            window=Cuboid.from_sides((args.window_side,) * args.n),
+            window=args.window_side,
             iters=args.iters,
             seed=args.seed,
             start=args.start,
@@ -223,15 +223,9 @@ def cmd_enumerate(args) -> int:
 
 TABLE_INEQS = tuple(i for i in Inequality if i not in LOG_INEQUALITIES)
 
+# the column prefix of each inequality is its first --ineq token
 SHORT_NAME = {
-    Inequality.GN: "gn",
-    Inequality.SOBOLEV: "sobolev",
-    Inequality.ISOPERIMETRIC: "iso",
-    Inequality.LOG_SOBOLEV_DIR: "logsob_dir",
-    Inequality.LOG_SOBOLEV: "logsob",
-    Inequality.BL: "bl",
-    Inequality.LOG_BL: "logbl",
-    Inequality.LW: "lw",
+    ineq: token.replace("-", "_") for token, ineq in reversed(INEQ_TOKENS.items())
 }
 
 
@@ -252,6 +246,8 @@ def emit_table(
         raise InvalidInputError(
             f"invalid side range {min_side}..{max_side}; need 1 <= min <= max"
         )
+    # the rows' cuboids together have (min_side + ... + max_side)^n cells
+    check_box((min_side + max_side) * (max_side - min_side + 1) // 2, n, "table")
     columns = ["sides", "size"]
     for ineq in ineqs:
         tok = SHORT_NAME[ineq]

@@ -4,7 +4,8 @@ Values are exact rationals (`fractions.Fraction`).  Quantities that stay
 rational (1-norms of differences, boundary edge counts, projection masses)
 are computed exactly; fractional powers and logarithms live on the float
 track.  Float-track sums always iterate entries in lexicographic key order,
-which makes them deterministic and bit-stable under translation.
+which makes them deterministic and bit-stable under translation.  Only a
+function's forward differences are cached; certify keeps its counts there.
 
 Axis indices are 1-based throughout: ``i`` ranges over ``1..dim``.
 """
@@ -85,6 +86,19 @@ def _check_exponent(p) -> Fraction:
     return q
 
 
+MAX_BOX_CELLS = 1 << 20
+
+
+def check_box(side: int, n: int, what: str):
+    """Refuse a box of side^n cells over MAX_BOX_CELLS before any of it is
+    built."""
+    # a side >= 2 is over the limit past n = 20, so the power stays small
+    if side > 1 and side ** min(n, 21) > MAX_BOX_CELLS:
+        raise InvalidInputError(
+            f"{what} of {side}^{n} cells is over the limit of {MAX_BOX_CELLS} cells"
+        )
+
+
 def _drop(z: Point, ax: int) -> Point:
     return z[:ax] + z[ax + 1:]
 
@@ -94,11 +108,11 @@ class SparseFunction:
 
     Zero entries are pruned at construction, so the stored keys *are* the
     support.  Entries are kept in lexicographic key order.  Instances are
-    immutable by convention; per-axis difference and max-projection results
-    are cached on first use.
+    immutable by convention.  Only the forward differences are cached; the
+    `_counts` slot keeps certify's `FunctionCounts` of the function.
     """
 
-    __slots__ = ("dim", "_entries", "_diffs", "_projs", "_sigmas", "_hash")
+    __slots__ = ("dim", "_entries", "_diffs", "_counts", "_hash")
 
     def __init__(self, dim: int, entries: Union[Mapping, Iterable] = ()):
         self.dim = _check_dim(dim)
@@ -115,8 +129,7 @@ class SparseFunction:
                 acc.pop(z, None)
         self._entries = {z: acc[z] for z in sorted(acc)}
         self._diffs: dict = {}
-        self._projs: dict = {}
-        self._sigmas: dict = {}
+        self._counts = None
         self._hash = None
 
     @classmethod
@@ -126,10 +139,16 @@ class SparseFunction:
         f.dim = dim
         f._entries = {z: entries[z] for z in sorted(entries)}
         f._diffs = {}
-        f._projs = {}
-        f._sigmas = {}
+        f._counts = None
         f._hash = None
         return f
+
+    def _twin(self) -> "SparseFunction":
+        """This function, sharing its entries and differences but not `_counts`."""
+        g = object.__new__(SparseFunction)
+        g.dim, g._entries, g._diffs = self.dim, self._entries, self._diffs
+        g._counts = g._hash = None
+        return g
 
     # -- basic queries -----------------------------------------------------
 
@@ -351,14 +370,9 @@ def partial_difference(f: SparseFunction, i: int) -> SparseFunction:
 
 
 def axis_variation(f: SparseFunction, i: int) -> Fraction:
-    """Exact 1-norm of the forward difference along axis i (cached)."""
-    ax = _check_axis(f.dim, i)
-    sigma = f._sigmas.get(ax)
-    if sigma is None:
-        g = partial_difference(f, i)
-        sigma = sum((abs(v) for v in g._entries.values()), ZERO)
-        f._sigmas[ax] = sigma
-    return sigma
+    """Exact 1-norm of the forward difference along axis i."""
+    g = partial_difference(f, i)
+    return sum((abs(v) for v in g._entries.values()), ZERO)
 
 
 def norm(f: SparseFunction, p) -> Union[Fraction, float]:
@@ -405,9 +419,6 @@ def max_projection(f: SparseFunction, i: int) -> SparseFunction:
     if f.dim < 2:
         raise InvalidInputError("max projection needs ambient dimension >= 2")
     ax = _check_axis(f.dim, i)
-    cached = f._projs.get(ax)
-    if cached is not None:
-        return cached
     out: dict = {}
     for z, v in f._entries.items():
         if v < 0:
@@ -415,9 +426,7 @@ def max_projection(f: SparseFunction, i: int) -> SparseFunction:
         key = _drop(z, ax)
         if v > out.get(key, ZERO):
             out[key] = v
-    g = SparseFunction._from_clean(f.dim - 1, out)
-    f._projs[ax] = g
-    return g
+    return SparseFunction._from_clean(f.dim - 1, out)
 
 
 def coord_projection(A: LatticeSet, i: int) -> frozenset:

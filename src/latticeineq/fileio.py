@@ -78,6 +78,11 @@ def set_to_dict(A: LatticeSet) -> dict:
     return {"dim": A.dim, "points": [list(z) for z in A.sorted_points()]}
 
 
+def input_to_dict(x: Union[SparseFunction, LatticeSet]) -> dict:
+    """A function or a set as the object of its file."""
+    return function_to_dict(x) if isinstance(x, SparseFunction) else set_to_dict(x)
+
+
 def set_from_dict(obj: dict) -> LatticeSet:
     dim = _parse_dim(obj)
     raw_points = obj.get("points")
@@ -157,17 +162,12 @@ def report_csv_row(report: InequalityReport) -> str:
 
 
 def trace_to_dict(trace: SearchTrace) -> dict:
-    best = trace.best_input
-    if isinstance(best, SparseFunction):
-        best_obj = function_to_dict(best)
-    else:
-        best_obj = set_to_dict(best)
     return {
         "seed": trace.seed,
         "objective": trace.objective.value,
         "iterations": trace.iterations,
         "best_value": trace.best_value,
-        "best_input": best_obj,
+        "best_input": input_to_dict(trace.best_input),
         "history": [[k, v] for k, v in trace.history],
     }
 

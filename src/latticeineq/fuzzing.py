@@ -4,8 +4,8 @@ Each instance draws a signed sparse function, its nonnegative twin and an
 independent random set inside a window, runs every checker plus the exact
 per-line bound and the three-term projection chain, and accumulates deficits.
 A violation of any relation is a theorem counterexample, i.e. an
-implementation bug; the summary retains the worst (smallest-deficit) input
-per inequality either way.
+implementation bug; either way the summary retains, per inequality, the
+input its checker saw at the smallest deficit.
 
 The random stream of instance k is derived from (seed << 32) + k, so
 summaries are bit-identical no matter how instances are scheduled; the
@@ -15,7 +15,6 @@ index order.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import random
@@ -31,9 +30,9 @@ from .certify import (
     Relation,
     check,
 )
-from .core import LatticeSet, SparseFunction, pointwise_line_bound
+from .core import LatticeSet, SparseFunction, check_box, pointwise_line_bound
 from .errors import InvalidInputError
-from .fileio import function_to_dict, set_to_dict
+from .fileio import input_to_dict
 
 P_CYCLE = (Fraction(1, 2), Fraction(1), Fraction(2))
 
@@ -47,7 +46,7 @@ class IneqStats:
     worst_index: Optional[int] = None
     worst_input: Optional[dict] = None
 
-    def update(self, deficit: float, violated: bool, index: int, echo_fn):
+    def update(self, deficit: float, violated: bool, index: int, checked):
         self.count += 1
         if violated:
             self.violations += 1
@@ -56,7 +55,7 @@ class IneqStats:
         if self.min_deficit is None or (deficit, index) < (self.min_deficit, self.worst_index):
             self.min_deficit = deficit
             self.worst_index = index
-            self.worst_input = echo_fn()
+            self.worst_input = input_to_dict(checked)
 
     def merge(self, other: "IneqStats"):
         self.count += other.count
@@ -132,22 +131,20 @@ def _sample_function(
 
 def run_instance(seed: int, index: int, n: int, window: int, q: float,
                  denominator: int, tol: float) -> dict:
-    """All checks for one instance; returns deficits and failure flags."""
+    """All checks for one instance: each inequality's input and report, and
+    the failure flags."""
     rng = random.Random((seed << 32) + index)
     f_signed = _sample_function(rng, n, window, q, denominator, signed=True)
     f = f_signed.abs()
     A = LatticeSet(n, _sample_support(rng, n, window, q))
     p = P_CYCLE[index % len(P_CYCLE)]
 
-    reports = {
-        ineq: check(
-            ineq,
-            A if ineq in SET_INEQUALITIES
-            else f if ineq in NONNEGATIVE_INEQUALITIES else f_signed,
-            p, tol, normalize=True,
-        )
+    inputs = {
+        ineq: A if ineq in SET_INEQUALITIES
+        else f if ineq in NONNEGATIVE_INEQUALITIES else f_signed
         for ineq in Inequality
     }
+    reports = {ineq: check(ineq, x, p, tol, normalize=True) for ineq, x in inputs.items()}
 
     line_ok = all(
         pointwise_line_bound(f_signed, i).ok for i in range(1, n + 1)
@@ -161,11 +158,10 @@ def run_instance(seed: int, index: int, n: int, window: int, q: float,
         and mid - hi <= tol * max(1.0, abs(mid), abs(hi))
     )
     return {
+        "inputs": inputs,
         "reports": reports,
         "line_ok": line_ok,
         "chain_ok": chain_ok,
-        "function": f_signed,
-        "set": A,
     }
 
 
@@ -179,15 +175,11 @@ def _fuzz_range(seed, n, window, q, denominator, tol, start, stop) -> FuzzSummar
     for index in range(start, stop):
         outcome = run_instance(seed, index, n, window, q, denominator, tol)
         for key, report in outcome["reports"].items():
-            if key in SET_INEQUALITIES:
-                echo = functools.partial(set_to_dict, outcome["set"])
-            else:
-                echo = functools.partial(function_to_dict, outcome["function"])
             summary.per_inequality[key.value].update(
                 report.deficit,
                 report.relation is Relation.VIOLATED,
                 index,
-                echo,
+                outcome["inputs"][key],
             )
         summary.line_bound_checks += 1
         summary.line_bound_failures += not outcome["line_ok"]
@@ -245,6 +237,7 @@ def fuzz(
         raise InvalidInputError("inclusion probability must be in (0, 1]")
     if denominator < 1:
         raise InvalidInputError("denominator must be >= 1")
+    check_box(window, n, "fuzz window")
     threads = resolve_threads(threads)
 
     chunk = max(256, -(-count // (threads * 4)))

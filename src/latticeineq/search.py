@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import kernels
-from .core import Cuboid, LatticeSet, SparseFunction
+from .core import Cuboid, LatticeSet, SparseFunction, check_box
 from .errors import InvalidInputError
 from .lab import gn_ratio, iso_ratio_from_counts
 
@@ -88,6 +88,7 @@ def anneal_sets(
         box_side = _box_side_for(size, n)
     if box_side < 1:
         raise InvalidInputError(f"box side must be >= 1, got {box_side}")
+    check_box(box_side, n, "annealing box")
     cells = box_side ** n
     if cells < size:
         raise InvalidInputError(f"box {box_side}^{n} cannot hold {size} points")
@@ -243,6 +244,7 @@ def ascend_function(
     """
     _check_iters(iters)
     if isinstance(window, int):
+        check_box(window, n, "ascent window")
         window = Cuboid.from_sides((window,) * n)
     if window.dim != n:
         raise InvalidInputError(f"window dimension {window.dim} != n={n}")

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from fractions import Fraction
@@ -32,6 +33,7 @@ from latticeineq import (
     set_counts,
 )
 
+from latticeineq import certify, fileio
 from latticeineq.certify import (
     LOG_INEQUALITIES,
     NONNEGATIVE_INEQUALITIES,
@@ -402,6 +404,15 @@ class TestReportShape:
         assert r.p == F(1, 2)
         assert check_gn(indicator(POINT)).p is None
 
+    def test_violated_report_echoes_its_input(self, monkeypatch):
+        # no valid input violates a theorem, so force the verdict
+        monkeypatch.setattr(certify, "_relation", lambda *args: Relation.VIOLATED)
+        A = LatticeSet(2, TWO_POINT.support())
+        assert check_gn(TWO_POINT).input_echo == fileio.function_to_dict(TWO_POINT)
+        assert check_log_bl(TWO_POINT, 2, normalize=True).input_echo == (
+            fileio.function_to_dict(TWO_POINT))
+        assert check_isoperimetric(A).input_echo == fileio.set_to_dict(A)
+
     def test_deficit_is_rhs_minus_lhs(self):
         r = check_gn(TWO_POINT)
         assert r.deficit == r.rhs - r.lhs
@@ -455,3 +466,39 @@ class TestCheckDispatcher:
                 assert check(ineq, doubled, 2, normalize=True).p == 2
             else:
                 assert check(ineq, doubled, 2).p is None
+
+
+class TestFunctionCounts:
+    @pytest.mark.parametrize("f,from_indicator", [
+        (SparseFunction(2, {(0, 0): 2, (1, 0): 1, (0, 1): F(2, 3)}), 0),
+        (indicator(Cuboid(((0, 1), (0, 2), (0, 1))), F(5, 2)), 1),
+    ], ids=["nonnegative-2d", "scaled-cuboid-3d"])
+    def test_each_statistic_computed_once(self, f, from_indicator, monkeypatch):
+        # p = 1/2 is not n/(n-1), so the normalizing norm of the log checks
+        # is not counted as the statistic
+        n = f.dim
+        calls = collections.Counter()
+
+        def counted(name, fn, only_p=None):
+            def wrapper(*args):
+                if only_p is None or args[1] == only_p:
+                    calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("axis_variation", "max_projection", "is_scaled_indicator",
+                     "set_counts"):
+            monkeypatch.setattr(certify, name, counted(name, getattr(certify, name)))
+        monkeypatch.setattr(certify, "norm",
+                            counted("norm", certify.norm, only_p=F(n, n - 1)))
+        for _ in range(2):
+            for ineq in Inequality:
+                check(ineq, f, F(1, 2), normalize=True)
+        assert calls == {
+            "axis_variation": n,
+            "max_projection": n,
+            "is_scaled_indicator": 1,
+            "norm": 1,
+            # ISOPERIMETRIC and LW count the support on each call
+            "set_counts": 2 * 2 + from_indicator,
+        }

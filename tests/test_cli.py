@@ -272,6 +272,36 @@ class TestEnumerateCommand:
         assert "at least" in proc.stderr and proc.stderr.count("\n") == 1
 
 
+class TestHugeBoxes:
+    @pytest.mark.parametrize("args,cells", [
+        ("fuzz --n 30 --count 1", "fuzz window of 5^30"),
+        ("search --mode anneal --n 40 --size 5", "annealing box of 5^40"),
+        ("search --mode ascend --n 30 --window-side 3 --iters 1",
+         "ascent window of 3^30"),
+        ("table --n 30 --max-side 2", "table of 3^30"),
+    ])
+    def test_refused_up_front(self, args, cells):
+        # run in a child with bounded memory and time: without the limit
+        # these fill the memory or run for hours
+        import resource
+        import subprocess
+        import sys
+
+        def limit_memory():
+            cap = 3 << 29  # 1.5 GiB of address space, this child only
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "latticeineq.cli", *args.split()],
+            capture_output=True, text=True, preexec_fn=limit_memory, timeout=30,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"invalid input: {cells} cells is over the limit of 1048576 cells\n"
+        )
+
+
 class TestTableCommand:
     def test_nine_rows_all_gn_equal(self, capsys):
         code = main(["table", "--n", "2", "--max-side", "3", "--ineq", "gn,iso"])
@@ -305,6 +335,17 @@ class TestTableCommand:
         rhs_i = header.index("gn_cert_rhs")
         for r in rows:
             assert r[lhs_i] == r[rhs_i] != ""
+
+    def test_all_columns_header(self, capsys):
+        assert main(["table", "--n", "2", "--max-side", "2", "--ineq", "all"]) == 0
+        header = capsys.readouterr().out.splitlines()[1]
+        prefixes = ["gn", "sobolev", "iso", "logsob_dir", "logsob", "bl", "logbl", "lw"]
+        assert header == ",".join(
+            ["sides", "size"] + [
+                f"{tok}_{col}" for tok in prefixes
+                for col in ("lhs", "rhs", "cert_lhs", "cert_rhs", "relation")
+            ]
+        )
 
     def test_invalid_range_exit_2(self, capsys):
         assert main(["table", "--n", "2", "--min-side", "3", "--max-side", "2"]) == 2

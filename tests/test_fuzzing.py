@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
 from latticeineq import fuzz
-from latticeineq.fileio import summary_to_dict
-from latticeineq.fuzzing import resolve_threads
+from latticeineq.certify import Inequality, check
+from latticeineq.fileio import load_input, summary_to_dict
+from latticeineq.fuzzing import P_CYCLE, resolve_threads
 from latticeineq.errors import InvalidInputError
 
 
@@ -101,6 +104,19 @@ class TestFuzz:
         assert gn.worst_input is not None
         assert gn.worst_index is not None
         assert "entries" in gn.worst_input
+
+    @pytest.mark.parametrize("n,window,count,seed", [(2, 5, 300, 7), (3, 4, 60, 3)])
+    def test_worst_inputs_replay(self, n, window, count, seed, tmp_path):
+        # each echoed worst input is what its checker saw: read back from a
+        # file, it gives the same deficit
+        summary = fuzz(count, n, seed=seed, window=window)
+        for name, stats in summary.per_inequality.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(stats.worst_input))
+            p = P_CYCLE[stats.worst_index % len(P_CYCLE)]
+            report = check(Inequality(name), load_input(str(path)), p, summary.tol,
+                           normalize=True)
+            assert report.deficit == stats.min_deficit, name
 
     def test_invalid_params(self):
         with pytest.raises(InvalidInputError):

@@ -30,6 +30,14 @@ from latticeineq import (
     projection_chain,
 )
 from latticeineq import fileio
+from latticeineq.certify import function_counts, is_scaled_indicator
+
+from oracles import (
+    oracle_axis_variation,
+    oracle_boundary,
+    oracle_max_projection,
+    oracle_norm,
+)
 
 F = Fraction
 
@@ -74,6 +82,7 @@ nonneg_function_2d3d = st.integers(2, 3).flatmap(
     lambda d: functions(d, values=positive_rationals)
 )
 any_set_2d3d = st.integers(2, 3).flatmap(lattice_sets)
+scaled_indicators = st.builds(indicator, any_set_2d3d, positive_rationals)
 
 
 # -- calculus identities -----------------------------------------------------
@@ -169,6 +178,23 @@ def test_chain_inequality(f):
     lo, mid, hi = projection_chain(f)
     assert lo <= mid * (1 + 1e-12) + 1e-300
     assert mid <= hi * (1 + 1e-12) + 1e-300
+
+
+@given(st.one_of(nonneg_function_2d3d, scaled_indicators))
+def test_function_counts_match_oracles(f):
+    counts = function_counts(f)
+    assert function_counts(f) is counts
+    n = f.dim
+    axes = range(1, n + 1)
+    assert counts.sigmas == tuple(oracle_axis_variation(f, i) for i in axes)
+    assert counts.masses == tuple(
+        sum(oracle_max_projection(f, i).values()) for i in axes
+    )
+    assert math.isclose(counts.norm, oracle_norm(f, F(n, n - 1)), rel_tol=1e-12)
+    assert (counts.indicator is None) == (is_scaled_indicator(f) is None)
+    if counts.indicator is not None:
+        assert counts.indicator.size == f.support_size()
+        assert counts.indicator.boundary == oracle_boundary(f.support(), n)
 
 
 @given(any_function_2d3d, st.data())
