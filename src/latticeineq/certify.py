@@ -28,6 +28,7 @@ from .core import (
     indicator,
     max_projection,
     norm,
+    set_stats,
 )
 from .core import ZERO, _check_exponent, _entropy_sum
 from .errors import (
@@ -133,28 +134,7 @@ class SetCounts:
 def set_counts(A: LatticeSet) -> SetCounts:
     if not A.points:
         raise DegenerateInputError("empty set")
-    n = A.dim
-    pts = A.points
-    crossings = [0] * n
-    proj = [set() for _ in range(n)]
-    shadow = [set() for _ in range(n)]
-    for z in pts:
-        for ax in range(n):
-            c = z[ax]
-            proj[ax].add(c)
-            shadow[ax].add(z[:ax] + z[ax + 1:])
-            if z[:ax] + (c - 1,) + z[ax + 1:] not in pts:
-                crossings[ax] += 1
-            if z[:ax] + (c + 1,) + z[ax + 1:] not in pts:
-                crossings[ax] += 1
-    return SetCounts(
-        size=len(pts),
-        crossings=tuple(crossings),
-        proj_size=tuple(len(s) for s in proj),
-        proj_min=tuple(min(s) for s in proj),
-        proj_max=tuple(max(s) for s in proj),
-        shadow_size=tuple(len(s) for s in shadow),
-    )
+    return SetCounts(*set_stats(A.points, A.dim))
 
 
 def classify_counts(size, proj_size, proj_min, proj_max) -> ShapeClass:
@@ -194,12 +174,20 @@ def is_scaled_indicator(f: SparseFunction) -> Optional[tuple]:
 class FunctionCounts:
     """What the function checkers read of f, each computed on first use: per
     axis ||d_i f||_1 (`sigmas`) and ||max_projection(f, i)||_1 (`masses`),
-    exact; ||f||_{n/(n-1)} (`norm`), the float of core.norm; and the SetCounts
-    of supp f when f is a scaled indicator (`indicator`), else None."""
+    exact; ||f||_p (`p_norm(p)`, once per p), the float of core.norm, and
+    `norm`, its value at p = n/(n-1); and the SetCounts of supp f when f is a
+    scaled indicator (`indicator`), else None."""
 
     def __init__(self, f: SparseFunction):
         self._f = f._twin()  # f itself would make f and its counts a cycle
         self._axes = range(1, f.dim + 1)
+        self._norms = {}
+
+    def p_norm(self, p) -> float:
+        value = self._norms.get(p)
+        if value is None:
+            value = self._norms[p] = float(norm(self._f, p))  # core.norm
+        return value
 
     @cached_property
     def sigmas(self) -> tuple:
@@ -209,9 +197,9 @@ class FunctionCounts:
     def masses(self) -> tuple:
         return tuple(norm(max_projection(self._f, i), 1) for i in self._axes)
 
-    @cached_property
-    def norm(self) -> float:  # the body's `norm` is this module's core.norm
-        return norm(self._f, Fraction(self._f.dim, self._f.dim - 1))
+    @property
+    def norm(self) -> float:
+        return self.p_norm(Fraction(self._f.dim, self._f.dim - 1))
 
     @cached_property
     def indicator(self) -> Optional[SetCounts]:
@@ -389,7 +377,7 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
     For integer p the unit-norm precondition is checked exactly.
     """
     if normalize:
-        nf = float(norm(f, p))
+        nf = function_counts(f).p_norm(p)
         if not nf:
             raise InvalidInputError(
                 f"||f||_{p} underflows the floating-point range; cannot normalize"
@@ -402,7 +390,7 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
                 f"||f||_{p} must be 1 (got ||f||^p = {total}); pass normalize=True"
             )
         return 1.0
-    nf = float(norm(f, p))
+    nf = function_counts(f).p_norm(p)
     if abs(nf - 1.0) > tol:
         raise PreconditionError(
             f"||f||_{p} must be 1 (got {nf!r}); pass normalize=True"

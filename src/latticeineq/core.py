@@ -6,6 +6,8 @@ are computed exactly; fractional powers and logarithms live on the float
 track.  Float-track sums always iterate entries in lexicographic key order,
 which makes them deterministic and bit-stable under translation.  Only a
 function's forward differences are cached; certify keeps its counts there.
+`set_stats` is the one statistics pass over a finite set (size, crossings,
+projections, shadows) that certify and the grid kernels read.
 
 Axis indices are 1-based throughout: ``i`` ranges over ``1..dim``.
 """
@@ -87,15 +89,26 @@ def _check_exponent(p) -> Fraction:
 
 
 MAX_BOX_CELLS = 1 << 20
+MAX_BOX_DIM = 64
 
 
 def check_box(side: int, n: int, what: str):
-    """Refuse a box of side^n cells over MAX_BOX_CELLS before any of it is
-    built."""
+    """Refuse a box of side^n cells over MAX_BOX_CELLS, or of a dimension
+    over MAX_BOX_DIM, before any of it is built."""
     # a side >= 2 is over the limit past n = 20, so the power stays small
     if side > 1 and side ** min(n, 21) > MAX_BOX_CELLS:
         raise InvalidInputError(
             f"{what} of {side}^{n} cells is over the limit of {MAX_BOX_CELLS} cells"
+        )
+    # only a side-1 box gets here with a large n: one cell, but n-tuples
+    check_box_dim(n, what)
+
+
+def check_box_dim(n: int, what: str):
+    """Refuse a box of a dimension over MAX_BOX_DIM, whatever its side."""
+    if n > MAX_BOX_DIM:
+        raise InvalidInputError(
+            f"{what} of dimension {n} is over the limit of dimension {MAX_BOX_DIM}"
         )
 
 
@@ -441,6 +454,46 @@ def shadow_projection(A: LatticeSet, i: int) -> frozenset:
     return frozenset(_drop(z, ax) for z in A.points)
 
 
+def set_stats(points, n: int) -> tuple:
+    """(size, crossings, proj_size, proj_min, proj_max, shadow_size) of a
+    finite set of n-tuples (any container supporting `in`); all zeros for
+    the empty set.  Per axis i:
+      crossings[i]   -- lattice edges along axis i with exactly one endpoint
+                        in the set: 2 per maximal run, counted at its start z
+                        (z - e_i not in the set),
+      proj_size[i]   -- number of distinct i-th coordinates,
+      proj_min/max   -- their range,
+      shadow_size[i] -- size of the image after dropping coordinate i.
+    The one statistics loop behind certify.set_counts, kernels.subset_stats
+    and boundary_count.
+    """
+    if not points:
+        zeros = (0,) * n
+        return 0, zeros, zeros, zeros, zeros, zeros
+    crossings, proj, shadow = [], [], []
+    for ax in range(n):
+        starts = 0
+        coords = set()
+        image = set()
+        for z in points:
+            head, c, tail = z[:ax], z[ax], z[ax + 1:]
+            coords.add(c)
+            image.add(head + tail)
+            if head + (c - 1,) + tail not in points:
+                starts += 1
+        crossings.append(2 * starts)
+        proj.append(coords)
+        shadow.append(len(image))
+    return (
+        len(points),
+        tuple(crossings),
+        tuple(len(p) for p in proj),
+        tuple(min(p) for p in proj),
+        tuple(max(p) for p in proj),
+        tuple(shadow),
+    )
+
+
 def boundary_edges(A: LatticeSet) -> list:
     """Lattice edges with exactly one endpoint in A, as (inside, outside) pairs."""
     edges = []
@@ -459,7 +512,7 @@ def boundary_count(A: LatticeSet) -> int:
 
     Equals the exact 1-norm of the differential of the indicator of A.
     """
-    return len(boundary_edges(A))
+    return sum(set_stats(A.points, A.dim)[1])
 
 
 def entropy(f: SparseFunction, p) -> float:

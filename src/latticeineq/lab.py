@@ -32,7 +32,7 @@ from .certify import (
     set_counts,
     sobolev_certificate,
 )
-from .core import LatticeSet, SparseFunction
+from .core import LatticeSet, SparseFunction, check_box_dim
 # unused here, kept: perfbench/test_perfbench.py asserts that its tracer
 # patches every module binding of certify.norm, lab.norm included
 from .core import norm  # noqa: F401
@@ -174,6 +174,9 @@ def enumerate_rigidity(
         raise InvalidInputError("enumeration needs ambient dimension >= 2")
     if box_side < 1:
         raise InvalidInputError("box side must be >= 1")
+    # the budget, not the cell limit, refuses a big box; a huge n would
+    # hang in the power below
+    check_box_dim(n, "enumeration box")
     cells = box_side ** n
     if max_size is None:
         max_size = cells

@@ -43,6 +43,7 @@ def _check_iters(iters: int):
 
 def _box_side_for(size: int, n: int) -> int:
     side = max(2, math.ceil(size ** (1.0 / n)) * 2 + 1)
+    check_box(side, n, "annealing box")  # before side ** n, which a huge n hangs
     while side ** n < size:
         side += 1
     return side
@@ -98,10 +99,7 @@ def anneal_sets(
     strides = kernels.strides(dims)
     neighbors = []
     for idx in range(cells):
-        rem, coords = idx, []
-        for ax in range(n):
-            coords.append(rem % dims[ax])
-            rem //= dims[ax]
+        coords = kernels.cell(idx, dims)
         nbs = []
         for ax in range(n):
             if coords[ax] > 0:

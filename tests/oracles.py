@@ -130,6 +130,32 @@ def oracle_subset_stats(mask, dims):
     )
 
 
+def oracle_set_counts(points, dim):
+    """(size, crossings, proj_size, proj_min, proj_max, shadow_size) of any
+    finite point set.  Crossings come from the sorted coordinates on each
+    axis line: 2 per maximal run of consecutive integers."""
+    pts = set(points)
+    crossings = []
+    for ax in range(dim):
+        lines = {}
+        for z in pts:
+            lines.setdefault(z[:ax] + z[ax + 1:], []).append(z[ax])
+        runs = 0
+        for cs in lines.values():
+            cs.sort()
+            runs += 1 + sum(1 for a, b in zip(cs, cs[1:]) if b - a > 1)
+        crossings.append(2 * runs)
+    proj = [sorted(oracle_coord_projection(pts, i)) for i in range(1, dim + 1)]
+    return (
+        len(pts),
+        tuple(crossings),
+        tuple(len(p) for p in proj),
+        tuple(p[0] for p in proj),
+        tuple(p[-1] for p in proj),
+        tuple(oracle_shadow_size(pts, i) for i in range(1, dim + 1)),
+    )
+
+
 def oracle_exhaustive_best_iso(n, size, box_side):
     """True maximum of the isoperimetric ratio over all size-`size` subsets
     of the box, by full enumeration (slow; keep the instances tiny)."""

@@ -469,13 +469,14 @@ class TestCheckDispatcher:
 
 
 class TestFunctionCounts:
-    @pytest.mark.parametrize("f,from_indicator", [
-        (SparseFunction(2, {(0, 0): 2, (1, 0): 1, (0, 1): F(2, 3)}), 0),
-        (indicator(Cuboid(((0, 1), (0, 2), (0, 1))), F(5, 2)), 1),
-    ], ids=["nonnegative-2d", "scaled-cuboid-3d"])
-    def test_each_statistic_computed_once(self, f, from_indicator, monkeypatch):
-        # p = 1/2 is not n/(n-1), so the normalizing norm of the log checks
-        # is not counted as the statistic
+    @pytest.mark.parametrize("f,from_indicator,p", [
+        (SparseFunction(2, {(0, 0): 2, (1, 0): 1, (0, 1): F(2, 3)}), 0, F(1, 2)),
+        (indicator(Cuboid(((0, 1), (0, 2), (0, 1))), F(5, 2)), 1, F(1, 2)),
+        (SparseFunction(2, {(0, 0): 2, (1, 0): 1, (0, 1): F(2, 3)}), 0, F(2)),
+    ], ids=["nonnegative-2d", "scaled-cuboid-3d", "nonnegative-2d-p2"])
+    def test_each_statistic_computed_once(self, f, from_indicator, p, monkeypatch):
+        # only norm(f, n/(n-1)) is counted: at p = 1/2 the normalizing norm
+        # of the log checks is another norm, at p = 2 in 2-D it is the same
         n = f.dim
         calls = collections.Counter()
 
@@ -493,7 +494,7 @@ class TestFunctionCounts:
                             counted("norm", certify.norm, only_p=F(n, n - 1)))
         for _ in range(2):
             for ineq in Inequality:
-                check(ineq, f, F(1, 2), normalize=True)
+                check(ineq, f, p, normalize=True)
         assert calls == {
             "axis_variation": n,
             "max_projection": n,

@@ -273,14 +273,23 @@ class TestEnumerateCommand:
 
 
 class TestHugeBoxes:
-    @pytest.mark.parametrize("args,cells", [
+    @pytest.mark.parametrize("args,refusal", [
         ("fuzz --n 30 --count 1", "fuzz window of 5^30"),
         ("search --mode anneal --n 40 --size 5", "annealing box of 5^40"),
         ("search --mode ascend --n 30 --window-side 3 --iters 1",
          "ascent window of 3^30"),
         ("table --n 30 --max-side 2", "table of 3^30"),
+        # a side-1 box has one cell, but its points are n-tuples
+        ("table --n 1000000000 --max-side 1", "table of dimension 1000000000"),
+        ("enumerate --n 1000000000 --box 1", "enumeration box of dimension 1000000000"),
+        ("fuzz --n 1000000000 --window 1 --count 1",
+         "fuzz window of dimension 1000000000"),
+        ("search --mode ascend --n 1000000000 --window-side 1",
+         "ascent window of dimension 1000000000"),
+        ("search --mode anneal --n 1000000000 --size 5",
+         "annealing box of 5^1000000000"),
     ])
-    def test_refused_up_front(self, args, cells):
+    def test_refused_up_front(self, args, refusal):
         # run in a child with bounded memory and time: without the limit
         # these fill the memory or run for hours
         import resource
@@ -297,9 +306,11 @@ class TestHugeBoxes:
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
-        assert proc.stderr == (
-            f"invalid input: {cells} cells is over the limit of 1048576 cells\n"
-        )
+        if "dimension" in refusal:
+            limit = "is over the limit of dimension 64"
+        else:
+            limit = "cells is over the limit of 1048576 cells"
+        assert proc.stderr == f"invalid input: {refusal} {limit}\n"
 
 
 class TestTableCommand:

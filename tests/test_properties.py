@@ -30,13 +30,14 @@ from latticeineq import (
     projection_chain,
 )
 from latticeineq import fileio
-from latticeineq.certify import function_counts, is_scaled_indicator
+from latticeineq.certify import function_counts, is_scaled_indicator, set_counts
 
 from oracles import (
     oracle_axis_variation,
     oracle_boundary,
     oracle_max_projection,
     oracle_norm,
+    oracle_set_counts,
 )
 
 F = Fraction
@@ -85,6 +86,18 @@ any_set_2d3d = st.integers(2, 3).flatmap(lattice_sets)
 scaled_indicators = st.builds(indicator, any_set_2d3d, positive_rationals)
 
 
+def spread_sets(dim):
+    """Sets no packed box holds: up to three small clusters, each around its
+    own far-off, possibly negative centre."""
+    far = st.tuples(*([st.integers(-10 ** 9, 10 ** 9)] * dim))
+    near = st.sets(st.tuples(*([st.integers(-3, 3)] * dim)), min_size=1, max_size=8)
+    clusters = st.lists(st.tuples(far, near), min_size=1, max_size=3)
+    return clusters.map(lambda cs: LatticeSet(dim, (
+        tuple(c + o for c, o in zip(centre, offset))
+        for centre, offsets in cs for offset in offsets
+    )))
+
+
 # -- calculus identities -----------------------------------------------------
 
 
@@ -122,6 +135,13 @@ def test_boundary_equals_indicator_variation(A):
     assert boundary_count(A) == sum(
         axis_variation(chi, i) for i in range(1, A.dim + 1)
     )
+
+
+@given(st.integers(2, 3).flatmap(spread_sets))
+def test_set_counts_match_line_oracle(A):
+    c = set_counts(A)
+    assert (c.size, c.crossings, c.proj_size, c.proj_min, c.proj_max,
+            c.shadow_size) == oracle_set_counts(A.points, A.dim)
 
 
 @given(nonneg_function_2d3d, positive_rationals, st.data())
