@@ -30,7 +30,7 @@ from .core import (
     norm,
     set_stats,
 )
-from .core import ZERO, _check_exponent, _entropy_sum
+from .core import _check_exponent, _entropy_sum
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -160,15 +160,26 @@ def classify_shape(A: LatticeSet) -> ShapeClass:
 
 def is_scaled_indicator(f: SparseFunction) -> Optional[tuple]:
     """(value, support) when f is a nonzero constant on its support."""
-    it = iter(f.items())
-    first = next(it, None)
-    if first is None:
+    it = iter(f._nums.values())
+    lam = next(it, None)
+    if lam is None:
         return None
-    lam = first[1]
-    for _, v in it:
-        if v != lam:
+    for a in it:
+        if a != lam:
             return None
-    return lam, LatticeSet(f.dim, f.support())
+    return Fraction(lam, f._den), LatticeSet(f.dim, f.support())
+
+
+def _float_prod(values) -> float:
+    """float(prod(values)) of Fractions, as one correctly rounded int / int."""
+    return (math.prod(v.numerator for v in values)
+            / math.prod(v.denominator for v in values))
+
+
+def _float_sum(values) -> float:
+    """float(sum(values)) of Fractions, as one correctly rounded int / int."""
+    den = math.lcm(*(v.denominator for v in values))
+    return sum(v.numerator * (den // v.denominator) for v in values) / den
 
 
 class FunctionCounts:
@@ -197,7 +208,7 @@ class FunctionCounts:
     def masses(self) -> tuple:
         return tuple(norm(max_projection(self._f, i), 1) for i in self._axes)
 
-    @property
+    @cached_property
     def norm(self) -> float:
         return self.p_norm(Fraction(self._f.dim, self._f.dim - 1))
 
@@ -333,7 +344,7 @@ def check_gn(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     scaled cuboid indicators."""
     _require_checkable(f)
     counts = function_counts(f)
-    rhs = 0.5 * float(math.prod(counts.sigmas)) ** (1.0 / f.dim)
+    rhs = 0.5 * _float_prod(counts.sigmas) ** (1.0 / f.dim)
     return _function_report(Inequality.GN, f, None, counts.norm, rhs, tol, gn_certificate)
 
 
@@ -342,7 +353,7 @@ def check_sobolev(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityRepo
     indicators."""
     _require_checkable(f)
     counts = function_counts(f)
-    rhs = float(sum(counts.sigmas, ZERO)) / (2 * f.dim)
+    rhs = _float_sum(counts.sigmas) / (2 * f.dim)
     return _function_report(Inequality.SOBOLEV, f, None, counts.norm, rhs, tol,
                             sobolev_certificate)
 
@@ -359,7 +370,7 @@ def check_bl(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     _require_checkable(f)
     _require_nonnegative(f)
     counts = function_counts(f)
-    rhs = float(math.prod(counts.masses)) ** (1.0 / f.dim)
+    rhs = _float_prod(counts.masses) ** (1.0 / f.dim)
     return _function_report(Inequality.BL, f, None, counts.norm, rhs, tol, bl_certificate)
 
 
@@ -374,7 +385,8 @@ def check_loomis_whitney(A: LatticeSet, tol: float = DEFAULT_TOL) -> InequalityR
 def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) -> float:
     """The rescaling N = ||f||_p; enforces ||f||_p = 1 when not normalizing.
 
-    For integer p the unit-norm precondition is checked exactly.
+    For integer p = k the unit-norm precondition is checked exactly, as
+    sum |a|^k == D^k on f's numerators a over its denominator D.
     """
     if normalize:
         nf = function_counts(f).p_norm(p)
@@ -384,10 +396,12 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
             )
         return nf
     if p.denominator == 1:
-        total = sum((abs(v) ** p.numerator for _, v in f.items()), ZERO)
-        if total != 1:
+        k = p.numerator
+        total = sum(abs(a) ** k for a in f._nums.values())
+        if total != f._den ** k:
             raise PreconditionError(
-                f"||f||_{p} must be 1 (got ||f||^p = {total}); pass normalize=True"
+                f"||f||_{p} must be 1 (got ||f||^p = {Fraction(total, f._den ** k)}); "
+                "pass normalize=True"
             )
         return 1.0
     nf = function_counts(f).p_norm(p)
@@ -405,7 +419,9 @@ def _entropy_side(f: SparseFunction, p, tol: float, normalize: bool) -> tuple:
     _require_nonnegative(f)
     p = _check_exponent(p)
     scale = _norm_factor(f, p, tol, normalize)
-    coefficient = float(Fraction(1, f.dim) + 1 / p - 1)
+    # 1/n + 1/p - 1 with p = a/b is (a + n b - n a) / (n a)
+    n, a, b = f.dim, p.numerator, p.denominator
+    coefficient = (a + n * b - n * a) / (n * a)
     return p, scale, coefficient * _entropy_sum(f, float(p), scale)
 
 
@@ -432,7 +448,7 @@ def check_log_sobolev(
         ) / n
         ineq = Inequality.LOG_SOBOLEV_DIR
     else:
-        rhs = math.log(float(sum(sigmas, ZERO)) / scale / (2 * n))
+        rhs = math.log(_float_sum(sigmas) / scale / (2 * n))
         ineq = Inequality.LOG_SOBOLEV
     certificate = gn_certificate if directional else sobolev_certificate
     return _function_report(ineq, f, p, lhs, rhs, tol, certificate)

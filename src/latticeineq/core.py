@@ -1,11 +1,16 @@
 """Sparse functions, finite sets and the discrete calculus on Z^n.
 
-Values are exact rationals (`fractions.Fraction`).  Quantities that stay
-rational (1-norms of differences, boundary edge counts, projection masses)
-are computed exactly; fractional powers and logarithms live on the float
-track.  Float-track sums always iterate entries in lexicographic key order,
-which makes them deterministic and bit-stable under translation.  Only a
-function's forward differences are cached; certify keeps its counts there.
+Values are exact rationals, stored as int numerators over one canonical
+positive int denominator per function (the lcm of the reduced value
+denominators).  Differences, variations, max projections, 1-norms and the
+per-line bound run on those ints; `fractions.Fraction` appears only at the
+public boundary (parsing, `value`/`items` and the exact quantities returned).
+Fractional powers and logarithms live on the float track, where each value
+enters as the correctly rounded numerator / denominator, which is exactly
+float(Fraction).  Float-track sums always iterate entries in lexicographic
+key order, which makes them deterministic and bit-stable under translation.
+Only a function's forward differences are cached; certify keeps its counts
+there.
 `set_stats` is the one statistics pass over a finite set (size, crossings,
 projections, shadows) that certify and the grid kernels read.
 
@@ -17,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import DegenerateInputError, DomainError, InvalidInputError
@@ -25,7 +31,6 @@ Point = tuple  # tuple of ints, length = ambient dimension
 Rational = Union[int, Fraction]
 
 ZERO = Fraction(0)
-HALF = Fraction(1, 2)
 
 
 def as_fraction(value) -> Fraction:
@@ -74,8 +79,14 @@ def _check_point(dim: int, z) -> Point:
 
 
 def _check_exponent(p) -> Fraction:
-    """Validate p > 0; returns it as an exact Fraction (floats convert exactly)."""
-    if isinstance(p, (int, Fraction)) and not isinstance(p, bool):
+    """Validate p > 0; returns it as an exact Fraction (floats convert exactly).
+
+    The float track needs float(p): a p past the float range raises
+    OverflowError, and a p whose float is 0.0 is refused.
+    """
+    if isinstance(p, Fraction):
+        q = p
+    elif isinstance(p, int) and not isinstance(p, bool):
         q = Fraction(p)
     elif isinstance(p, float):
         if not math.isfinite(p):
@@ -83,8 +94,10 @@ def _check_exponent(p) -> Fraction:
         q = Fraction(p)
     else:
         raise InvalidInputError(f"exponent must be a positive number, got {p!r}")
-    if q <= 0:
+    if q.numerator <= 0:
         raise InvalidInputError(f"exponent must be positive, got {p!r}")
+    if not q.numerator / q.denominator:
+        raise InvalidInputError("exponent underflows the floating-point range")
     return q
 
 
@@ -119,98 +132,121 @@ def _drop(z: Point, ax: int) -> Point:
 class SparseFunction:
     """A finitely supported rational-valued function on Z^n.
 
-    Zero entries are pruned at construction, so the stored keys *are* the
-    support.  Entries are kept in lexicographic key order.  Instances are
-    immutable by convention.  Only the forward differences are cached; the
-    `_counts` slot keeps certify's `FunctionCounts` of the function.
+    Values are stored as int numerators (`_nums`) over one positive int
+    denominator (`_den`).  The denominator is canonical: gcd(_den, every
+    numerator) = 1, so it is the lcm of the reduced value denominators and
+    equal functions have equal (dim, _den, _nums).  Zero entries are pruned,
+    so the stored keys *are* the support, kept in lexicographic order.
+    Instances are immutable by convention.  Only the forward differences are
+    cached; the `_counts` slot keeps certify's `FunctionCounts` of the
+    function.
     """
 
-    __slots__ = ("dim", "_entries", "_diffs", "_counts", "_hash")
+    __slots__ = ("dim", "_nums", "_den", "_diffs", "_counts", "_hash")
 
     def __init__(self, dim: int, entries: Union[Mapping, Iterable] = ()):
-        self.dim = _check_dim(dim)
+        dim = _check_dim(dim)
         if isinstance(entries, Mapping):
             entries = entries.items()
-        acc: dict = {}
-        for z, v in entries:
-            z = _check_point(self.dim, z)
-            v = as_fraction(v)
-            w = acc.get(z, ZERO) + v
-            if w:
-                acc[z] = w
+        parsed = [(_check_point(dim, z), as_fraction(v)) for z, v in entries]
+        den = 1
+        for _, v in parsed:
+            den = math.lcm(den, v.denominator)
+        nums: dict = {}
+        for z, v in parsed:
+            a = nums.get(z, 0) + v.numerator * (den // v.denominator)
+            if a:
+                nums[z] = a
             else:
-                acc.pop(z, None)
-        self._entries = {z: acc[z] for z in sorted(acc)}
+                nums.pop(z, None)
+        self._init(dim, nums, den)
+
+    @classmethod
+    def _from_clean(cls, dim: int, nums: dict, den: int = 1) -> "SparseFunction":
+        """Internal constructor: `nums` maps validated points to nonzero int
+        numerators over the positive int `den`, keys in any order."""
+        f = object.__new__(cls)
+        f._init(dim, nums, den)
+        return f
+
+    def _init(self, dim: int, nums: dict, den: int):
+        # pairwise with an early exit: most numerators reach gcd 1 within a
+        # few entries, and math.gcd(den, *nums.values()) measured a higher
+        # peak RSS on the fuzz benchmark
+        g = den
+        for a in nums.values():
+            if g == 1:
+                break
+            g = math.gcd(g, a)
+        if g != 1:
+            den //= g
+            nums = {z: a // g for z, a in nums.items()}
+        self.dim = dim
+        self._nums = {z: nums[z] for z in sorted(nums)}
+        self._den = den
         self._diffs: dict = {}
         self._counts = None
         self._hash = None
 
-    @classmethod
-    def _from_clean(cls, dim: int, entries: dict) -> "SparseFunction":
-        """Internal fast path: `entries` already validated, pruned, unsorted ok."""
-        f = object.__new__(cls)
-        f.dim = dim
-        f._entries = {z: entries[z] for z in sorted(entries)}
-        f._diffs = {}
-        f._counts = None
-        f._hash = None
-        return f
-
     def _twin(self) -> "SparseFunction":
         """This function, sharing its entries and differences but not `_counts`."""
         g = object.__new__(SparseFunction)
-        g.dim, g._entries, g._diffs = self.dim, self._entries, self._diffs
+        g.dim, g._nums, g._den, g._diffs = self.dim, self._nums, self._den, self._diffs
         g._counts = g._hash = None
         return g
 
     # -- basic queries -----------------------------------------------------
 
     def value(self, z: Point) -> Fraction:
-        return self._entries.get(z, ZERO)
+        return Fraction(self._nums.get(z, 0), self._den)
 
     __call__ = value
 
-    def items(self):
-        """Entries as (point, value) pairs in lexicographic key order."""
-        return self._entries.items()
+    def items(self) -> list:
+        """Entries as (point, Fraction value) pairs in lexicographic key order."""
+        den = self._den
+        return [(z, Fraction(a, den)) for z, a in self._nums.items()]
 
     def support(self) -> frozenset:
-        return frozenset(self._entries)
+        return frozenset(self._nums)
 
     def support_size(self) -> int:
-        return len(self._entries)
+        return len(self._nums)
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self._nums
 
     def is_nonnegative(self) -> bool:
-        return all(v > 0 for v in self._entries.values())
+        return all(a > 0 for a in self._nums.values())
 
     # -- derived functions ---------------------------------------------------
 
     def abs(self) -> "SparseFunction":
         return SparseFunction._from_clean(
-            self.dim, {z: abs(v) for z, v in self._entries.items()}
+            self.dim, {z: abs(a) for z, a in self._nums.items()}, self._den
         )
 
     def __neg__(self) -> "SparseFunction":
         return SparseFunction._from_clean(
-            self.dim, {z: -v for z, v in self._entries.items()}
+            self.dim, {z: -a for z, a in self._nums.items()}, self._den
         )
 
     def scaled(self, c) -> "SparseFunction":
         c = as_fraction(c)
         if not c:
             return SparseFunction._from_clean(self.dim, {})
+        k = c.numerator
         return SparseFunction._from_clean(
-            self.dim, {z: c * v for z, v in self._entries.items()}
+            self.dim, {z: k * a for z, a in self._nums.items()},
+            c.denominator * self._den,
         )
 
     def translate(self, shift: Point) -> "SparseFunction":
         shift = _check_point(self.dim, tuple(shift))
         return SparseFunction._from_clean(
             self.dim,
-            {tuple(a + b for a, b in zip(z, shift)): v for z, v in self._entries.items()},
+            {tuple(c + d for c, d in zip(z, shift)): a for z, a in self._nums.items()},
+            self._den,
         )
 
     # -- dunder plumbing -----------------------------------------------------
@@ -218,16 +254,19 @@ class SparseFunction:
     def __eq__(self, other):
         if not isinstance(other, SparseFunction):
             return NotImplemented
-        return self.dim == other.dim and self._entries == other._entries
+        return (self.dim == other.dim and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.dim, tuple(self._entries.items())))
+            self._hash = hash((self.dim, self._den, tuple(self._nums.items())))
         return self._hash
 
     def __repr__(self):
-        shown = ", ".join(f"{z}: {v}" for z, v in list(self._entries.items())[:4])
-        more = "" if len(self._entries) <= 4 else f", ... ({len(self._entries)} entries)"
+        shown = ", ".join(
+            f"{z}: {Fraction(a, self._den)}" for z, a in islice(self._nums.items(), 4)
+        )
+        more = "" if len(self._nums) <= 4 else f", ... ({len(self._nums)} entries)"
         return f"SparseFunction(dim={self.dim}, {{{shown}{more}}})"
 
 
@@ -353,56 +392,68 @@ def indicator(region: Union[LatticeSet, Cuboid], scale: Rational = 1) -> SparseF
         raise InvalidInputError("indicator scale must be nonzero")
     if not region.points:
         raise DegenerateInputError("indicator of the empty set")
-    return SparseFunction._from_clean(region.dim, {z: lam for z in region.points})
+    k = lam.numerator
+    return SparseFunction._from_clean(
+        region.dim, {z: k for z in region.points}, lam.denominator
+    )
 
 
 def partial_difference(f: SparseFunction, i: int) -> SparseFunction:
     """Forward difference along axis i: g(z) = f(z + e_i) - f(z).
 
+    g has f's denominator: its values are differences of f's, and each
+    value of f is minus the sum of g along the line from that point on.
     Results are cached on `f` per axis.
     """
     ax = _check_axis(f.dim, i)
     g = f._diffs.get(ax)
     if g is None:
         acc: dict = {}
-        for z, v in f._entries.items():
+        for z, a in f._nums.items():
             zm = z[:ax] + (z[ax] - 1,) + z[ax + 1:]
-            w = acc.get(zm, ZERO) + v
+            w = acc.get(zm, 0) + a
             if w:
                 acc[zm] = w
             else:
                 del acc[zm]
-            w = acc.get(z, ZERO) - v
+            w = acc.get(z, 0) - a
             if w:
                 acc[z] = w
             else:
                 del acc[z]
-        g = SparseFunction._from_clean(f.dim, acc)
+        g = SparseFunction._from_clean(f.dim, acc, f._den)
         f._diffs[ax] = g
     return g
+
+
+def _abs_sum(f: SparseFunction) -> int:
+    """The numerator of the exact 1-norm of f over f's denominator."""
+    return sum(map(abs, f._nums.values()))
 
 
 def axis_variation(f: SparseFunction, i: int) -> Fraction:
     """Exact 1-norm of the forward difference along axis i."""
     g = partial_difference(f, i)
-    return sum((abs(v) for v in g._entries.values()), ZERO)
+    return Fraction(_abs_sum(g), g._den)
 
 
 def norm(f: SparseFunction, p) -> Union[Fraction, float]:
     """p-norm (sum of |f|^p) ** (1/p) under the counting measure.
 
-    Exact (Fraction) for p = 1; float track otherwise.  The zero function has
+    Exact (Fraction) for p = 1; float track otherwise, each |value| the
+    correctly rounded |numerator| / denominator.  The zero function has
     norm 0.
     """
     q = _check_exponent(p)
     if f.is_zero():
         return ZERO if q == 1 else 0.0
     if q == 1:
-        return sum((abs(v) for v in f._entries.values()), ZERO)
+        return Fraction(_abs_sum(f), f._den)
     pf = float(q)
+    den = f._den
     total = 0.0
-    for v in f._entries.values():
-        total += float(abs(v)) ** pf
+    for a in f._nums.values():
+        total += (abs(a) / den) ** pf
     return total ** (1.0 / pf)
 
 
@@ -412,14 +463,15 @@ def diff_norm(f: SparseFunction, p) -> Union[Fraction, float]:
     Exact for p = 1, where it equals the total variation over lattice edges.
     """
     q = _check_exponent(p)
+    diffs = [partial_difference(f, i) for i in range(1, f.dim + 1)]
     if q == 1:
-        return sum((axis_variation(f, i) for i in range(1, f.dim + 1)), ZERO)
+        return Fraction(sum(map(_abs_sum, diffs)), f._den)
     pf = float(q)
+    den = f._den
     total = 0.0
-    for i in range(1, f.dim + 1):
-        g = partial_difference(f, i)
-        for v in g._entries.values():
-            total += float(abs(v)) ** pf
+    for g in diffs:
+        for a in g._nums.values():
+            total += (abs(a) / den) ** pf
     return total ** (1.0 / pf) if total else 0.0
 
 
@@ -433,13 +485,13 @@ def max_projection(f: SparseFunction, i: int) -> SparseFunction:
         raise InvalidInputError("max projection needs ambient dimension >= 2")
     ax = _check_axis(f.dim, i)
     out: dict = {}
-    for z, v in f._entries.items():
-        if v < 0:
+    for z, a in f._nums.items():
+        if a < 0:
             raise DomainError("max projection requires a nonnegative function")
         key = _drop(z, ax)
-        if v > out.get(key, ZERO):
-            out[key] = v
-    return SparseFunction._from_clean(f.dim - 1, out)
+        if a > out.get(key, 0):
+            out[key] = a
+    return SparseFunction._from_clean(f.dim - 1, out, f._den)
 
 
 def coord_projection(A: LatticeSet, i: int) -> frozenset:
@@ -527,11 +579,12 @@ def entropy(f: SparseFunction, p) -> float:
 def _entropy_sum(f: SparseFunction, pf: float, scale: float) -> float:
     """sum over supp f of pf * x^pf * log x with x = f/scale (the entropy of
     f/scale at exponent pf); rejects a value whose x underflows to 0.0."""
+    den = f._den
     total = 0.0
-    for z, v in f.items():
-        if v < 0:
+    for z, a in f._nums.items():
+        if a < 0:
             raise DomainError("entropy requires a nonnegative function")
-        x = float(v) / scale
+        x = a / den / scale
         if not x:
             raise InvalidInputError(
                 f"the value at {z} underflows the floating-point range"
@@ -564,35 +617,36 @@ def pointwise_line_bound(f: SparseFunction, i: int) -> LineBoundCheck:
     """Verify, on every line parallel to axis i meeting supp f, that the
     maximum of |f| is at most half the 1-variation of f along the line.
 
-    Exact rational arithmetic; lines not meeting the support are skipped.
+    Exact: the comparison is variation >= 2 * max on numerators over f's
+    denominator; lines not meeting the support are skipped.
     """
     ax = _check_axis(f.dim, i)
     maxima: dict = {}
-    for z, v in f._entries.items():
+    for z, a in f._nums.items():
         key = _drop(z, ax)
-        a = abs(v)
-        if a > maxima.get(key, ZERO):
+        a = abs(a)
+        if a > maxima.get(key, 0):
             maxima[key] = a
-    variation: dict = {}
-    for z, v in partial_difference(f, i)._entries.items():
+    variation: dict = {}  # numerators over f's denominator, as maxima
+    for z, a in partial_difference(f, i)._nums.items():
         key = _drop(z, ax)
-        variation[key] = variation.get(key, ZERO) + abs(v)
+        variation[key] = variation.get(key, 0) + abs(a)
 
     ok = True
     worst_key = None
-    worst_max = ZERO
-    worst_half = ZERO
-    worst_margin = None
+    worst_margin = None  # 2 * denominator * (half variation - max)
     for key in sorted(maxima):
-        half = HALF * variation.get(key, ZERO)
-        margin = half - maxima[key]
+        margin = variation.get(key, 0) - 2 * maxima[key]
         if margin < 0:
             ok = False
         if worst_margin is None or margin < worst_margin:
             worst_margin = margin
             worst_key = key
-            worst_max = maxima[key]
-            worst_half = half
+    if worst_key is None:
+        worst_max = worst_half = ZERO
+    else:
+        worst_max = Fraction(maxima[worst_key], f._den)
+        worst_half = Fraction(variation.get(worst_key, 0), 2 * f._den)
     return LineBoundCheck(
         ok=ok,
         axis=i,

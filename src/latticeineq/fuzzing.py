@@ -120,13 +120,13 @@ def _sample_support(rng: random.Random, n: int, window: int, q: float) -> list:
 def _sample_function(
     rng: random.Random, n: int, window: int, q: float, denominator: int, signed: bool
 ) -> SparseFunction:
-    entries = {}
+    nums = {}
     for z in _sample_support(rng, n, window, q):
-        v = Fraction(rng.randint(1, denominator), denominator)
+        a = rng.randint(1, denominator)
         if signed and rng.random() < 0.5:
-            v = -v
-        entries[z] = v
-    return SparseFunction._from_clean(n, entries)
+            a = -a
+        nums[z] = a
+    return SparseFunction._from_clean(n, nums, denominator)
 
 
 def run_instance(seed: int, index: int, n: int, window: int, q: float,

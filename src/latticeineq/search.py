@@ -12,7 +12,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Union
 
 from . import kernels
@@ -205,21 +204,17 @@ def anneal_sets(
 COARSE_DENOM = 64
 FINE_DENOM = 64 * 64
 FINE_STEP = 4  # fine pass samples every 4/4096 within +-1/64 of the best cell
+COARSE_STEP = FINE_DENOM // COARSE_DENOM  # 1/64 as a numerator over 4096
 
 
-def _candidate_values(best: Fraction) -> list:
-    coarse = [Fraction(j, COARSE_DENOM) for j in range(COARSE_DENOM + 1)]
-    center = round(best * FINE_DENOM)
-    lo = max(0, center - COARSE_DENOM)
-    hi = min(FINE_DENOM, center + COARSE_DENOM)
-    fine = [Fraction(j, FINE_DENOM) for j in range(lo, hi + 1, FINE_STEP)]
-    seen = set()
-    out = []
-    for v in coarse + fine:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+def _candidate_values(best: int) -> list:
+    """The grid values tried at a point whose value is best / FINE_DENOM, as
+    numerators over FINE_DENOM: the coarse grid, then the fine points within
+    1/64 of best that it misses."""
+    lo = max(0, best - COARSE_DENOM)
+    hi = min(FINE_DENOM, best + COARSE_DENOM)
+    coarse = range(0, FINE_DENOM + 1, COARSE_STEP)
+    return list(coarse) + [j for j in range(lo, hi + 1, FINE_STEP) if j % COARSE_STEP]
 
 
 def ascend_function(
@@ -234,11 +229,12 @@ def ascend_function(
 
     Each iteration re-optimizes one window point over the value grid
     {j/64} refined once (step 1/4096) around the best coarse cell; values
-    stay exact rationals.  A sweep that changes nothing is a coordinate-wise
-    local maximum, so the search reseeds from a fresh random point and keeps
-    the running best; it stops at the iteration budget or on reaching the
-    known supremum 1.  `start` is "random" (seeded grid values) or
-    "indicator" (all ones, which is already extremal on a cuboid window).
+    stay exact, as int numerators over 4096.  A sweep that changes nothing
+    is a coordinate-wise local maximum, so the search reseeds from a fresh
+    random point and keeps the running best; it stops at the iteration
+    budget or on reaching the known supremum 1.  `start` is "random" (seeded
+    grid values) or "indicator" (all ones, which is already extremal on a
+    cuboid window).
     """
     _check_iters(iters)
     if isinstance(window, int):
@@ -252,17 +248,18 @@ def ascend_function(
     rng = random.Random(seed)
 
     def fresh_values(kind: str) -> dict:
+        """Numerators over FINE_DENOM."""
         if kind == "indicator":
-            return {z: Fraction(1) for z in points}
-        values = {
-            z: Fraction(rng.randrange(COARSE_DENOM + 1), COARSE_DENOM) for z in points
-        }
+            return {z: FINE_DENOM for z in points}
+        values = {z: rng.randrange(COARSE_DENOM + 1) * COARSE_STEP for z in points}
         if not any(values.values()):
-            values[points[rng.randrange(len(points))]] = Fraction(1)
+            values[points[rng.randrange(len(points))]] = FINE_DENOM
         return values
 
     def build(values: dict) -> SparseFunction:
-        return SparseFunction._from_clean(n, {z: v for z, v in values.items() if v})
+        return SparseFunction._from_clean(
+            n, {z: v for z, v in values.items() if v}, FINE_DENOM
+        )
 
     values = fresh_values(start)
     current_f = build(values)

@@ -46,6 +46,41 @@ def oracle_norm(f, p):
     return total ** (1.0 / float(p))
 
 
+def oracle_lex_norm(f, p):
+    """The float-track p-norm as one plain float sum of float(|f(z)|) ** p
+    over the support in lexicographic order, values read as Fractions."""
+    pf = float(p)
+    total = 0.0
+    for z in sorted(f.support()):
+        total += float(abs(f.value(z))) ** pf
+    return total ** (1.0 / pf)
+
+
+def oracle_line_bound(f, i):
+    """(ok, lines, worst_line, worst_max, worst_half_variation) of the
+    per-line bound, line by line on Fractions: max |f| on each line parallel
+    to axis i meeting supp f, and half the sum of |f(z + e_i) - f(z)| over
+    the line's padded range.  The worst line has the smallest margin, the
+    first in sorted order on a tie."""
+    ax = i - 1
+    lines = {}
+    for z in f.support():
+        lines.setdefault(z[:ax] + z[ax + 1:], []).append(z[ax])
+    ok, worst = True, None
+    for key in sorted(lines):
+        cs = lines[key]
+
+        def at(c):
+            return f.value(key[:ax] + (c,) + key[ax:])
+
+        top = max(abs(at(c)) for c in cs)
+        half = sum(abs(at(c + 1) - at(c)) for c in range(min(cs) - 1, max(cs) + 1)) / 2
+        ok = ok and half >= top
+        if worst is None or half - top < worst[0]:
+            worst = (half - top, key, top, half)
+    return ok, len(lines), worst[1], worst[2], worst[3]
+
+
 def oracle_diff_norm_1(f):
     return sum(oracle_axis_variation(f, i) for i in range(1, f.dim + 1))
 

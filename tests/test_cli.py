@@ -429,6 +429,21 @@ class TestExitCodeContract:
         assert err.startswith("invalid input: ") and "underflows" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["check", "table"])
+    def test_tiny_p_exit_2(self, command, tmp_path, capsys):
+        # "1e-400" is a positive exact rational whose float is 0.0
+        if command == "check":
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(RECT23))
+            argv = ["check", "--input", str(path), "--ineq", "all", "--normalize"]
+        else:
+            argv = ["table", "--n", "2", "--max-side", "2", "--ineq", "all"]
+        assert main(argv + ["--p", "1e-400"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input: ") and "exponent" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_violation_reports_exit_1(self, tmp_path, capsys, monkeypatch):
         # a VIOLATED relation cannot arise from valid inputs, so fake one to
         # pin down the exit-code plumbing and the input echo

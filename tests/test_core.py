@@ -158,6 +158,10 @@ class TestNorms:
         with pytest.raises(InvalidInputError):
             norm(TWO_POINT, -1)
 
+    def test_p_whose_float_is_zero(self):
+        with pytest.raises(InvalidInputError, match="underflows"):
+            norm(TWO_POINT, Fraction(1, 10 ** 400))
+
 
 class TestDiffNorm:
     def test_point_crossings(self):

@@ -1,0 +1,37 @@
+"""Byte-identity of CLI output against committed goldens.
+
+The files under `golden/` are the stdout of each command below.  They pin
+every printed float: a change to the exact track (how values are stored,
+differences taken, sums ordered) must leave these bytes unchanged.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from latticeineq.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+MIXED = str(GOLDEN / "mixed_function.json")  # denominators 1, 3, 7 and 64
+
+CASES = [
+    (["fuzz", "--n", "2", "--count", "200", "--seed", "7"],
+     "fuzz_n2_count200_seed7.json"),
+    (["fuzz", "--n", "3", "--window", "4", "--count", "60", "--seed", "3"],
+     "fuzz_n3_window4_count60_seed3.json"),
+    (["check", "--input", MIXED, "--ineq", "all", "--normalize"],
+     "check_mixed_all_normalize.json"),
+    (["check", "--input", MIXED, "--ineq", "all", "--normalize", "--format", "csv"],
+     "check_mixed_all_normalize.csv"),
+    (["table", "--n", "3", "--max-side", "3", "--ineq", "all", "--p", "1/2"],
+     "table_n3_max3_all_p1-2.csv"),
+]
+
+
+@pytest.mark.parametrize("argv,golden", CASES, ids=[g for _, g in CASES])
+def test_stdout_matches_golden(argv, golden, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN / golden).read_bytes()

@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latticeineq import (
     Cuboid,
@@ -35,8 +35,11 @@ from latticeineq.certify import function_counts, is_scaled_indicator, set_counts
 from oracles import (
     oracle_axis_variation,
     oracle_boundary,
+    oracle_lex_norm,
+    oracle_line_bound,
     oracle_max_projection,
     oracle_norm,
+    oracle_partial_difference,
     oracle_set_counts,
 )
 
@@ -302,3 +305,88 @@ def test_bounding_intervals_cover_the_set(A):
     for z in A:
         for c, (lo, hi) in zip(z, intervals):
             assert lo <= c <= hi
+
+
+# -- int numerators over one denominator ----------------------------------------
+
+# small, distinct prime (two Mersenne primes near 10^18 and 10^27) and huge
+# denominators, so the lcm is large and cancellations can shrink it
+PRIMES = (2, 3, 5, 7, 11, 13, 101, 997, 1_000_000_007, 2 ** 61 - 1, 2 ** 89 - 1)
+mixed_rationals = st.builds(
+    F,
+    st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30)).filter(bool),
+    st.one_of(st.integers(1, 8), st.sampled_from(PRIMES), st.integers(1, 10 ** 30)),
+)
+
+
+def mixed_entries(dim):
+    """Entry lists, duplicate points allowed, with the Fraction dict they sum to."""
+    def summed(entries):
+        acc = {}
+        for z, v in entries:
+            acc[z] = acc.get(z, F(0)) + v
+        return entries, {z: v for z, v in acc.items() if v}
+
+    pairs = st.tuples(points(dim), mixed_rationals)
+    return st.lists(pairs, min_size=1, max_size=12).map(summed)
+
+
+def assert_canonical(f):
+    """The stored denominator is the lcm of the reduced value denominators,
+    coprime to the numerators as a whole."""
+    assert f._den == math.lcm(*(v.denominator for _, v in f.items()))
+    assert math.gcd(f._den, *f._nums.values()) == 1
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 3).flatmap(mixed_entries), st.data())
+def test_numerators_match_fraction_oracles(case, data):
+    entries, expected = case
+    assume(expected)
+    f = SparseFunction(len(entries[0][0]), entries)
+    assert f.items() == sorted(expected.items())
+    assert all(f.value(z) == v for z, v in expected.items())
+    assert f.value((99,) * f.dim) == 0
+    g = f.abs()
+    assert dict(g.items()) == {z: abs(v) for z, v in expected.items()}
+    assert norm(f, 1) == sum(abs(v) for v in expected.values())
+    for p in (F(2), F(3, 2)):
+        assert norm(f, p) == oracle_lex_norm(f, p)
+    for i in range(1, f.dim + 1):
+        d = partial_difference(f, i)
+        assert dict(d.items()) == oracle_partial_difference(f, i)
+        assert axis_variation(f, i) == oracle_axis_variation(f, i)
+        m = max_projection(g, i)
+        assert dict(m.items()) == oracle_max_projection(g, i)
+        bound = pointwise_line_bound(f, i)
+        assert (bound.ok, bound.lines_checked, bound.worst_line, bound.worst_max,
+                bound.worst_half_variation) == oracle_line_bound(f, i)
+        assert d._den == f._den
+        for h in (d, m):
+            assert_canonical(h)
+    c = data.draw(mixed_rationals)
+    for h in (f, g, -f, f.scaled(c)):
+        assert_canonical(h)
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 3).flatmap(mixed_entries), mixed_rationals, st.data())
+def test_equal_by_any_route_is_equal_and_hashes_equal(case, c, data):
+    entries, expected = case
+    dim = len(entries[0][0])
+    f = SparseFunction(dim, entries)
+    _, other = data.draw(mixed_entries(dim))
+    routes = [
+        SparseFunction(dim, expected),
+        f.scaled(c).scaled(1 / c),
+        -(-f),
+        f.translate((5,) * dim).translate((-5,) * dim),
+        # other's denominators cancel out of the lcm
+        SparseFunction(dim, entries + list(other.items())
+                       + [(z, -v) for z, v in other.items()]),
+    ]
+    for h in routes:
+        assert h == f and hash(h) == hash(f)
+        assert (h._den, h._nums) == (f._den, f._nums)
+    if expected and c != 1:
+        assert f.scaled(c) != f
