@@ -382,11 +382,33 @@ def check_loomis_whitney(A: LatticeSet, tol: float = DEFAULT_TOL) -> InequalityR
 # -- logarithmic variants ----------------------------------------------------
 
 
+# above this many bits, |a|^k and D^k are not worth computing, or printing
+_EXACT_POWER_BITS = 10_000
+
+
+def _log_norm_unless_unit(nums, den: int, k: int) -> Optional[float]:
+    """log ||f||_k of the nonzero numerators nums over den, or None when
+    that norm is exactly 1.  The exact test sum a^k == den^k runs only when
+    the float estimate is too close to 0 to tell."""
+    top = max(nums)
+    log_norm = (math.log(top) - math.log(den)
+                + math.log(math.fsum((a / top) ** k for a in nums)) / k)
+    if top >= den:  # one a^k >= den^k, and the other terms are positive
+        return None if len(nums) == 1 and top == den else log_norm
+    # a generous bound on the float rounding of k * log_norm
+    slack = 1e-6 + 8 * k * 2.0 ** -52 * (1.0 + math.log(den))
+    if abs(log_norm) * k > slack:
+        return log_norm
+    return None if sum(a ** k for a in nums) == den ** k else log_norm
+
+
 def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) -> float:
     """The rescaling N = ||f||_p; enforces ||f||_p = 1 when not normalizing.
 
     For integer p = k the unit-norm precondition is checked exactly, as
-    sum |a|^k == D^k on f's numerators a over its denominator D.
+    sum |a|^k == D^k on f's numerators a over its denominator D.  When those
+    powers would pass _EXACT_POWER_BITS, a float log-norm settles the clear
+    cases first, and the message gives the float norm.
     """
     if normalize:
         nf = function_counts(f).p_norm(p)
@@ -397,7 +419,16 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
         return nf
     if p.denominator == 1:
         k = p.numerator
-        total = sum(abs(a) ** k for a in f._nums.values())
+        nums = [abs(a) for a in f._nums.values()]
+        if k * max(max(nums), f._den).bit_length() > _EXACT_POWER_BITS:
+            log_norm = _log_norm_unless_unit(nums, f._den, k)
+            if log_norm is not None:
+                raise PreconditionError(
+                    f"||f||_{p} must be 1 (got {math.exp(log_norm)!r}); "
+                    "pass normalize=True"
+                )
+            return 1.0
+        total = sum(a ** k for a in nums)
         if total != f._den ** k:
             raise PreconditionError(
                 f"||f||_{p} must be 1 (got ||f||^p = {Fraction(total, f._den ** k)}); "

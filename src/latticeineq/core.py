@@ -11,8 +11,9 @@ float(Fraction).  Float-track sums always iterate entries in lexicographic
 key order, which makes them deterministic and bit-stable under translation.
 Only a function's forward differences are cached; certify keeps its counts
 there.
-`set_stats` is the one statistics pass over a finite set (size, crossings,
-projections, shadows) that certify and the grid kernels read.
+`set_stats` is the one statistics pass over a finite point set (size,
+crossings, projections, shadows) that certify reads; kernels.subset_stats
+computes the same tuple from a bit-packed mask.
 
 Axis indices are 1-based throughout: ``i`` ranges over ``1..dim``.
 """
@@ -516,8 +517,9 @@ def set_stats(points, n: int) -> tuple:
       proj_size[i]   -- number of distinct i-th coordinates,
       proj_min/max   -- their range,
       shadow_size[i] -- size of the image after dropping coordinate i.
-    The one statistics loop behind certify.set_counts, kernels.subset_stats
-    and boundary_count.
+    The one statistics loop over a point set, behind certify.set_counts
+    and boundary_count; kernels.subset_stats gives the same tuple for a
+    packed mask.
     """
     if not points:
         zeros = (0,) * n

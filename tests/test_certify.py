@@ -297,6 +297,30 @@ class TestLogSobolev:
         r = check_log_sobolev(f, 2, directional=True)
         assert r.relation is not Relation.VIOLATED
 
+    @pytest.mark.parametrize("nums,den,k,unit", [
+        ([3, 4], 5, 2, True),  # float estimate ~0: the exact sum decides
+        ([3, 4], 5, 3, False),
+        ([5], 5, 10 ** 7, True),
+        ([5, 1], 5, 10 ** 7, False),  # 5^k alone already fills den^k
+        ([6, 1], 5, 10 ** 7, False),
+        ([3, 4], 6, 10 ** 7, False),
+    ])
+    def test_unit_norm_test_without_huge_powers(self, nums, den, k, unit):
+        assert (certify._log_norm_unless_unit(nums, den, k) is None) is unit
+
+    def test_unit_norm_message_at_small_and_huge_p(self):
+        f = SparseFunction(2, {(0, 0): F(1, 2), (1, 0): F(2, 3)})
+        with pytest.raises(PreconditionError) as exc:
+            check_log_sobolev(f, 3)
+        assert str(exc.value) == (
+            "||f||_3 must be 1 (got ||f||^p = 91/216); pass normalize=True")
+        with pytest.raises(PreconditionError) as exc:
+            check_log_sobolev(f, 10 ** 7)
+        assert str(exc.value) == (
+            "||f||_10000000 must be 1 (got 0.6666666666666666); pass normalize=True")
+        r = check_log_sobolev(indicator(POINT), 10 ** 7)
+        assert r.relation is Relation.EXACT_EQUAL
+
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             check_log_sobolev(SparseFunction(2, {(0, 0): -1}), 1, normalize=True)

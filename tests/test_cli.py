@@ -444,6 +444,25 @@ class TestExitCodeContract:
         assert captured.err.startswith("invalid input: ") and "exponent" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("p", ["1000000", "10000000"])
+    def test_huge_integer_p_exit_2(self, p, tmp_path):
+        # sum |a|^p == D^p would be a number of millions of digits
+        import subprocess
+        import sys
+
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [
+            {"z": [0, 0], "v": "1/2"}, {"z": [1, 0], "v": "2/3"}]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "latticeineq.cli", "check", "--input",
+             str(path), "--ineq", "logsob", "--p", p],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == (f"precondition: ||f||_{p} must be 1 "
+                               "(got 0.6666666666666666); pass normalize=True\n")
+
     def test_violation_reports_exit_1(self, tmp_path, capsys, monkeypatch):
         # a VIOLATED relation cannot arise from valid inputs, so fake one to
         # pin down the exit-code plumbing and the input echo

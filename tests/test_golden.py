@@ -2,9 +2,12 @@
 
 The files under `golden/` are the stdout of each command below.  They pin
 every printed float: a change to the exact track (how values are stored,
-differences taken, sums ordered) must leave these bytes unchanged.
+differences taken, sums ordered) must leave these bytes unchanged.  The
+`enumerate` goldens pin the rows CSV of `--report` and the summary (with
+`elapsed_seconds` masked) across changes to the subset-statistics kernel.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,22 @@ def test_stdout_matches_golden(argv, golden, capsys):
     assert code == 0
     assert captured.err == ""
     assert captured.out.encode() == (GOLDEN / golden).read_bytes()
+
+
+ENUM_CASES = [
+    (["enumerate", "--n", "2", "--box", "3"], "enumerate_n2_box3"),
+    (["enumerate", "--n", "2", "--box", "5", "--max-size", "2"], "enumerate_n2_box5_max2"),
+]
+
+
+@pytest.mark.parametrize("argv,stem", ENUM_CASES, ids=[s for _, s in ENUM_CASES])
+def test_enumerate_matches_golden(argv, stem, tmp_path, capsys):
+    # the rows CSV byte for byte, and stdout with the wall time masked
+    rows = tmp_path / "rows.csv"
+    code = main(argv + ["--report", str(rows)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert rows.read_bytes() == (GOLDEN / f"{stem}_rows.csv").read_bytes()
+    out = re.sub(r'("elapsed_seconds": )[^\n,}]+', r"\g<1>0", captured.out)
+    assert out.encode() == (GOLDEN / f"{stem}.json").read_bytes()

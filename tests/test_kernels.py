@@ -56,5 +56,49 @@ def test_matches_set_counts_and_shape_classifier():
         assert classify_counts(size, proj_size, proj_min, proj_max) == classify_shape(A)
 
 
+def _random_masks(dims, count, seed):
+    """Seeded masks of three densities: uniform, sparse (AND of three draws)
+    and dense (OR of three draws)."""
+    rng = random.Random(seed)
+    cells = math.prod(dims)
+    masks = []
+    for _ in range(count):
+        a, b, c = (rng.getrandbits(cells) for _ in range(3))
+        masks += [a, a & b & c, a | b | c]
+    return masks
+
+
+def test_every_mask_of_the_4x4_box():
+    dims = (4, 4)
+    for mask in range(1 << 16):
+        assert kernels.subset_stats(mask, dims) == oracle_subset_stats(mask, dims)
+
+
+@pytest.mark.parametrize("dims", [(5, 5), (3, 3, 3), (4, 4, 4), (2, 3, 4)])
+def test_random_masks_match_oracle(dims):
+    for mask in _random_masks(dims, 300, seed=sum(dims)):
+        assert kernels.subset_stats(mask, dims) == oracle_subset_stats(mask, dims)
+
+
+@pytest.mark.parametrize("dims", [(1,), (5,), (1, 1), (1, 6), (6, 1), (3, 1, 2),
+                                  (1, 4, 1), (2, 1, 1, 3)])
+def test_side_1_axes_and_n_1(dims):
+    for mask in range(1 << math.prod(dims)):
+        assert kernels.subset_stats(mask, dims) == oracle_subset_stats(mask, dims)
+
+
+@pytest.mark.parametrize("dims", [(15, 15), (9, 9, 9)])
+def test_anneal_boxes(dims):
+    # the boxes annealing packs its initial set into: sparse and dense masks
+    cells = math.prod(dims)
+    rng = random.Random(cells)
+    masks = _random_masks(dims, 10, seed=cells)
+    masks += [sum(1 << idx for idx in rng.sample(range(cells), size))
+              for size in (1, 2, 30, 64, cells - 1)]
+    masks.append((1 << cells) - 1)
+    for mask in masks:
+        assert kernels.subset_stats(mask, dims) == oracle_subset_stats(mask, dims)
+
+
 def test_empty_mask():
     assert kernels.subset_stats(0, (2, 2)) == (0, (0, 0), (0, 0), (0, 0), (0, 0), (0, 0))

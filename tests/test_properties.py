@@ -29,8 +29,9 @@ from latticeineq import (
     pointwise_line_bound,
     projection_chain,
 )
-from latticeineq import fileio
+from latticeineq import fileio, kernels
 from latticeineq.certify import function_counts, is_scaled_indicator, set_counts
+from latticeineq.core import set_stats
 
 from oracles import (
     oracle_axis_variation,
@@ -145,6 +146,18 @@ def test_set_counts_match_line_oracle(A):
     c = set_counts(A)
     assert (c.size, c.crossings, c.proj_size, c.proj_min, c.proj_max,
             c.shadow_size) == oracle_set_counts(A.points, A.dim)
+
+
+def boxed_subsets(dims):
+    """(dims, a subset of the box) from a mask of any density."""
+    full = (1 << math.prod(dims)) - 1
+    return st.integers(0, full).map(lambda mask: (dims, set(kernels.unpack(mask, dims))))
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple).flatmap(boxed_subsets))
+def test_packed_stats_match_point_set_pass(case):
+    dims, A = case
+    assert kernels.subset_stats(kernels.pack(A, dims), dims) == set_stats(A, len(dims))
 
 
 @given(nonneg_function_2d3d, positive_rationals, st.data())
