@@ -132,9 +132,7 @@ class SetCounts:
 
 
 def set_counts(A: LatticeSet) -> SetCounts:
-    if not A.points:
-        raise DegenerateInputError("empty set")
-    return SetCounts(*set_stats(A.points, A.dim))
+    return function_counts(_indicator_of(A)).support
 
 
 def classify_counts(size, proj_size, proj_min, proj_max) -> ShapeClass:
@@ -160,14 +158,9 @@ def classify_shape(A: LatticeSet) -> ShapeClass:
 
 def is_scaled_indicator(f: SparseFunction) -> Optional[tuple]:
     """(value, support) when f is a nonzero constant on its support."""
-    it = iter(f._nums.values())
-    lam = next(it, None)
-    if lam is None:
+    if function_counts(f).indicator is None:
         return None
-    for a in it:
-        if a != lam:
-            return None
-    return Fraction(lam, f._den), LatticeSet(f.dim, f.support())
+    return Fraction(next(iter(f._nums.values())), f._den), LatticeSet(f.dim, f.support())
 
 
 def _float_prod(values) -> float:
@@ -186,8 +179,9 @@ class FunctionCounts:
     """What the function checkers read of f, each computed on first use: per
     axis ||d_i f||_1 (`sigmas`) and ||max_projection(f, i)||_1 (`masses`),
     exact; ||f||_p (`p_norm(p)`, once per p), the float of core.norm, and
-    `norm`, its value at p = n/(n-1); and the SetCounts of supp f when f is a
-    scaled indicator (`indicator`), else None."""
+    `norm`, its value at p = n/(n-1); the SetCounts of supp f (`support`),
+    one core.set_stats pass; and that same SetCounts when f is a scaled
+    indicator (`indicator`), else None."""
 
     def __init__(self, f: SparseFunction):
         self._f = f._twin()  # f itself would make f and its counts a cycle
@@ -213,9 +207,12 @@ class FunctionCounts:
         return self.p_norm(Fraction(self._f.dim, self._f.dim - 1))
 
     @cached_property
+    def support(self) -> SetCounts:
+        return SetCounts(*set_stats(self._f._nums, self._f.dim))
+
+    @cached_property
     def indicator(self) -> Optional[SetCounts]:
-        ind = is_scaled_indicator(self._f)
-        return None if ind is None else set_counts(ind[1])
+        return self.support if len(set(self._f._nums.values())) == 1 else None
 
 
 def function_counts(f: SparseFunction) -> FunctionCounts:
@@ -223,6 +220,13 @@ def function_counts(f: SparseFunction) -> FunctionCounts:
     if f._counts is None:
         f._counts = FunctionCounts(f)
     return f._counts
+
+
+def _indicator_of(A: LatticeSet) -> SparseFunction:
+    """The indicator of A, made on first use and kept on A."""
+    if A._indicator is None:
+        A._indicator = indicator(A)
+    return A._indicator
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +291,13 @@ def _function_report(ineq, f, p, lhs, rhs, tol, certificate) -> InequalityReport
     return _report(ineq, f, p, lhs, rhs, tol, cert, shape)
 
 
-def _set_report(ineq: Inequality, A: LatticeSet, tol: float, certificate,
+def _set_report(ineq: Inequality, A, tol: float, certificate,
                 divisor: int) -> InequalityReport:
-    """Shared body of the set checkers: both sides are the certificate's
-    integers over `divisor`."""
-    if A.dim < 2:
-        raise InvalidInputError(
-            f"inequalities need ambient dimension >= 2, got n={A.dim}"
-        )
-    counts = set_counts(A)
+    """Shared body of the set checkers, on a set or the support of a
+    function: both sides are the certificate's integers over `divisor`."""
+    f = _indicator_of(A) if isinstance(A, LatticeSet) else A
+    _require_checkable(f)
+    counts = function_counts(f).support
     cert = certificate(counts, A.dim)
     return _report(ineq, A, None, cert.lhs_integer / divisor,
                    cert.rhs_integer / float(divisor), tol, cert, _shape(counts))
@@ -358,8 +360,9 @@ def check_sobolev(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityRepo
                             sobolev_certificate)
 
 
-def check_isoperimetric(A: LatticeSet, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """|A|^(n-1) <= |bd A|^n / (2^n n^n); equality exactly on cubes."""
+def check_isoperimetric(A, tol: float = DEFAULT_TOL) -> InequalityReport:
+    """|A|^(n-1) <= |bd A|^n / (2^n n^n); equality exactly on cubes.  A is a
+    LatticeSet, or a SparseFunction read by its support."""
     return _set_report(Inequality.ISOPERIMETRIC, A, tol, sobolev_certificate,
                        (2 * A.dim) ** A.dim)
 
@@ -374,8 +377,9 @@ def check_bl(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     return _function_report(Inequality.BL, f, None, counts.norm, rhs, tol, bl_certificate)
 
 
-def check_loomis_whitney(A: LatticeSet, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """|A|^(n-1) <= prod_i |shadow_i(A)|; equality exactly on product sets."""
+def check_loomis_whitney(A, tol: float = DEFAULT_TOL) -> InequalityReport:
+    """|A|^(n-1) <= prod_i |shadow_i(A)|; equality exactly on product sets.
+    A is a LatticeSet, or a SparseFunction read by its support."""
     return _set_report(Inequality.LW, A, tol, bl_certificate, 1)
 
 
@@ -517,13 +521,12 @@ def check(
     inequalities.  `p` and `normalize` matter only to the log inequalities.
     """
     ineq = Inequality(ineq)
-    if ineq in SET_INEQUALITIES:
-        A = x if isinstance(x, LatticeSet) else LatticeSet(x.dim, x.support())
-        if ineq is Inequality.ISOPERIMETRIC:
-            return check_isoperimetric(A, tol)
-        return check_loomis_whitney(A, tol)
+    if ineq is Inequality.ISOPERIMETRIC:
+        return check_isoperimetric(x, tol)
+    if ineq is Inequality.LW:
+        return check_loomis_whitney(x, tol)
     if isinstance(x, LatticeSet):
-        x, normalize = indicator(x), True
+        x, normalize = _indicator_of(x), True
     if ineq is Inequality.GN:
         return check_gn(x, tol)
     if ineq is Inequality.SOBOLEV:

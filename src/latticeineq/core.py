@@ -10,7 +10,7 @@ enters as the correctly rounded numerator / denominator, which is exactly
 float(Fraction).  Float-track sums always iterate entries in lexicographic
 key order, which makes them deterministic and bit-stable under translation.
 Only a function's forward differences are cached; certify keeps its counts
-there.
+there, and a set's indicator on the set.
 `set_stats` is the one statistics pass over a finite point set (size,
 crossings, projections, shadows) that certify reads; kernels.subset_stats
 computes the same tuple from a bit-packed mask.
@@ -272,9 +272,9 @@ class SparseFunction:
 
 
 class LatticeSet:
-    """A finite subset of Z^n."""
+    """A finite subset of Z^n; the `_indicator` slot keeps certify's indicator of it."""
 
-    __slots__ = ("dim", "points")
+    __slots__ = ("dim", "points", "_indicator")
 
     def __init__(self, dim: int, points: Iterable = ()):
         self.dim = _check_dim(dim)
@@ -282,6 +282,7 @@ class LatticeSet:
         for z in points:
             pts.add(_check_point(self.dim, tuple(z)))
         self.points = frozenset(pts)
+        self._indicator = None
 
     def __len__(self):
         return len(self.points)
@@ -347,6 +348,8 @@ class Cuboid:
         sides = tuple(sides)
         if origin is None:
             origin = (0,) * len(sides)
+        elif len(origin) != len(sides):
+            raise InvalidInputError(f"origin {origin!r} does not have dimension {len(sides)}")
         if any(s < 1 for s in sides):
             raise InvalidInputError(f"cuboid sides must be >= 1, got {sides}")
         return cls(tuple((o, o + s - 1) for o, s in zip(origin, sides)))

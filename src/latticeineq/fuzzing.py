@@ -30,6 +30,7 @@ from .certify import (
     Relation,
     check,
 )
+from .certify import _relation
 from .core import LatticeSet, SparseFunction, check_box, pointwise_line_bound
 from .errors import InvalidInputError
 from .fileio import input_to_dict
@@ -153,10 +154,8 @@ def run_instance(seed: int, index: int, n: int, window: int, q: float,
     # reports: GN was checked on f_signed and BL on its absolute value f
     gn, bl = reports[Inequality.GN], reports[Inequality.BL]
     lo, mid, hi = gn.lhs, bl.rhs, gn.rhs
-    chain_ok = (
-        lo - mid <= tol * max(1.0, abs(lo), abs(mid))
-        and mid - hi <= tol * max(1.0, abs(mid), abs(hi))
-    )
+    chain_ok = (_relation(lo, mid, tol, None) is not Relation.VIOLATED
+                and _relation(mid, hi, tol, None) is not Relation.VIOLATED)
     return {
         "inputs": inputs,
         "reports": reports,

@@ -141,11 +141,11 @@ def anneal_sets(
     steps = 0
 
     for k in range(1, iters + 1):
-        steps = k
         if best == 1.0:
             break
         if not shell:
             break  # set fills the box
+        steps = k
         # swap proposal: drop a member, add a free neighbor of the set
         out_pos = rng.randrange(size)
         out_idx = members[out_pos]

@@ -254,6 +254,11 @@ class TestCuboid:
     def test_points(self):
         assert len(RECT.points()) == 6
 
+    def test_from_sides_origin_matches_sides(self):
+        assert Cuboid.from_sides((2, 3), origin=(5, 1)).intervals == ((5, 6), (1, 3))
+        with pytest.raises(InvalidInputError):
+            Cuboid.from_sides((2, 3), origin=(5,))
+
     def test_empty_interval_rejected(self):
         with pytest.raises(InvalidInputError):
             Cuboid(((1, 0),))

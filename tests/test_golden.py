@@ -16,6 +16,8 @@ from latticeineq.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 MIXED = str(GOLDEN / "mixed_function.json")  # denominators 1, 3, 7 and 64
+SET_3D = str(GOLDEN / "set_3d.json")  # 11 points, not a product set
+SQUARE = str(GOLDEN / "square_2d.json")  # the 3x3 square, a cube
 
 CASES = [
     (["fuzz", "--n", "2", "--count", "200", "--seed", "7"],
@@ -26,6 +28,12 @@ CASES = [
      "check_mixed_all_normalize.json"),
     (["check", "--input", MIXED, "--ineq", "all", "--normalize", "--format", "csv"],
      "check_mixed_all_normalize.csv"),
+    (["check", "--input", SET_3D, "--ineq", "all"], "check_set3d_all.json"),
+    (["check", "--input", SET_3D, "--ineq", "all", "--format", "csv"],
+     "check_set3d_all.csv"),
+    (["check", "--input", SET_3D], "check_set3d_default.json"),
+    (["check", "--input", SQUARE, "--ineq", "all", "--exact"],
+     "check_square2d_all_exact.json"),
     (["table", "--n", "3", "--max-side", "3", "--ineq", "all", "--p", "1/2"],
      "table_n3_max3_all_p1-2.csv"),
 ]

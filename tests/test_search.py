@@ -12,6 +12,14 @@ class TestAnnealSets:
         assert trace.best_value == 1.0
         assert len(trace.best_input) == 1
 
+    @pytest.mark.parametrize("size,box_side", [(1, None), (9, 3)])
+    def test_no_proposal_counts_no_iteration(self, size, box_side):
+        # a cube from the start (one cell, or the whole 3x3 box) proposes nothing
+        trace = anneal_sets(2, size, iters=10, seed=0, box_side=box_side)
+        assert trace.best_value == 1.0
+        assert trace.iterations == 0
+        assert trace.history == [(0, 1.0)]
+
     def test_nine_points_finds_cube(self):
         trace = anneal_sets(2, 9, iters=100_000, seed=1)
         assert trace.best_value == 1.0
