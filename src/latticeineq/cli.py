@@ -10,6 +10,7 @@ exception; nothing is written to stdout).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -25,7 +26,7 @@ from .certify import (
     Relation,
     check,
 )
-from .core import Cuboid, SparseFunction, check_box, indicator
+from .core import Cuboid, SparseFunction, as_fraction, check_box, indicator
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -73,9 +74,9 @@ def _parse_ineqs(raw: Optional[str]):
 
 def _parse_p(raw: str) -> Fraction:
     try:
-        p = Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"invalid p {raw!r}") from exc
+        p = as_fraction(raw)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"invalid p: {exc}") from exc
     if p <= 0:
         raise InvalidInputError(f"p must be positive, got {raw}")
     return p
@@ -293,6 +294,7 @@ def cmd_table(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticeineq",

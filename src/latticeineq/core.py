@@ -21,9 +21,10 @@ Axis indices are 1-based throughout: ``i`` ranges over ``1..dim``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import DegenerateInputError, DomainError, InvalidInputError
@@ -35,11 +36,13 @@ ZERO = Fraction(0)
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an exact value to Fraction.
+    """Coerce an exact value to Fraction; the one parser of outside values.
 
     Accepts int, Fraction and strings ("3/4", "0.25", "-2"); decimal strings
-    parse exactly as scaled integers.  Floats are rejected: they would
-    silently poison the exact track.
+    parse exactly as scaled integers.  A decimal exponent past the
+    interpreter's int digit limit (4300 by default) is refused before
+    10**e is expanded.  Floats are rejected: they would silently poison the
+    exact track.
     """
     if isinstance(value, Fraction):
         return value
@@ -48,13 +51,31 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            _check_decimal_exponent(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"cannot parse rational value {value!r}") from exc
+    if isinstance(value, float):
+        raise InvalidInputError(
+            f"float value {value!r} is not exact; write it as a string (\"p/q\" or decimal)"
+        )
     raise InvalidInputError(
         f"expected an exact rational (int, Fraction or string), got {type(value).__name__}"
     )
+
+
+def _check_decimal_exponent(text: str):
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    try:
+        exponent = int(text.replace("E", "e").rpartition("e")[2])
+    except ValueError:
+        return  # not an exponent: Fraction refuses or parses the string
+    if abs(exponent) > limit:
+        raise InvalidInputError(
+            f"decimal exponent of {text!r} is over the limit of {limit}"
+        )
 
 
 def _check_dim(dim) -> int:
@@ -71,12 +92,13 @@ def _check_axis(dim: int, i) -> int:
 
 
 def _check_point(dim: int, z) -> Point:
-    if not isinstance(z, tuple) or len(z) != dim:
+    """Validate a point given as a tuple or list of ints; return the tuple."""
+    if not isinstance(z, (tuple, list)) or len(z) != dim:
         raise InvalidInputError(f"point {z!r} does not have dimension {dim}")
     for c in z:
         if not isinstance(c, int) or isinstance(c, bool):
             raise InvalidInputError(f"point {z!r} has a non-integer coordinate")
-    return z
+    return tuple(z)
 
 
 def _check_exponent(p) -> Fraction:
@@ -278,10 +300,7 @@ class LatticeSet:
 
     def __init__(self, dim: int, points: Iterable = ()):
         self.dim = _check_dim(dim)
-        pts = set()
-        for z in points:
-            pts.add(_check_point(self.dim, tuple(z)))
-        self.points = frozenset(pts)
+        self.points = frozenset(_check_point(self.dim, z) for z in points)
         self._indicator = None
 
     def __len__(self):
@@ -370,16 +389,7 @@ class Cuboid:
         return math.prod(self.sides())
 
     def points(self) -> LatticeSet:
-        def gen(ivs):
-            if not ivs:
-                yield ()
-                return
-            (a, b), rest = ivs[0], ivs[1:]
-            for tail in gen(rest):
-                for c in range(a, b + 1):
-                    yield (c,) + tail
-
-        return LatticeSet(self.dim, gen(self.intervals))
+        return LatticeSet(self.dim, product(*(range(a, b + 1) for a, b in self.intervals)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 Function files:  {"dim": n, "entries": [{"z": [int, ...], "v": "p/q"}, ...]}
 Set files:       {"dim": n, "points": [[int, ...], ...]}
 
+Files are UTF-8 JSON.  This module checks only a file's shape (an object
+whose `entries` or `points` is a list, each entry an object with `z` and
+`v`) and hands the raw dim, points and values to the `SparseFunction` and
+`LatticeSet` constructors: core is the one validator of outside input.
 Values are exact: rational strings ("3/4"), decimal strings ("0.25", parsed
 as scaled integers) or JSON integers.  JSON floats are rejected — a binary
 float cannot round-trip the exact track.  Serialization is canonical
@@ -12,10 +16,9 @@ float cannot round-trip the exact track.  Serialization is canonical
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
-from .core import LatticeSet, SparseFunction, as_fraction
+from .core import LatticeSet, SparseFunction
 from .errors import InvalidInputError
 
 if TYPE_CHECKING:
@@ -30,30 +33,6 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_value(raw) -> Fraction:
-    if isinstance(raw, float):
-        raise InvalidInputError(
-            f"float value {raw!r} in input file; write it as a string (\"p/q\" or decimal)"
-        )
-    return as_fraction(raw)
-
-
-def _parse_point(raw, dim: int) -> tuple:
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise InvalidInputError(f"point {raw!r} does not have dimension {dim}")
-    for c in raw:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise InvalidInputError(f"point {raw!r} has a non-integer coordinate")
-    return tuple(raw)
-
-
-def _parse_dim(obj) -> int:
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise InvalidInputError(f"field 'dim' must be a positive integer, got {dim!r}")
-    return dim
-
-
 def function_to_dict(f: SparseFunction) -> dict:
     return {
         "dim": f.dim,
@@ -61,17 +40,24 @@ def function_to_dict(f: SparseFunction) -> dict:
     }
 
 
-def function_from_dict(obj: dict) -> SparseFunction:
-    dim = _parse_dim(obj)
-    raw_entries = obj.get("entries")
-    if not isinstance(raw_entries, list):
-        raise InvalidInputError("field 'entries' must be a list")
-    entries = []
-    for item in raw_entries:
+def _listed(obj: dict, field: str):
+    """The raw items of a list field.  A generator, so that the constructor
+    it is passed to checks 'dim' before this checks the field."""
+    items = obj.get(field)
+    if not isinstance(items, list):
+        raise InvalidInputError(f"field '{field}' must be a list")
+    yield from items
+
+
+def _entry_pairs(obj: dict):
+    for item in _listed(obj, "entries"):
         if not isinstance(item, dict) or "z" not in item or "v" not in item:
             raise InvalidInputError(f"entry {item!r} must have fields 'z' and 'v'")
-        entries.append((_parse_point(item["z"], dim), _parse_value(item["v"])))
-    return SparseFunction(dim, entries)
+        yield item["z"], item["v"]
+
+
+def function_from_dict(obj: dict) -> SparseFunction:
+    return SparseFunction(obj.get("dim"), _entry_pairs(obj))
 
 
 def set_to_dict(A: LatticeSet) -> dict:
@@ -84,21 +70,19 @@ def input_to_dict(x: Union[SparseFunction, LatticeSet]) -> dict:
 
 
 def set_from_dict(obj: dict) -> LatticeSet:
-    dim = _parse_dim(obj)
-    raw_points = obj.get("points")
-    if not isinstance(raw_points, list):
-        raise InvalidInputError("field 'points' must be a list")
-    return LatticeSet(dim, (_parse_point(z, dim) for z in raw_points))
+    return LatticeSet(obj.get("dim"), _listed(obj, "points"))
 
 
 def load_input(path: str) -> Union[SparseFunction, LatticeSet]:
     """Read a function or set file, detected by its fields."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise InvalidInputError(f"malformed JSON in {path}: nested too deeply") from exc
+    except ValueError as exc:  # bad JSON or UTF-8, or an int over the digit limit
         raise InvalidInputError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{path}: top level must be an object")

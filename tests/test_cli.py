@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latticeineq.cli import main
+from latticeineq.cli import build_parser, main
 
 RECT23 = {
     "dim": 2,
@@ -311,6 +311,103 @@ class TestHugeBoxes:
         else:
             limit = "cells is over the limit of 1048576 cells"
         assert proc.stderr == f"invalid input: {refusal} {limit}\n"
+
+
+SET2 = {"dim": 2, "points": [[0, 0], [0, 1]]}
+
+
+def _function(dim=2, **entry):
+    return {"dim": dim, "entries": [dict({"z": [0, 0], "v": "1"}, **entry)]}
+
+
+class TestMalformedInput:
+    """Every malformed input exits 2 with one stderr line, in bounded time
+    and memory: each case runs in a child under a 1.5 GiB address-space
+    limit and a 10 s timeout."""
+
+    @pytest.mark.parametrize("content,args,message", [
+        (b"\xff\xfe{}", "", "malformed JSON in {path}: 'utf-8' codec can't decode "
+         "byte 0xff in position 0: invalid start byte"),
+        (b'{"dim": 2, "entries": [{"z": [0, 0], "v": ' + b"9" * 5000 + b"}]}", "",
+         "malformed JSON in {path}: Exceeds the limit (4300 digits) for integer "
+         "string conversion: value has 5000 digits; use sys.set_int_max_str_digits() "
+         "to increase the limit"),
+        (b"[" * 200_000, "", "malformed JSON in {path}: nested too deeply"),
+        (_function(v="1e2000000000"), "",
+         "decimal exponent of '1e2000000000' is over the limit of 4300"),
+        (SET2, "--ineq logbl --p 1e2000000000",
+         "invalid p: decimal exponent of '1e2000000000' is over the limit of 4300"),
+        (SET2, "--ineq logbl --p 1e-2000000000",
+         "invalid p: decimal exponent of '1e-2000000000' is over the limit of 4300"),
+        (None, "table --n 2 --max-side 2 --p 1e2000000000",
+         "invalid p: decimal exponent of '1e2000000000' is over the limit of 4300"),
+        (SET2, "--p x", "invalid p: cannot parse rational value 'x'"),
+        (_function(z=5), "", "point 5 does not have dimension 2"),
+        (_function(z=[0]), "", "point [0] does not have dimension 2"),
+        (_function(z=[0, "1"]), "", "point [0, '1'] has a non-integer coordinate"),
+        (_function(v=0.5), "",
+         'float value 0.5 is not exact; write it as a string ("p/q" or decimal)'),
+        (_function(v=[1]), "",
+         "expected an exact rational (int, Fraction or string), got list"),
+        (_function(dim=0), "", "dimension must be a positive integer, got 0"),
+        (_function(dim=True), "", "dimension must be a positive integer, got True"),
+        ({"entries": []}, "", "dimension must be a positive integer, got None"),
+        ({"dim": 2, "entries": {"z": [0, 0], "v": "1"}}, "",
+         "field 'entries' must be a list"),
+        ({"dim": 2, "entries": [{"z": [0, 0]}]}, "",
+         "entry {'z': [0, 0]} must have fields 'z' and 'v'"),
+        ({"dim": 2, "points": "[[0, 0]]"}, "", "field 'points' must be a list"),
+        ({"dim": 2, "points": [7]}, "", "point 7 does not have dimension 2"),
+    ], ids=[
+        "non-utf8", "5000-digit-int", "deep-nesting", "huge-value-exponent",
+        "huge-p-exponent", "tiny-p-exponent", "table-huge-p-exponent", "bad-p",
+        "int-z", "short-z", "string-coordinate", "float-v", "list-v", "dim-0",
+        "dim-true", "dim-missing", "entries-not-list", "entry-without-v",
+        "points-not-list", "int-point",
+    ])
+    def test_exit_2_with_one_line(self, content, args, message, tmp_path):
+        import resource
+        import subprocess
+        import sys
+
+        def limit_memory():
+            cap = 3 << 29  # 1.5 GiB of address space, this child only
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        path = tmp_path / "in.json"
+        if content is None:
+            argv = args.split()
+        else:
+            path.write_bytes(content if isinstance(content, bytes)
+                             else json.dumps(content).encode())
+            argv = ["check", "--input", str(path), *args.split()]
+        proc = subprocess.run(
+            [sys.executable, "-m", "latticeineq.cli", *argv],
+            capture_output=True, text=True, preexec_fn=limit_memory, timeout=10,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == f"invalid input: {message.replace('{path}', str(path))}\n"
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_same_result_around_an_argparse_error(self, rect_file, capsys):
+        argv = ["check", "--input", rect_file, "--format", "csv", "--ineq", "all",
+                "--normalize"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--input", rect_file, "--format", "xml"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        # another subcommand's options must not leak into the next call
+        assert main(["table", "--n", "2", "--max-side", "2", "--p", "3"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == first
 
 
 class TestTableCommand:

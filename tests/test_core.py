@@ -23,6 +23,7 @@ from latticeineq import (
     pointwise_line_bound,
     shadow_projection,
 )
+from latticeineq.core import as_fraction
 
 from oracles import (
     oracle_axis_variation,
@@ -61,6 +62,9 @@ class TestSparseFunction:
         with pytest.raises(InvalidInputError):
             SparseFunction(1, {(0,): 0.5})
 
+    def test_list_points_accepted(self):
+        assert SparseFunction(2, [([0, 1], 1)]) == SparseFunction(2, {(0, 1): 1})
+
     def test_string_values_parse_exactly(self):
         f = SparseFunction(1, {(0,): "3/4", (1,): "0.25"})
         assert f.value((0,)) == F(3, 4)
@@ -76,6 +80,47 @@ class TestSparseFunction:
         assert g.value((3, -1)) == -2
         assert (-f).value((0, 0)) == 2
         assert f.abs().value((0, 0)) == 2
+
+
+class TestLatticeSet:
+    def test_list_points_become_tuples(self):
+        A = LatticeSet(2, [[0, 1], (0, 1), [2, 3]])
+        assert A.points == {(0, 1), (2, 3)}
+
+    @pytest.mark.parametrize("points", [[5], [[0]], [[0, True]], ["ab"], [None]])
+    def test_bad_points_rejected(self, points):
+        with pytest.raises(InvalidInputError):
+            LatticeSet(2, points)
+
+
+class TestAsFraction:
+    @pytest.mark.parametrize("text,value", [
+        ("1e4300", F(10) ** 4300), ("-2.5E-4300", F(-25, 10 ** 4301)),
+        ("1e400", F(10) ** 400), ("3/4", F(3, 4)), ("0.25", F(1, 4)),
+    ])
+    def test_exponents_up_to_the_digit_limit_parse(self, text, value):
+        assert as_fraction(text) == value
+
+    @pytest.mark.parametrize("text", ["1e4301", "1E-4301", "1e2000000000",
+                                      "-1e-2000000000", "1e1_000_000"])
+    def test_exponents_over_the_digit_limit_refused(self, text):
+        with pytest.raises(InvalidInputError) as err:
+            as_fraction(text)
+        assert str(err.value) == (
+            f"decimal exponent of {text!r} is over the limit of 4300"
+        )
+
+    @pytest.mark.parametrize("text", ["1e", "e5", "1e5e5", "one", "1/0"])
+    def test_unparseable_strings_refused(self, text):
+        with pytest.raises(InvalidInputError, match="cannot parse rational value"):
+            as_fraction(text)
+
+    def test_float_refused(self):
+        with pytest.raises(InvalidInputError) as err:
+            as_fraction(0.1)
+        assert str(err.value) == (
+            'float value 0.1 is not exact; write it as a string ("p/q" or decimal)'
+        )
 
 
 class TestIndicator:
@@ -253,6 +298,12 @@ class TestCuboid:
 
     def test_points(self):
         assert len(RECT.points()) == 6
+
+    def test_points_are_the_product_of_the_intervals(self):
+        box = Cuboid(((-1, 0), (2, 4), (7, 7)))
+        assert box.points() == LatticeSet(3, [
+            (a, b, c) for a in (-1, 0) for b in (2, 3, 4) for c in (7,)
+        ])
 
     def test_from_sides_origin_matches_sides(self):
         assert Cuboid.from_sides((2, 3), origin=(5, 1)).intervals == ((5, 6), (1, 3))

@@ -79,11 +79,75 @@ class TestLoadInput(object):
         with pytest.raises(InvalidInputError):
             fileio.load_input(str(path))
 
+    def test_duplicate_set_points_merge(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"dim": 2, "points": [[0, 1], [0, 1], [2, 0]]}))
+        assert fileio.load_input(str(path)) == LatticeSet(2, [(0, 1), (2, 0)])
+
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"dim": 2}))
         with pytest.raises(InvalidInputError):
             fileio.load_input(str(path))
+
+
+class TestOneValidator:
+    """Core validates what a file holds: a file and the API refuse the same
+    bad point, value or dim with the same message, and each entry is
+    checked once."""
+
+    @pytest.mark.parametrize("dim,entries", [
+        (2, [([0], "1")]),                # point of the wrong length
+        (2, [([0, "1"], "1")]),           # non-integer coordinate
+        (2, [(5, "1")]),                  # point that is not a sequence
+        (2, [([0, 0], 0.5)]),             # float value
+        (2, [([0, 0], "1e99999")]),       # exponent over the digit limit
+        (2, [([0, 0], [1])]),             # list value
+        (0, []), (True, []), (None, []),  # bad or missing dim
+    ])
+    def test_file_and_api_refuse_alike(self, dim, entries, tmp_path):
+        payload = {"entries": [{"z": z, "v": v} for z, v in entries]}
+        if dim is not None:
+            payload["dim"] = dim
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidInputError) as from_file:
+            fileio.load_input(str(path))
+        with pytest.raises(InvalidInputError) as from_api:
+            SparseFunction(dim, entries)
+        assert str(from_file.value) == str(from_api.value)
+
+    @pytest.mark.parametrize("dim,points", [
+        (2, [[0]]), (2, [[0, 0.5]]), (2, [7]), (-1, []), (False, []),
+    ])
+    def test_set_file_and_api_refuse_alike(self, dim, points, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"dim": dim, "points": points}))
+        with pytest.raises(InvalidInputError) as from_file:
+            fileio.load_input(str(path))
+        with pytest.raises(InvalidInputError) as from_api:
+            LatticeSet(dim, points)
+        assert str(from_file.value) == str(from_api.value)
+
+    def test_each_entry_checked_once(self, tmp_path, monkeypatch):
+        import latticeineq.core as core
+
+        n = 25
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [
+            {"z": [k, -k], "v": f"{k + 1}/7"} for k in range(n)]}))
+        calls = {"as_fraction": 0, "_check_point": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(core, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+            # every binding of the name, so a second parser would be counted
+            for module in (core, fileio):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        f = fileio.load_input(str(path))
+        assert f.support_size() == n
+        assert calls == {"as_fraction": n, "_check_point": n}
 
 
 class TestReportSerialization:
