@@ -23,6 +23,7 @@ from typing import Optional
 
 from .core import (
     LatticeSet,
+    SetCounts,
     SparseFunction,
     axis_variation,
     indicator,
@@ -115,28 +116,14 @@ class InequalityReport:
     input_echo: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class SetCounts:
-    """Exact combinatorial statistics of a finite set."""
-
-    size: int
-    crossings: tuple          # per axis: edges along the axis leaving the set
-    proj_size: tuple          # per axis: |{z_i : z in A}|
-    proj_min: tuple
-    proj_max: tuple
-    shadow_size: tuple        # per axis: size of the drop-axis image
-
-    @property
-    def boundary(self) -> int:
-        return sum(self.crossings)
-
-
 def set_counts(A: LatticeSet) -> SetCounts:
-    return function_counts(_indicator_of(A)).support
+    return function_counts(indicator(A)).support
 
 
-def classify_counts(size, proj_size, proj_min, proj_max) -> ShapeClass:
-    """Most specific shape class implied by the set statistics."""
+def classify_counts(counts) -> ShapeClass:
+    """Most specific shape class implied by the set statistics: a SetCounts,
+    or kernels.subset_stats' plain tuple of the same fields."""
+    size, _, proj_size, proj_min, proj_max, _ = counts
     if size != math.prod(proj_size):
         return ShapeClass.NONE
     if any(s != hi - lo + 1 for s, lo, hi in zip(proj_size, proj_min, proj_max)):
@@ -153,14 +140,15 @@ def classify_shape(A: LatticeSet) -> ShapeClass:
     projection sizes; a cuboid additionally has interval projections; a cube
     additionally has equal side lengths.
     """
-    return _shape(set_counts(A))
+    return classify_counts(set_counts(A))
 
 
 def is_scaled_indicator(f: SparseFunction) -> Optional[tuple]:
     """(value, support) when f is a nonzero constant on its support."""
     if function_counts(f).indicator is None:
         return None
-    return Fraction(next(iter(f._nums.values())), f._den), LatticeSet(f.dim, f.support())
+    return (Fraction(next(iter(f._nums.values())), f._den),
+            LatticeSet._from_clean(f.dim, f._nums))
 
 
 def _float_prod(values) -> float:
@@ -208,7 +196,7 @@ class FunctionCounts:
 
     @cached_property
     def support(self) -> SetCounts:
-        return SetCounts(*set_stats(self._f._nums, self._f.dim))
+        return set_stats(self._f._nums, self._f.dim)
 
     @cached_property
     def indicator(self) -> Optional[SetCounts]:
@@ -220,13 +208,6 @@ def function_counts(f: SparseFunction) -> FunctionCounts:
     if f._counts is None:
         f._counts = FunctionCounts(f)
     return f._counts
-
-
-def _indicator_of(A: LatticeSet) -> SparseFunction:
-    """The indicator of A, made on first use and kept on A."""
-    if A._indicator is None:
-        A._indicator = indicator(A)
-    return A._indicator
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +258,13 @@ def _require_nonnegative(f: SparseFunction):
         raise DomainError("this inequality requires a nonnegative function")
 
 
-def _shape(c: SetCounts) -> ShapeClass:
-    return classify_counts(c.size, c.proj_size, c.proj_min, c.proj_max)
-
-
 def _function_report(ineq, f, p, lhs, rhs, tol, certificate) -> InequalityReport:
     """Shared tail of the function checkers: certified, with its shape, when
     f is a scaled indicator."""
     cert = shape = None
     counts = function_counts(f).indicator
     if counts is not None:
-        cert, shape = certificate(counts, f.dim), _shape(counts)
+        cert, shape = certificate(counts, f.dim), classify_counts(counts)
     return _report(ineq, f, p, lhs, rhs, tol, cert, shape)
 
 
@@ -295,12 +272,12 @@ def _set_report(ineq: Inequality, A, tol: float, certificate,
                 divisor: int) -> InequalityReport:
     """Shared body of the set checkers, on a set or the support of a
     function: both sides are the certificate's integers over `divisor`."""
-    f = _indicator_of(A) if isinstance(A, LatticeSet) else A
+    f = indicator(A) if isinstance(A, LatticeSet) else A
     _require_checkable(f)
     counts = function_counts(f).support
     cert = certificate(counts, A.dim)
     return _report(ineq, A, None, cert.lhs_integer / divisor,
-                   cert.rhs_integer / float(divisor), tol, cert, _shape(counts))
+                   cert.rhs_integer / float(divisor), tol, cert, classify_counts(counts))
 
 
 def gn_certificate(counts: SetCounts, n: int) -> ExactCertificate:
@@ -526,7 +503,7 @@ def check(
     if ineq is Inequality.LW:
         return check_loomis_whitney(x, tol)
     if isinstance(x, LatticeSet):
-        x, normalize = _indicator_of(x), True
+        x, normalize = indicator(x), True
     if ineq is Inequality.GN:
         return check_gn(x, tol)
     if ineq is Inequality.SOBOLEV:

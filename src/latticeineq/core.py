@@ -10,10 +10,11 @@ enters as the correctly rounded numerator / denominator, which is exactly
 float(Fraction).  Float-track sums always iterate entries in lexicographic
 key order, which makes them deterministic and bit-stable under translation.
 Only a function's forward differences are cached; certify keeps its counts
-there, and a set's indicator on the set.
-`set_stats` is the one statistics pass over a finite point set (size,
-crossings, projections, shadows) that certify reads; kernels.subset_stats
-computes the same tuple from a bit-packed mask.
+there.  A `LatticeSet` is held as its indicator, the one storage of its
+points.  `set_stats` is the one statistics pass over a finite point set,
+returning the one `SetCounts` record (size, crossings, projections,
+shadows) that certify reads; kernels.subset_stats computes the same fields
+from a bit-packed mask, as a plain tuple.
 
 Axis indices are 1-based throughout: ``i`` ranges over ``1..dim``.
 """
@@ -25,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import DegenerateInputError, DomainError, InvalidInputError
 
@@ -81,6 +82,7 @@ def _check_decimal_exponent(text: str):
 def _check_dim(dim) -> int:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InvalidInputError(f"dimension must be a positive integer, got {dim!r}")
+    check_box_dim(dim, "input")
     return dim
 
 
@@ -294,38 +296,54 @@ class SparseFunction:
 
 
 class LatticeSet:
-    """A finite subset of Z^n; the `_indicator` slot keeps certify's indicator of it."""
+    """A finite subset of Z^n, held as its indicator: `_indicator` is the
+    SparseFunction equal to 1 on the set, so its keys are the points in
+    lexicographic order."""
 
-    __slots__ = ("dim", "points", "_indicator")
+    __slots__ = ("dim", "_indicator")
 
     def __init__(self, dim: int, points: Iterable = ()):
-        self.dim = _check_dim(dim)
-        self.points = frozenset(_check_point(self.dim, z) for z in points)
-        self._indicator = None
+        self.dim = dim = _check_dim(dim)
+        self._indicator = SparseFunction._from_clean(
+            dim, {_check_point(dim, z): 1 for z in points}
+        )
+
+    @classmethod
+    def _from_clean(cls, dim: int, points: Iterable) -> "LatticeSet":
+        """Internal constructor: `points` are validated tuples, in any order."""
+        A = object.__new__(cls)
+        A.dim = dim
+        A._indicator = SparseFunction._from_clean(dim, dict.fromkeys(points, 1))
+        return A
+
+    @property
+    def points(self):
+        """The points, a read-only view in lexicographic order."""
+        return self._indicator._nums.keys()
 
     def __len__(self):
-        return len(self.points)
+        return len(self._indicator._nums)
 
     def __iter__(self) -> Iterator[Point]:
-        return iter(self.sorted_points())
+        return iter(self._indicator._nums)
 
     def __contains__(self, z) -> bool:
-        return z in self.points
+        return z in self._indicator._nums
 
     def __eq__(self, other):
         if not isinstance(other, LatticeSet):
             return NotImplemented
-        return self.dim == other.dim and self.points == other.points
+        return self._indicator == other._indicator
 
     def __hash__(self):
-        return hash((self.dim, self.points))
+        return hash(self._indicator)
 
     def sorted_points(self) -> list:
-        return sorted(self.points)
+        return list(self._indicator._nums)
 
     def translate(self, shift: Point) -> "LatticeSet":
         shift = _check_point(self.dim, tuple(shift))
-        return LatticeSet(
+        return LatticeSet._from_clean(
             self.dim, (tuple(a + b for a, b in zip(z, shift)) for z in self.points)
         )
 
@@ -389,7 +407,9 @@ class Cuboid:
         return math.prod(self.sides())
 
     def points(self) -> LatticeSet:
-        return LatticeSet(self.dim, product(*(range(a, b + 1) for a, b in self.intervals)))
+        return LatticeSet._from_clean(
+            self.dim, product(*(range(a, b + 1) for a, b in self.intervals))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -398,18 +418,16 @@ class Cuboid:
 
 
 def indicator(region: Union[LatticeSet, Cuboid], scale: Rational = 1) -> SparseFunction:
-    """The function equal to `scale` on the region and 0 elsewhere."""
+    """The function equal to `scale` on the region and 0 elsewhere; at
+    scale 1, a set's own stored indicator."""
     if isinstance(region, Cuboid):
         region = region.points()
     lam = as_fraction(scale)
     if not lam:
         raise InvalidInputError("indicator scale must be nonzero")
-    if not region.points:
+    if not region:
         raise DegenerateInputError("indicator of the empty set")
-    k = lam.numerator
-    return SparseFunction._from_clean(
-        region.dim, {z: k for z in region.points}, lam.denominator
-    )
+    return region._indicator if lam == 1 else region._indicator.scaled(lam)
 
 
 def partial_difference(f: SparseFunction, i: int) -> SparseFunction:
@@ -520,23 +538,33 @@ def shadow_projection(A: LatticeSet, i: int) -> frozenset:
     return frozenset(_drop(z, ax) for z in A.points)
 
 
-def set_stats(points, n: int) -> tuple:
-    """(size, crossings, proj_size, proj_min, proj_max, shadow_size) of a
-    finite set of n-tuples (any container supporting `in`); all zeros for
-    the empty set.  Per axis i:
-      crossings[i]   -- lattice edges along axis i with exactly one endpoint
-                        in the set: 2 per maximal run, counted at its start z
-                        (z - e_i not in the set),
-      proj_size[i]   -- number of distinct i-th coordinates,
-      proj_min/max   -- their range,
-      shadow_size[i] -- size of the image after dropping coordinate i.
-    The one statistics loop over a point set, behind certify.set_counts
-    and boundary_count; kernels.subset_stats gives the same tuple for a
-    packed mask.
+class SetCounts(NamedTuple):
+    """Exact combinatorial statistics of a finite set; each field but
+    `size` holds one entry per axis i."""
+
+    size: int
+    # lattice edges along axis i with exactly one endpoint in the set: 2 per
+    # maximal run, counted at its start z (z - e_i not in the set)
+    crossings: tuple
+    proj_size: tuple    # number of distinct i-th coordinates
+    proj_min: tuple     # their range
+    proj_max: tuple
+    shadow_size: tuple  # size of the image after dropping coordinate i
+
+    @property
+    def boundary(self) -> int:
+        return sum(self.crossings)
+
+
+def set_stats(points, n: int) -> SetCounts:
+    """The SetCounts of a finite set of n-tuples (any container supporting
+    `in`); all zeros for the empty set.  The one statistics loop over a
+    point set, behind certify.set_counts and boundary_count;
+    kernels.subset_stats gives the same fields for a packed mask.
     """
     if not points:
         zeros = (0,) * n
-        return 0, zeros, zeros, zeros, zeros, zeros
+        return SetCounts(0, zeros, zeros, zeros, zeros, zeros)
     crossings, proj, shadow = [], [], []
     for ax in range(n):
         starts = 0
@@ -551,7 +579,7 @@ def set_stats(points, n: int) -> tuple:
         crossings.append(2 * starts)
         proj.append(coords)
         shadow.append(len(image))
-    return (
+    return SetCounts(
         len(points),
         tuple(crossings),
         tuple(len(p) for p in proj),
@@ -579,7 +607,7 @@ def boundary_count(A: LatticeSet) -> int:
 
     Equals the exact 1-norm of the differential of the indicator of A.
     """
-    return sum(set_stats(A.points, A.dim)[1])
+    return set_stats(A.points, A.dim).boundary
 
 
 def entropy(f: SparseFunction, p) -> float:

@@ -137,7 +137,7 @@ def run_instance(seed: int, index: int, n: int, window: int, q: float,
     rng = random.Random((seed << 32) + index)
     f_signed = _sample_function(rng, n, window, q, denominator, signed=True)
     f = f_signed.abs()
-    A = LatticeSet(n, _sample_support(rng, n, window, q))
+    A = LatticeSet._from_clean(n, _sample_support(rng, n, window, q))
     p = P_CYCLE[index % len(P_CYCLE)]
 
     inputs = {

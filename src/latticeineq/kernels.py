@@ -9,7 +9,7 @@ enumeration and of annealing's initial boundary.  It never decodes a cell:
 it reads the statistics off the whole mask with shifts, ANDs, ORs and
 popcounts (the broadword tricks of Knuth, TAOCP 4A, 7.1.3), from a plan of
 per-axis masks built once per box.  `core.set_stats` computes the same
-statistics from a point set.
+statistics from a point set, as a `core.SetCounts` record.
 """
 
 from functools import lru_cache
@@ -94,8 +94,10 @@ def _plan(dims):
 
 def subset_stats(mask, dims):
     """(size, crossings, proj_size, proj_min, proj_max, shadow_size) of the
-    subset packed in mask, the same tuple core.set_stats gives for its
-    cells.  Per axis i with stride s:
+    subset packed in mask, equal to the core.SetCounts that core.set_stats
+    gives for its cells.  A plain tuple: this runs once per enumerated
+    subset, and building the record would add a sizeable share of that
+    cost.  Per axis i with stride s:
       crossings[i]   -- 2 * popcount of the run starts
                         mask & ~((mask << s) & inner_i),
       shadow_size[i] -- popcount of the fold: the mask OR-folded along axis i

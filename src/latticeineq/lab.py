@@ -22,7 +22,6 @@ from .certify import (
     InequalityReport,
     Reduction,
     Relation,
-    SetCounts,
     ShapeClass,
     bl_certificate,
     check_bl,
@@ -32,7 +31,7 @@ from .certify import (
     set_counts,
     sobolev_certificate,
 )
-from .core import LatticeSet, SparseFunction, check_box_dim
+from .core import LatticeSet, SetCounts, SparseFunction, check_box_dim
 # unused here, kept: perfbench/test_perfbench.py asserts that its tracer
 # patches every module binding of certify.norm, lab.norm included
 from .core import norm  # noqa: F401
@@ -198,16 +197,16 @@ def enumerate_rigidity(
     flags_of = {}
     for mask in _masks(cells, max_size):
         stats = kernels.subset_stats(mask, dims)
-        size, crossings, proj_size, proj_min, proj_max, shadow = stats
+        size, crossings, _, proj_min, _, shadow = stats
         key = (size, crossings, shadow)
         flags = flags_of.get(key)
         if flags is None:
-            counts = SetCounts(*stats)
+            counts = SetCounts._make(stats)
             flags = flags_of[key] = tuple(  # in Reduction order
                 certificate(counts, n).equal
                 for certificate in (gn_certificate, sobolev_certificate, bl_certificate)
             )
-        shape = classify_counts(size, proj_size, proj_min, proj_max)
+        shape = classify_counts(stats)
         canonical = not any(proj_min)
         report.total_checked += 1
         shape_counts[shape] += 1

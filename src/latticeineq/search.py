@@ -186,7 +186,7 @@ def anneal_sets(
     if not history or history[-1][0] != steps:
         history.append((steps, best))
     best_mask = sum(1 << idx for idx in best_members)
-    best_set = LatticeSet(n, kernels.unpack(best_mask, dims))
+    best_set = LatticeSet._from_clean(n, kernels.unpack(best_mask, dims))
     return SearchTrace(
         seed=seed,
         objective=Objective.ISO_RATIO,

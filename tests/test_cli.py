@@ -389,6 +389,17 @@ class TestMalformedInput:
         assert proc.stdout == ""
         assert proc.stderr == f"invalid input: {message.replace('{path}', str(path))}\n"
 
+    @pytest.mark.parametrize("dim", [65, 30_000])
+    @pytest.mark.parametrize("kind", ["set", "function"])
+    def test_dimension_over_the_cap(self, kind, dim, tmp_path):
+        # files valid but for their dimension, run as the cases above
+        points = [[0] * dim, [1] + [0] * (dim - 1)]
+        content = ({"dim": dim, "points": points} if kind == "set" else
+                   {"dim": dim, "entries": [{"z": z, "v": "1"} for z in points]})
+        self.test_exit_2_with_one_line(
+            content, "--ineq all",
+            f"input of dimension {dim} is over the limit of dimension 64", tmp_path)
+
 
 class TestParserReuse:
     def test_built_once(self):

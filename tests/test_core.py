@@ -23,7 +23,7 @@ from latticeineq import (
     pointwise_line_bound,
     shadow_projection,
 )
-from latticeineq.core import as_fraction
+from latticeineq.core import SetCounts, as_fraction, set_stats
 
 from oracles import (
     oracle_axis_variation,
@@ -91,6 +91,30 @@ class TestLatticeSet:
     def test_bad_points_rejected(self, points):
         with pytest.raises(InvalidInputError):
             LatticeSet(2, points)
+
+    PTS = [(2, 0), (0, 1), (1, -1), (0, 0), (1, 3)]
+
+    def test_shuffled_and_duplicated_points_give_one_set(self):
+        A = LatticeSet(2, self.PTS)
+        B = LatticeSet(2, self.PTS[::-1] + self.PTS[:2])
+        assert A == B
+        assert hash(A) == hash(B)
+
+    def test_points_run_in_lexicographic_order(self):
+        A = LatticeSet(2, self.PTS)
+        assert list(A) == A.sorted_points() == list(A.points) == sorted(self.PTS)
+        assert A.points == set(self.PTS)
+
+    def test_indicator_is_the_stored_function(self):
+        A = LatticeSet(2, self.PTS)
+        assert indicator(A) is indicator(A)
+        assert indicator(A, 3) == indicator(A).scaled(3)
+
+    def test_set_stats_is_the_set_counts_record(self):
+        A = LatticeSet(2, self.PTS)
+        counts = set_stats(A.points, A.dim)
+        assert isinstance(counts, SetCounts)
+        assert counts.boundary == boundary_count(A)
 
 
 class TestAsFraction:

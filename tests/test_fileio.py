@@ -150,6 +150,49 @@ class TestOneValidator:
         assert calls == {"as_fraction": n, "_check_point": n}
 
 
+class TestProgramMadeSets:
+    """Only outside input goes through core._check_point: a set the program
+    builds from its own cells is not checked again, while a loaded file
+    keeps one check per point."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import latticeineq.core as core
+
+        seen = []
+
+        def counted(*args, _original=core._check_point):
+            seen.append(args)
+            return _original(*args)
+        monkeypatch.setattr(core, "_check_point", counted)
+        return seen
+
+    def test_cuboid_points_and_indicator(self, calls):
+        box = Cuboid(((0, 3), (-1, 4)))
+        assert len(box.points()) == 24
+        assert indicator(box, 2).support_size() == 24
+        assert calls == []
+
+    def test_translate_checks_only_the_shift(self, calls):
+        A = Cuboid(((0, 3), (-1, 4))).points()
+        assert len(A.translate([2, -1])) == 24
+        assert calls == [(2, (2, -1))]
+
+    def test_fuzz_instance_and_anneal(self, calls):
+        from latticeineq import anneal_sets
+        from latticeineq.fuzzing import run_instance
+
+        run_instance(1, 0, 2, 4, 0.4, 64, 1e-9)
+        assert len(anneal_sets(2, 9, iters=200, seed=0).best_input) == 9
+        assert calls == []
+
+    def test_set_file_checks_each_point_once(self, calls, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"dim": 2, "points": [[k, -k] for k in range(7)]}))
+        assert len(fileio.load_input(str(path))) == 7
+        assert len(calls) == 7
+
+
 class TestReportSerialization:
     def test_csv_row(self):
         report = check_gn(indicator(Cuboid(((0, 1), (0, 2)))))

@@ -53,7 +53,7 @@ def test_matches_set_counts_and_shape_classifier():
         assert stats == (c.size, c.crossings, c.proj_size, c.proj_min,
                          c.proj_max, c.shadow_size)
         size, _, proj_size, proj_min, proj_max, _ = stats
-        assert classify_counts(size, proj_size, proj_min, proj_max) == classify_shape(A)
+        assert classify_counts(stats) == classify_shape(A)
 
 
 def _random_masks(dims, count, seed):
