@@ -4,9 +4,12 @@ The three ratio objectives rescale an inequality so the theorem bound is 1;
 they return exactly 1.0 on the rigidity class (decided by the integer
 certificate, never by float rounding) and a value in (0, 1) otherwise.
 
-`enumerate_rigidity` walks every subset of a small box and cross-checks the
-exact equality certificates against the shape classification — the
-brute-force ground truth for the equality characterizations.
+`enumerate_rigidity` cross-checks the exact equality certificates against
+the shape classification on every subset of a small box — the brute-force
+ground truth for the equality characterizations.  It counts the subsets by
+class from kernels' transfer-matrix histograms and lists only the product
+sets; the masks are visited one by one only for a row sink (`--report`) or
+when the counts do not prove the theorems.
 """
 
 from __future__ import annotations
@@ -165,9 +168,13 @@ def enumerate_rigidity(
     difference-product equality <=> cuboid, isoperimetric equality <=> cube,
     projection-product equality <=> product set.  Every positioned subset is
     checked; translation classes are counted via the canonical representative
-    (per-axis minimum at the origin).  The certificates are evaluated once
-    per distinct (size, crossings, shadow sizes).  Refuses upfront when the
-    subset count exceeds the budget.
+    (per-axis minimum at the origin).  Refuses upfront when the subset count
+    exceeds the budget.
+
+    Without a row_sink the subsets are counted by class, not visited
+    (`_count_classes`); the masks are visited one by one only for a
+    row_sink, or when the counts do not prove every certificate exact on
+    its class, which then finds the mismatches.
     """
     if n < 2:
         raise InvalidInputError("enumeration needs ambient dimension >= 2")
@@ -186,26 +193,90 @@ def enumerate_rigidity(
     if estimate > budget:
         raise BudgetExceededError(estimate, budget, exact=estimate <= limit)
 
-    dims = (box_side,) * n
     report = RigidityReport(n=n, box_side=box_side, max_size=max_size)
+    start = time.perf_counter()
+    if row_sink is not None or not _count_classes(report):
+        _visit_masks(report, row_sink)
+    report.elapsed = time.perf_counter() - start
+    return report
+
+
+def _flags(counts: SetCounts, n: int) -> tuple:
+    """(gn, iso, lw) equality of the certificates, in Reduction order."""
+    return tuple(certificate(counts, n).equal
+                 for certificate in (gn_certificate, sobolev_certificate, bl_certificate))
+
+
+def _count_classes(report: RigidityReport) -> bool:
+    """Fill report from counts of the subsets by class; False, leaving report
+    untouched, when the counts do not prove 0 mismatches.
+
+    The equality counts apply the certificates to the keys of
+    kernels.subset_histograms.  A subset that is not a product set is NONE,
+    so the shape counts come from listing the product sets.  For each
+    reduction, 0 mismatches follows from two facts: every member of its
+    class passes the certificate, and as many subsets pass it as the class
+    has members.
+    """
+    n, side, max_size = report.n, report.box_side, report.max_size
+    dims = (side,) * n
+    by_crossings, by_shadows = kernels.subset_histograms(dims, max_size)
+    zeros = (0,) * n
+    equal_counts = {"gn": 0, "iso": 0, "lw": 0}
+    for (size, crossings), count in by_crossings.items():
+        gn, iso, _ = _flags(SetCounts(size, crossings, zeros, zeros, zeros, zeros), n)
+        equal_counts["gn"] += count * gn
+        equal_counts["iso"] += count * iso
+    for (size, shadow), count in by_shadows.items():
+        _, _, lw = _flags(SetCounts(size, zeros, zeros, zeros, zeros, shadow), n)
+        equal_counts["lw"] += count * lw
+
+    shape_counts = {c: 0 for c in ShapeClass}
+    canonical_counts = {c: 0 for c in ShapeClass}
+    for mask in kernels.product_sets(dims, max_size):
+        stats = kernels.subset_stats(mask, dims)
+        shape = classify_counts(stats)
+        shape_counts[shape] += 1
+        canonical_counts[shape] += not any(stats[3])
+        flags = _flags(SetCounts._make(stats), n)
+        if any(want and not got for want, got in zip(_EXPECTED_FLAGS[shape], flags)):
+            return False
+    for name, reduction in zip(equal_counts, Reduction):
+        if equal_counts[name] != sum(shape_counts[s] for s in EQUALITY_CLASSES[reduction]):
+            return False
+
+    # canonical subsets meet every hyperplane c_i = 0: inclusion-exclusion
+    # over the k axes whose hyperplane a subset misses
+    canonical_total = sum(
+        (-1) ** k * math.comb(n, k)
+        * enumeration_size((side - 1) ** k * side ** (n - k), max_size)
+        for k in range(n + 1)
+    )
+    report.total_checked = enumeration_size(side ** n, max_size)
+    shape_counts[ShapeClass.NONE] += report.total_checked - sum(shape_counts.values())
+    canonical_counts[ShapeClass.NONE] += canonical_total - sum(canonical_counts.values())
+    _finish(report, shape_counts, canonical_counts, equal_counts)
+    return True
+
+
+def _visit_masks(report: RigidityReport, row_sink) -> None:
+    """Fill report by computing the statistics of each subset's mask; the
+    certificates are evaluated once per distinct (size, crossings, shadow
+    sizes)."""
+    n, max_size = report.n, report.max_size
+    dims = (report.box_side,) * n
     shape_counts = {c: 0 for c in ShapeClass}
     canonical_counts = {c: 0 for c in ShapeClass}
     equal_counts = {"gn": 0, "iso": 0, "lw": 0}
-
-    start = time.perf_counter()
     # the certificates read |A|, the crossings and the shadow sizes, no more
     flags_of = {}
-    for mask in _masks(cells, max_size):
+    for mask in _masks(report.box_side ** n, max_size):
         stats = kernels.subset_stats(mask, dims)
         size, crossings, _, proj_min, _, shadow = stats
         key = (size, crossings, shadow)
         flags = flags_of.get(key)
         if flags is None:
-            counts = SetCounts._make(stats)
-            flags = flags_of[key] = tuple(  # in Reduction order
-                certificate(counts, n).equal
-                for certificate in (gn_certificate, sobolev_certificate, bl_certificate)
-            )
+            flags = flags_of[key] = _flags(SetCounts._make(stats), n)
         shape = classify_counts(stats)
         canonical = not any(proj_min)
         report.total_checked += 1
@@ -222,8 +293,10 @@ def enumerate_rigidity(
                 report.mismatches.append(row)
             if row_sink is not None:
                 row_sink(row)
-    report.elapsed = time.perf_counter() - start
+    _finish(report, shape_counts, canonical_counts, equal_counts)
+
+
+def _finish(report, shape_counts, canonical_counts, equal_counts) -> None:
     report.shape_counts = {c.value: shape_counts[c] for c in ShapeClass}
     report.canonical_shape_counts = {c.value: canonical_counts[c] for c in ShapeClass}
     report.equality_counts = equal_counts
-    return report

@@ -4,7 +4,9 @@ The files under `golden/` are the stdout of each command below.  They pin
 every printed float: a change to the exact track (how values are stored,
 differences taken, sums ordered) must leave these bytes unchanged.  The
 `enumerate` goldens pin the rows CSV of `--report` and the summary (with
-`elapsed_seconds` masked) across changes to the subset-statistics kernel.
+`elapsed_seconds` masked) across changes to the subset-statistics kernel;
+without `--report` the subsets are counted by class, not visited, and the
+summary is the same file.
 """
 
 import re
@@ -63,5 +65,16 @@ def test_enumerate_matches_golden(argv, stem, tmp_path, capsys):
     assert code == 0
     assert captured.err == ""
     assert rows.read_bytes() == (GOLDEN / f"{stem}_rows.csv").read_bytes()
+    out = re.sub(r'("elapsed_seconds": )[^\n,}]+', r"\g<1>0", captured.out)
+    assert out.encode() == (GOLDEN / f"{stem}.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv,stem", ENUM_CASES, ids=[s for _, s in ENUM_CASES])
+def test_enumerate_counts_match_golden(argv, stem, capsys):
+    # without --report: the same summary from the class counts
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
     out = re.sub(r'("elapsed_seconds": )[^\n,}]+', r"\g<1>0", captured.out)
     assert out.encode() == (GOLDEN / f"{stem}.json").read_bytes()

@@ -52,7 +52,6 @@ def test_matches_set_counts_and_shape_classifier():
         c = set_counts(A)
         assert stats == (c.size, c.crossings, c.proj_size, c.proj_min,
                          c.proj_max, c.shadow_size)
-        size, _, proj_size, proj_min, proj_max, _ = stats
         assert classify_counts(stats) == classify_shape(A)
 
 

@@ -1,6 +1,8 @@
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticeineq import (
     BudgetExceededError,
@@ -14,6 +16,8 @@ from latticeineq import (
     indicator,
     iso_ratio,
 )
+from latticeineq import kernels
+from latticeineq.certify import ShapeClass, classify_counts
 from latticeineq.lab import enumeration_size
 
 from oracles import oracle_exhaustive_best_iso
@@ -138,6 +142,105 @@ class TestEnumerateRigidity:
         assert len(rows) == 15
         singleton = [r for r in rows if r.size == 1]
         assert all(r.gn_equal and r.iso_equal and r.lw_equal for r in singleton)
+
+
+def _by_mask(n, side, max_size=None):
+    # a no-op row sink forces the per-mask path
+    return enumerate_rigidity(n, side, max_size, row_sink=lambda row: None)
+
+
+def _summary(rep):
+    return (rep.total_checked, rep.shape_counts, rep.canonical_shape_counts,
+            rep.equality_counts, rep.mismatch_count)
+
+
+class TestCountPath:
+    @pytest.mark.parametrize("n,side,max_size", [
+        (2, 4, None), (3, 2, None), (2, 5, 5),
+        *((2, 3, m) for m in range(1, 10)),
+    ])
+    def test_agrees_with_per_mask_path(self, n, side, max_size):
+        assert _summary(enumerate_rigidity(n, side, max_size)) == _summary(
+            _by_mask(n, side, max_size))
+
+    def test_four_by_four_visits_no_masks(self, monkeypatch):
+        calls = []
+        subset_stats = kernels.subset_stats
+
+        def counted(mask, dims):
+            calls.append(mask)
+            return subset_stats(mask, dims)
+
+        monkeypatch.setattr(kernels, "subset_stats", counted)
+        rep = enumerate_rigidity(2, 4)
+        assert rep.total_checked == 65535
+        # the 225 product sets and the 16 patterns of a 4-cell slab
+        assert len(calls) == 241
+
+    def test_full_five_by_five_closed_forms(self):
+        # 2^25 subsets, out of the per-mask path's reach
+        rep = enumerate_rigidity(2, 5, budget=1 << 25)
+        assert rep.total_checked == (1 << 25) - 1
+        assert rep.mismatch_count == 0
+        # cuboids C(6,2)^2, squares sum (6-k)^2, product sets (2^5-1)^2
+        assert rep.equality_counts == {"gn": 225, "iso": 55, "lw": 961}
+        assert rep.shape_counts["CUBE"] == 55
+        assert rep.shape_counts["CUBE"] + rep.shape_counts["CUBOID"] == 225
+
+    def test_failing_certificate_gives_the_per_mask_mismatches(self, monkeypatch):
+        from latticeineq import certify, lab
+
+        def refuses_row_pairs(counts, n):
+            cert = certify.bl_certificate(counts, n)
+            if counts.size == 2 and counts.shadow_size == (1, 2):
+                return certify.ExactCertificate(
+                    cert.reduction, cert.lhs_integer + 1, cert.rhs_integer
+                )
+            return cert
+
+        monkeypatch.setattr(lab, "bl_certificate", refuses_row_pairs)
+        counted, visited = enumerate_rigidity(2, 4), _by_mask(2, 4)
+        # two cells of one row: C(4,2) pairs in each of 4 rows, all product sets
+        assert counted.mismatch_count == 24
+        assert counted.mismatches == visited.mismatches
+        assert _summary(counted) == _summary(visited)
+
+
+def _histograms_by_mask(dims, max_size):
+    by_crossings, by_shadows = Counter(), Counter()
+    for mask in range(1, 1 << math.prod(dims)):
+        if mask.bit_count() <= max_size:
+            size, crossings, _, _, _, shadow = kernels.subset_stats(mask, dims)
+            by_crossings[size, crossings] += 1
+            by_shadows[size, shadow] += 1
+    return by_crossings, by_shadows
+
+
+class TestSubsetHistograms:
+    @pytest.mark.parametrize("dims", [(3, 5), (2, 3, 2), (1, 4), (3, 1, 2), (2, 1, 1, 3)])
+    def test_count_every_mask(self, dims):
+        cells = math.prod(dims)
+        for max_size in (1, cells // 2, cells):
+            assert kernels.subset_histograms(dims, max_size) == _histograms_by_mask(
+                dims, max_size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(
+        lambda dims: math.prod(dims) <= 12), st.integers(1, 12))
+    def test_count_every_mask_property(self, dims, max_size):
+        assert kernels.subset_histograms(dims, max_size) == _histograms_by_mask(
+            dims, max_size)
+
+    @pytest.mark.parametrize("dims,max_size", [((3, 2, 2), 12), ((2, 4), 3), ((4, 1), 2)])
+    def test_product_sets_are_the_non_none_subsets(self, dims, max_size):
+        listed = list(kernels.product_sets(dims, max_size))
+        expected = {
+            mask for mask in range(1, 1 << math.prod(dims))
+            if mask.bit_count() <= max_size
+            and classify_counts(kernels.subset_stats(mask, dims)) is not ShapeClass.NONE
+        }
+        assert len(listed) == len(expected)
+        assert set(listed) == expected
 
 
 class TestAnnealOracleComparison:
