@@ -121,8 +121,7 @@ def set_counts(A: LatticeSet) -> SetCounts:
 
 
 def classify_counts(counts) -> ShapeClass:
-    """Most specific shape class implied by the set statistics: a SetCounts,
-    or kernels.subset_stats' plain tuple of the same fields."""
+    """Most specific shape class implied by a SetCounts."""
     size, _, proj_size, proj_min, proj_max, _ = counts
     if size != math.prod(proj_size):
         return ShapeClass.NONE

@@ -10,6 +10,7 @@ exception; nothing is written to stdout).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
@@ -183,26 +184,28 @@ def cmd_search(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    sink = None
-    rows = []
-    if args.report is not None:
-        def sink(row):
-            rows.append(
-                f"{row.set_id},{row.size},{row.shape_class.value},"
-                f"{int(row.gn_equal)},{int(row.iso_equal)},{int(row.lw_equal)}"
-            )
+    with contextlib.ExitStack() as stack:
+        sink = None
+        if args.report is not None:
+            write = None
 
-    report = enumerate_rigidity(
-        n=args.n,
-        box_side=args.box,
-        max_size=args.max_size,
-        budget=args.budget,
-        row_sink=sink,
-    )
-    if args.report is not None:
-        with open(args.report, "w") as fh:
-            fh.write("set_id,size,shape_class,gn_equal,iso_equal,lw_equal\n")
-            fh.write("\n".join(rows) + "\n")
+            # the rows stream to the file, opened on the first row, so a run
+            # refused upfront writes none
+            def sink(row):
+                nonlocal write
+                if write is None:
+                    write = stack.enter_context(open(args.report, "w")).write
+                    write("set_id,size,shape_class,gn_equal,iso_equal,lw_equal\n")
+                write(f"{row.set_id},{row.size},{row.shape_class.value},"
+                      f"{int(row.gn_equal)},{int(row.iso_equal)},{int(row.lw_equal)}\n")
+
+        report = enumerate_rigidity(
+            n=args.n,
+            box_side=args.box,
+            max_size=args.max_size,
+            budget=args.budget,
+            row_sink=sink,
+        )
     _write(
         fileio.dumps(
             {

@@ -13,8 +13,8 @@ Only a function's forward differences are cached; certify keeps its counts
 there.  A `LatticeSet` is held as its indicator, the one storage of its
 points.  `set_stats` is the one statistics pass over a finite point set,
 returning the one `SetCounts` record (size, crossings, projections,
-shadows) that certify reads; kernels.subset_stats computes the same fields
-from a bit-packed mask, as a plain tuple.
+shadows) that certify reads; kernels.subset_stats calls it on the cells of
+a bit-packed mask.
 
 Axis indices are 1-based throughout: ``i`` ranges over ``1..dim``.
 """
@@ -559,8 +559,8 @@ class SetCounts(NamedTuple):
 def set_stats(points, n: int) -> SetCounts:
     """The SetCounts of a finite set of n-tuples (any container supporting
     `in`); all zeros for the empty set.  The one statistics loop over a
-    point set, behind certify.set_counts and boundary_count;
-    kernels.subset_stats gives the same fields for a packed mask.
+    point set, behind certify.set_counts, boundary_count and
+    kernels.subset_stats.
     """
     if not points:
         zeros = (0,) * n

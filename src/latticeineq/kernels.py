@@ -1,26 +1,25 @@
-"""Grid kernels: bit-packed subsets of a box, their cell decoding, their
-statistics, and counts of all subsets of a box by statistics.
+"""Grid kernels: bit-packed subsets of a box, their cell decoding, and
+counts of all subsets of a box by statistics.
 
 A subset of the box prod_i [0, dims[i]-1] is packed as a bitmask: the cell
 with coordinates (c_0, .., c_{n-1}) sits at bit
 c_0 + dims[0]*(c_1 + dims[1]*...), axis 0 fastest.  Works for boxes of any
-size (Python integers).  `subset_stats` reads the statistics of one mask;
-it never decodes a cell, but reads them off the whole mask with shifts,
-ANDs, ORs and popcounts (the broadword tricks of Knuth, TAOCP 4A, 7.1.3),
-from a plan of per-axis masks built once per box.  `core.set_stats`
-computes the same statistics from a point set, as a `core.SetCounts`
-record.
+size (Python integers).  `subset_stats` decodes the cells of one mask and
+hands them to `core.set_stats`, the one statistics pass over a point set.
 
 `subset_histograms` counts the subsets of a box by (size, crossings) and by
 (size, shadow sizes) without visiting them: a transfer-matrix scan (Stanley,
 Enumerative Combinatorics I, 4.7) keeps a dict from a packed state to the
 number of partial subsets in it.  Rigidity enumeration reads these counts,
-and `subset_stats` only for the product sets (`product_sets`), the slab
-patterns of the scan, and the per-mask path that `--report` uses.
+and `subset_stats` only for the slab patterns of the scan and the product
+sets (`product_sets`), one per translation class; only the per-mask path,
+which runs when the counts do not prove the theorems, calls it per subset.
 """
 
 import itertools
 from functools import lru_cache
+
+from .core import set_stats
 
 
 def strides(dims):
@@ -66,83 +65,27 @@ def unpack(mask, dims):
     return sorted(_cells(mask, dims))
 
 
-def _fold_shifts(d, s):
-    """Right shifts that OR the slabs 0..d-1 of an axis with stride s onto
-    slab 0: doubling windows up to the largest power of two a <= d, then
-    one window starting at d - a (the two overlap, and OR is idempotent)."""
-    shifts = []
-    a = 1
-    while 2 * a <= d:
-        shifts.append(a * s)
-        a *= 2
-    if a < d:
-        shifts.append((d - a) * s)
-    return tuple(shifts)
-
-
 @lru_cache(maxsize=None)
 def _plan(dims):
     """The box's per-axis masks, built once per dims: per axis i, the tuple
-    (stride, low, inner, shifts, rest).  `low` holds the cells whose
-    coordinate i is 0 and `inner` the others, `shifts` are the axis's fold
-    shifts, and `rest` lists the other axes, whose folds compose to the
-    projection on axis i."""
+    (stride, low, inner).  `low` holds the cells whose coordinate i is 0
+    and `inner` the others."""
     st = strides(dims)
     cells = st[-1] * dims[-1]
     full = (1 << cells) - 1
     plan = []
-    for i, (d, s) in enumerate(zip(dims, st)):
+    for d, s in zip(dims, st):
         low = 0
         for start in range(0, cells, d * s):
             low |= ((1 << s) - 1) << start
-        rest = tuple(j for j in range(len(dims)) if j != i)
-        plan.append((s, low, full & ~low, _fold_shifts(d, s), rest))
+        plan.append((s, low, full & ~low))
     return tuple(plan)
 
 
 def subset_stats(mask, dims):
-    """(size, crossings, proj_size, proj_min, proj_max, shadow_size) of the
-    subset packed in mask, equal to the core.SetCounts that core.set_stats
-    gives for its cells.  A plain tuple: this runs once per enumerated
-    subset, and building the record would add a sizeable share of that
-    cost.  Per axis i with stride s:
-      crossings[i]   -- 2 * popcount of the run starts
-                        mask & ~((mask << s) & inner_i),
-      shadow_size[i] -- popcount of the fold: the mask OR-folded along axis i
-                        onto its slab 0,
-      proj_*[i]      -- read off the mask folded along every other axis,
-                        whose set bits sit at c * s for the coordinates c.
-    """
-    plan = _plan(tuple(dims))
-    size = mask.bit_count()
-    if not size:
-        zeros = (0,) * len(plan)
-        return 0, zeros, zeros, zeros, zeros, zeros
-    crossings, folds, shadow = [], [], []
-    for s, low, inner, shifts, _ in plan:
-        crossings.append(2 * (mask & ~((mask << s) & inner)).bit_count())
-        f = mask
-        for k in shifts:
-            f |= f >> k
-        f &= low
-        folds.append(f)
-        shadow.append(f.bit_count())
-    proj_size, proj_min, proj_max = [], [], []
-    for s, _, _, _, rest in plan:
-        if rest:
-            p = folds[rest[0]]
-            for j in rest[1:]:
-                _, low, _, shifts, _ = plan[j]
-                for k in shifts:
-                    p |= p >> k
-                p &= low
-        else:
-            p = mask
-        proj_size.append(p.bit_count())
-        proj_min.append(((p & -p).bit_length() - 1) // s)
-        proj_max.append((p.bit_length() - 1) // s)
-    return (size, tuple(crossings), tuple(proj_size), tuple(proj_min),
-            tuple(proj_max), tuple(shadow))
+    """The core.SetCounts of the subset packed in mask: core.set_stats on
+    its decoded cells."""
+    return set_stats(frozenset(_cells(mask, dims)), len(dims))
 
 
 def product_sets(dims, max_size):
@@ -207,10 +150,10 @@ def _crossing_histogram(dims, max_size):
     for idx in range(cells):
         keep = 0  # frontier bits still read by a later cell
         for b in range(min(window, idx + 1)):
-            if any(s > b and inner >> (idx - b + s) & 1 for s, _, inner, _, _ in plan):
+            if any(s > b and inner >> (idx - b + s) & 1 for s, _, inner in plan):
                 keep |= 1 << b
         axes = [(1 << (window + i * width), s - 1, low >> idx & 1)
-                for i, (s, low, _, _, _) in enumerate(plan)]
+                for i, (s, low, _) in enumerate(plan)]
         moves = {}  # frontier -> (key step if z is left out, if z is taken)
         nxt = {}
         get = nxt.get
@@ -252,7 +195,7 @@ def _shadow_histogram(dims, max_size):
         for bits in itertools.combinations(range(window), k):
             p = sum(1 << b for b in bits)
             step = k << top
-            shadow = subset_stats(p, dims[:-1])[5] if n > 1 else ()
+            shadow = subset_stats(p, dims[:-1]).shadow_size if n > 1 else ()
             for i, sh in enumerate(shadow):
                 step += sh << (window + i * width)
             patterns.append((k, p, step))

@@ -8,7 +8,8 @@ certificate, never by float rounding) and a value in (0, 1) otherwise.
 the shape classification on every subset of a small box — the brute-force
 ground truth for the equality characterizations.  It counts the subsets by
 class from kernels' transfer-matrix histograms and lists only the product
-sets; the masks are visited one by one only for a row sink (`--report`) or
+sets; once the counts prove the theorems, a row sink (`--report`) gets
+each subset's row from that proof.  The masks are visited one by one only
 when the counts do not prove the theorems.
 """
 
@@ -171,10 +172,10 @@ def enumerate_rigidity(
     (per-axis minimum at the origin).  Refuses upfront when the subset count
     exceeds the budget.
 
-    Without a row_sink the subsets are counted by class, not visited
-    (`_count_classes`); the masks are visited one by one only for a
-    row_sink, or when the counts do not prove every certificate exact on
-    its class, which then finds the mismatches.
+    The subsets are counted by class, not visited (`_count_classes`), and
+    a row_sink gets each subset's row from that proof (`_proved_rows`).
+    The masks are visited one by one only when the counts do not prove
+    every certificate exact on its class, which then finds the mismatches.
     """
     if n < 2:
         raise InvalidInputError("enumeration needs ambient dimension >= 2")
@@ -195,8 +196,11 @@ def enumerate_rigidity(
 
     report = RigidityReport(n=n, box_side=box_side, max_size=max_size)
     start = time.perf_counter()
-    if row_sink is not None or not _count_classes(report):
+    shapes = _count_classes(report)
+    if shapes is None:
         _visit_masks(report, row_sink)
+    elif row_sink is not None:
+        _proved_rows(report, shapes, row_sink)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -207,16 +211,18 @@ def _flags(counts: SetCounts, n: int) -> tuple:
                  for certificate in (gn_certificate, sobolev_certificate, bl_certificate))
 
 
-def _count_classes(report: RigidityReport) -> bool:
-    """Fill report from counts of the subsets by class; False, leaving report
-    untouched, when the counts do not prove 0 mismatches.
+def _count_classes(report: RigidityReport) -> Optional[dict]:
+    """Fill report from counts of the subsets by class and return the
+    {product-set mask: shape} of the box; None, leaving report untouched,
+    when the counts do not prove 0 mismatches.
 
     The equality counts apply the certificates to the keys of
     kernels.subset_histograms.  A subset that is not a product set is NONE,
-    so the shape counts come from listing the product sets.  For each
-    reduction, 0 mismatches follows from two facts: every member of its
-    class passes the certificate, and as many subsets pass it as the class
-    has members.
+    so the shape counts come from listing the product sets.  Statistics,
+    shape and certificates are translation invariant, so they are computed
+    once per canonical translate.  For each reduction, 0 mismatches follows
+    from two facts: every member of its class passes the certificate, and
+    as many subsets pass it as the class has members.
     """
     n, side, max_size = report.n, report.box_side, report.max_size
     dims = (side,) * n
@@ -233,17 +239,25 @@ def _count_classes(report: RigidityReport) -> bool:
 
     shape_counts = {c: 0 for c in ShapeClass}
     canonical_counts = {c: 0 for c in ShapeClass}
+    shapes = {}
     for mask in kernels.product_sets(dims, max_size):
-        stats = kernels.subset_stats(mask, dims)
-        shape = classify_counts(stats)
+        # a product set's lowest cell holds its per-axis minima, so the shift
+        # that moves it to bit 0 gives the canonical translate, itself listed
+        low = (mask & -mask).bit_length() - 1
+        canon = mask >> low
+        shape = shapes.get(canon)
+        if shape is None:
+            stats = kernels.subset_stats(canon, dims)
+            shape = shapes[canon] = classify_counts(stats)
+            flags = _flags(stats, n)
+            if any(want and not got for want, got in zip(_EXPECTED_FLAGS[shape], flags)):
+                return None
+        shapes[mask] = shape
         shape_counts[shape] += 1
-        canonical_counts[shape] += not any(stats[3])
-        flags = _flags(SetCounts._make(stats), n)
-        if any(want and not got for want, got in zip(_EXPECTED_FLAGS[shape], flags)):
-            return False
+        canonical_counts[shape] += not low
     for name, reduction in zip(equal_counts, Reduction):
         if equal_counts[name] != sum(shape_counts[s] for s in EQUALITY_CLASSES[reduction]):
-            return False
+            return None
 
     # canonical subsets meet every hyperplane c_i = 0: inclusion-exclusion
     # over the k axes whose hyperplane a subset misses
@@ -256,7 +270,20 @@ def _count_classes(report: RigidityReport) -> bool:
     shape_counts[ShapeClass.NONE] += report.total_checked - sum(shape_counts.values())
     canonical_counts[ShapeClass.NONE] += canonical_total - sum(canonical_counts.values())
     _finish(report, shape_counts, canonical_counts, equal_counts)
-    return True
+    return shapes
+
+
+def _proved_rows(report: RigidityReport, shapes: dict, row_sink) -> None:
+    """Send row_sink each subset's row in _masks order, once _count_classes
+    has proved that every subset's flags are the ones its shape predicts:
+    the shape is NONE unless shapes lists the mask, and a subset is
+    canonical when it meets the low face c_i = 0 of every axis."""
+    n = report.n
+    lows = [low for _, low, _ in kernels._plan((report.box_side,) * n)]
+    for mask in _masks(report.box_side ** n, report.max_size):
+        shape = shapes.get(mask, ShapeClass.NONE)
+        row_sink(RigidityRow(mask, mask.bit_count(), shape, *_EXPECTED_FLAGS[shape],
+                             all(mask & low for low in lows)))
 
 
 def _visit_masks(report: RigidityReport, row_sink) -> None:
@@ -276,7 +303,7 @@ def _visit_masks(report: RigidityReport, row_sink) -> None:
         key = (size, crossings, shadow)
         flags = flags_of.get(key)
         if flags is None:
-            flags = flags_of[key] = _flags(SetCounts._make(stats), n)
+            flags = flags_of[key] = _flags(stats, n)
         shape = classify_counts(stats)
         canonical = not any(proj_min)
         report.total_checked += 1

@@ -129,7 +129,7 @@ def anneal_sets(
             shell[i] = last
             position[last] = i
 
-    boundary = sum(kernels.subset_stats(sum(1 << idx for idx in members), dims)[1])
+    boundary = kernels.subset_stats(sum(1 << idx for idx in members), dims).boundary
     # with |A| and n fixed the ratio depends only on the boundary
     ratio_of = {boundary: iso_ratio_from_counts(size, boundary, n)}
     current = ratio_of[boundary]

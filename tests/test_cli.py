@@ -244,6 +244,14 @@ class TestEnumerateCommand:
         err = capsys.readouterr().err
         assert "65535" in err
 
+    def test_budget_refusal_writes_no_report(self, tmp_path, capsys):
+        # the rows file is opened on the first row, which a refused run never has
+        dest = tmp_path / "rows.csv"
+        args = ["enumerate", "--n", "2", "--box", "4", "--budget", "10", "--report", str(dest)]
+        assert main(args) == 2
+        assert "65535" in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_many_binomials_refused_at_once(self, capsys):
         # 10^6 cells, subsets of up to 16000: counting stops past 2^64
         args = ["enumerate", "--n", "2", "--box", "1000", "--max-size", "16000"]

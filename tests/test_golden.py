@@ -4,9 +4,8 @@ The files under `golden/` are the stdout of each command below.  They pin
 every printed float: a change to the exact track (how values are stored,
 differences taken, sums ordered) must leave these bytes unchanged.  The
 `enumerate` goldens pin the rows CSV of `--report` and the summary (with
-`elapsed_seconds` masked) across changes to the subset-statistics kernel;
-without `--report` the subsets are counted by class, not visited, and the
-summary is the same file.
+`elapsed_seconds` masked): the rows follow from the proof of the class
+counts, and without `--report` the summary is the same file.
 """
 
 import re
@@ -53,6 +52,7 @@ def test_stdout_matches_golden(argv, golden, capsys):
 ENUM_CASES = [
     (["enumerate", "--n", "2", "--box", "3"], "enumerate_n2_box3"),
     (["enumerate", "--n", "2", "--box", "5", "--max-size", "2"], "enumerate_n2_box5_max2"),
+    (["enumerate", "--n", "3", "--box", "2"], "enumerate_n3_box2"),
 ]
 
 

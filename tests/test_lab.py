@@ -16,9 +16,9 @@ from latticeineq import (
     indicator,
     iso_ratio,
 )
-from latticeineq import kernels
+from latticeineq import certify, kernels, lab
 from latticeineq.certify import ShapeClass, classify_counts
-from latticeineq.lab import enumeration_size
+from latticeineq.lab import RigidityReport, enumeration_size
 
 from oracles import oracle_exhaustive_best_iso
 
@@ -144,14 +144,39 @@ class TestEnumerateRigidity:
         assert all(r.gn_equal and r.iso_equal and r.lw_equal for r in singleton)
 
 
-def _by_mask(n, side, max_size=None):
-    # a no-op row sink forces the per-mask path
-    return enumerate_rigidity(n, side, max_size, row_sink=lambda row: None)
+def _by_mask(n, side, max_size=None, row_sink=None):
+    # the per-mask path, which enumerate_rigidity takes only when the counts
+    # do not prove the theorems
+    report = RigidityReport(n, side, side ** n if max_size is None else max_size)
+    lab._visit_masks(report, row_sink)
+    return report
 
 
 def _summary(rep):
     return (rep.total_checked, rep.shape_counts, rep.canonical_shape_counts,
             rep.equality_counts, rep.mismatch_count)
+
+
+def _counted_subset_stats(monkeypatch):
+    calls = []
+    subset_stats = kernels.subset_stats
+
+    def counted(mask, dims):
+        calls.append(mask)
+        return subset_stats(mask, dims)
+
+    monkeypatch.setattr(kernels, "subset_stats", counted)
+    return calls
+
+
+def _refuses_row_pairs(counts, n):
+    # the Loomis-Whitney certificate, made to fail on two cells of one row
+    cert = certify.bl_certificate(counts, n)
+    if counts.size == 2 and counts.shadow_size == (1, 2):
+        return certify.ExactCertificate(
+            cert.reduction, cert.lhs_integer + 1, cert.rhs_integer
+        )
+    return cert
 
 
 class TestCountPath:
@@ -164,18 +189,11 @@ class TestCountPath:
             _by_mask(n, side, max_size))
 
     def test_four_by_four_visits_no_masks(self, monkeypatch):
-        calls = []
-        subset_stats = kernels.subset_stats
-
-        def counted(mask, dims):
-            calls.append(mask)
-            return subset_stats(mask, dims)
-
-        monkeypatch.setattr(kernels, "subset_stats", counted)
+        calls = _counted_subset_stats(monkeypatch)
         rep = enumerate_rigidity(2, 4)
         assert rep.total_checked == 65535
-        # the 225 product sets and the 16 patterns of a 4-cell slab
-        assert len(calls) == 241
+        # the 64 canonical product sets and the 16 patterns of a 4-cell slab
+        assert len(calls) == 80
 
     def test_full_five_by_five_closed_forms(self):
         # 2^25 subsets, out of the per-mask path's reach
@@ -188,22 +206,44 @@ class TestCountPath:
         assert rep.shape_counts["CUBE"] + rep.shape_counts["CUBOID"] == 225
 
     def test_failing_certificate_gives_the_per_mask_mismatches(self, monkeypatch):
-        from latticeineq import certify, lab
-
-        def refuses_row_pairs(counts, n):
-            cert = certify.bl_certificate(counts, n)
-            if counts.size == 2 and counts.shadow_size == (1, 2):
-                return certify.ExactCertificate(
-                    cert.reduction, cert.lhs_integer + 1, cert.rhs_integer
-                )
-            return cert
-
-        monkeypatch.setattr(lab, "bl_certificate", refuses_row_pairs)
+        monkeypatch.setattr(lab, "bl_certificate", _refuses_row_pairs)
         counted, visited = enumerate_rigidity(2, 4), _by_mask(2, 4)
         # two cells of one row: C(4,2) pairs in each of 4 rows, all product sets
         assert counted.mismatch_count == 24
         assert counted.mismatches == visited.mismatches
         assert _summary(counted) == _summary(visited)
+
+
+class TestRowsFromProof:
+    @pytest.mark.parametrize("n,side,max_size", [
+        (2, 4, 16), (3, 2, 8), *((2, 3, m) for m in range(1, 10)), (2, 5, 5), (3, 3, 3),
+    ])
+    def test_equal_the_visited_rows(self, n, side, max_size):
+        # every RigidityRow field, canonical included, in the same order
+        proved, visited = [], []
+        enumerate_rigidity(n, side, max_size, row_sink=proved.append)
+        _by_mask(n, side, max_size, row_sink=visited.append)
+        assert proved == visited
+
+    def test_four_by_four_rows_visit_no_masks(self, monkeypatch):
+        calls = _counted_subset_stats(monkeypatch)
+        rows = []
+        enumerate_rigidity(2, 4, row_sink=rows.append)
+        assert len(rows) == 65535
+        # the count path's calls only; visiting would make one per row
+        assert len(calls) == 80
+
+    def test_failing_proof_sends_the_per_mask_rows(self, monkeypatch):
+        monkeypatch.setattr(lab, "bl_certificate", _refuses_row_pairs)
+        rows, visited = [], []
+        rep = enumerate_rigidity(2, 4, row_sink=rows.append)
+        _by_mask(2, 4, row_sink=visited.append)
+        assert rep.mismatch_count == 24
+        assert rows == visited
+        # the faulty flags: the row pairs are product sets that fail LW
+        faulty = [r for r in rows if r.shape_class is not ShapeClass.NONE and not r.lw_equal]
+        assert len(faulty) == 24
+        assert rep.mismatches == faulty
 
 
 def _histograms_by_mask(dims, max_size):
