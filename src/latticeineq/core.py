@@ -5,6 +5,9 @@ positive int denominator per function (the lcm of the reduced value
 denominators).  Differences, variations, max projections, 1-norms and the
 per-line bound run on those ints; `fractions.Fraction` appears only at the
 public boundary (parsing, `value`/`items` and the exact quantities returned).
+The constructors are the one validator of outside input: `_check_point`
+checks each point and `as_fraction` parses each value, a distinct value
+string once per `SparseFunction` built.
 Fractional powers and logarithms live on the float track, where each value
 enters as the correctly rounded numerator / denominator, which is exactly
 float(Fraction).  Float-track sums always iterate entries in lexicographic
@@ -95,6 +98,14 @@ def _check_axis(dim: int, i) -> int:
 
 def _check_point(dim: int, z) -> Point:
     """Validate a point given as a tuple or list of ints; return the tuple."""
+    # fast path for a list or tuple of exact ints, as a file gives them;
+    # anything else (bool and other int subclasses too) takes the loop below
+    if (type(z) is list or type(z) is tuple) and len(z) == dim:
+        for c in z:
+            if type(c) is not int:
+                break
+        else:
+            return tuple(z)
     if not isinstance(z, (tuple, list)) or len(z) != dim:
         raise InvalidInputError(f"point {z!r} does not have dimension {dim}")
     for c in z:
@@ -173,13 +184,24 @@ class SparseFunction:
         dim = _check_dim(dim)
         if isinstance(entries, Mapping):
             entries = entries.items()
-        parsed = [(_check_point(dim, z), as_fraction(v)) for z, v in entries]
-        den = 1
-        for _, v in parsed:
-            den = math.lcm(den, v.denominator)
+        # each distinct value string is parsed once: `memo` maps it to its
+        # (numerator, denominator); it is keyed on strings only, since a key
+        # of 1 would also match True
+        parsed = []
+        memo: dict = {}
+        for z, v in entries:
+            z = _check_point(dim, z)
+            if type(v) is str:
+                q = memo.get(v)
+                if q is None:
+                    q = memo[v] = as_fraction(v).as_integer_ratio()
+            else:
+                q = as_fraction(v).as_integer_ratio()
+            parsed.append((z, q))
+        den = math.lcm(*{d for _, (_, d) in parsed})
         nums: dict = {}
-        for z, v in parsed:
-            a = nums.get(z, 0) + v.numerator * (den // v.denominator)
+        for z, (a, d) in parsed:
+            a = nums.get(z, 0) + a * (den // d)
             if a:
                 nums[z] = a
             else:

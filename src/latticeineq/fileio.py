@@ -6,11 +6,12 @@ Set files:       {"dim": n, "points": [[int, ...], ...]}
 Files are UTF-8 JSON.  This module checks only a file's shape (an object
 whose `entries` or `points` is a list, each entry an object with `z` and
 `v`) and hands the raw dim, points and values to the `SparseFunction` and
-`LatticeSet` constructors: core is the one validator of outside input.
-Values are exact: rational strings ("3/4"), decimal strings ("0.25", parsed
-as scaled integers) or JSON integers.  JSON floats are rejected — a binary
-float cannot round-trip the exact track.  Serialization is canonical
-(entries sorted by point), so equal objects produce identical bytes.
+`LatticeSet` constructors: core is the one validator of outside input, and
+parses each distinct value string once per load.  Values are exact:
+rational strings ("3/4"), decimal strings ("0.25", parsed as scaled
+integers) or JSON integers.  JSON floats are rejected — a binary float
+cannot round-trip the exact track.  Serialization is canonical (entries
+sorted by point), so equal objects produce identical bytes.
 """
 
 from __future__ import annotations

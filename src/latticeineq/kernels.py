@@ -146,12 +146,17 @@ def _crossing_histogram(dims, max_size):
     width = cells.bit_length()
     top = window + n * width
     cap = max_size << top
+    # frontier bit b, the cell idx - b, is read later by the cell idx - b + s
+    # on an axis of stride s > b if that cell is in the axis' `inner`; each
+    # `flip` is an inner mask reversed (bit t at bit span - 1 - t), so one
+    # shift lines up those cells with b = 0..s-1
+    span = cells + window
+    flips = [(s, int(f"{inner:0{span}b}"[::-1], 2), (1 << s) - 1) for s, _, inner in plan]
     states = {0: 1}
     for idx in range(cells):
         keep = 0  # frontier bits still read by a later cell
-        for b in range(min(window, idx + 1)):
-            if any(s > b and inner >> (idx - b + s) & 1 for s, _, inner in plan):
-                keep |= 1 << b
+        for s, flip, below in flips:
+            keep |= flip >> (span - 1 - idx - s) & below
         axes = [(1 << (window + i * width), s - 1, low >> idx & 1)
                 for i, (s, low, _) in enumerate(plan)]
         moves = {}  # frontier -> (key step if z is left out, if z is taken)

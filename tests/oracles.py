@@ -9,6 +9,9 @@ import itertools
 import math
 from fractions import Fraction
 
+from latticeineq.core import as_fraction
+from latticeineq.errors import InvalidInputError
+
 
 def dense_window(f, pad=1):
     """(origin, extents) of the support bounding box padded on every side."""
@@ -130,6 +133,29 @@ def oracle_is_product(points, dim):
     projs = [oracle_coord_projection(points, i) for i in range(1, dim + 1)]
     product = set(itertools.product(*projs))
     return set(points) == product
+
+
+def oracle_check_point(dim, z):
+    """The point check with no fast path: an isinstance test per coordinate."""
+    if not isinstance(z, (tuple, list)) or len(z) != dim:
+        raise InvalidInputError(f"point {z!r} does not have dimension {dim}")
+    for c in z:
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise InvalidInputError(f"point {z!r} has a non-integer coordinate")
+    return tuple(z)
+
+
+def oracle_function_parts(dim, entries):
+    """(dim, den, entries in key order) of a SparseFunction built from
+    (point, value) pairs with one as_fraction call per entry and Fraction
+    sums: den is the lcm of the reduced denominators of the nonzero sums."""
+    total = {}
+    for z, v in entries:
+        z = oracle_check_point(dim, z)
+        total[z] = total.get(z, Fraction(0)) + as_fraction(v)
+    total = {z: v for z, v in total.items() if v}
+    den = math.lcm(*(v.denominator for v in total.values()))
+    return dim, den, [(z, int(total[z] * den)) for z in sorted(total)]
 
 
 def oracle_subset_stats(mask, dims):

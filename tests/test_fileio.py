@@ -149,6 +149,55 @@ class TestOneValidator:
         assert f.support_size() == n
         assert calls == {"as_fraction": n, "_check_point": n}
 
+    def test_each_distinct_value_string_parsed_once(self, tmp_path, monkeypatch):
+        import latticeineq.core as core
+
+        n, values = 25, ["1/2", "-3", "0.25"]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [
+            {"z": [k, k % 4], "v": values[k % 3]} for k in range(n)]}))
+        calls = {"as_fraction": 0, "_check_point": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(core, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(core, name, counted)
+        f = fileio.load_input(str(path))
+        assert f.support_size() == n
+        assert calls == {"as_fraction": 3, "_check_point": n}
+        assert f.value((3, 3)) == F(1, 2) and f.value((4, 0)) == -3
+
+
+class TestTypeConfusion:
+    """A bool is not an int here, though True == 1 and they hash alike: a
+    value or coordinate of JSON true is refused wherever it stands."""
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"dim": 2, "entries": [{"z": [0, 0], "v": 1}, {"z": [1, 0], "v": True}]},
+         "boolean is not a lattice value"),
+        ({"dim": 2, "entries": [{"z": [0, 0], "v": "1/2"}, {"z": [1, 0], "v": True}]},
+         "boolean is not a lattice value"),
+        ({"dim": 2, "entries": [{"z": [0, 0], "v": "1"}, {"z": [1, True], "v": "1"}]},
+         "point [1, True] has a non-integer coordinate"),
+        ({"dim": 2, "entries": [{"z": [0, 0], "v": "1"}, {"z": [0, 1.0], "v": "1"}]},
+         "point [0, 1.0] has a non-integer coordinate"),
+        ({"dim": 2, "entries": [{"z": [0, 0], "v": "1"}, {"z": [1], "v": "1"}]},
+         "point [1] does not have dimension 2"),
+        ({"dim": 2, "points": [[0, 0], [1, True]]},
+         "point [1, True] has a non-integer coordinate"),
+        ({"dim": 2, "points": [[0, 0], [0, 1.0]]},
+         "point [0, 1.0] has a non-integer coordinate"),
+        ({"dim": 2, "points": [[0, 0], [1, 2, 3]]},
+         "point [1, 2, 3] does not have dimension 2"),
+    ])
+    def test_refused_with_exit_2(self, payload, message, tmp_path, capsys):
+        from latticeineq.cli import main
+
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(payload))
+        assert main(["check", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+
 
 class TestProgramMadeSets:
     """Only outside input goes through core._check_point: a set the program

@@ -3,10 +3,12 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from latticeineq import (
     Cuboid,
+    InvalidInputError,
     LatticeSet,
     Relation,
     SparseFunction,
@@ -36,6 +38,7 @@ from latticeineq.core import set_stats
 from oracles import (
     oracle_axis_variation,
     oracle_boundary,
+    oracle_function_parts,
     oracle_lex_norm,
     oracle_line_bound,
     oracle_max_projection,
@@ -403,3 +406,47 @@ def test_equal_by_any_route_is_equal_and_hashes_equal(case, c, data):
         assert (h._den, h._nums) == (f._den, f._nums)
     if expected and c != 1:
         assert f.scaled(c) != f
+
+
+# spellings of +-1/2 and other values, repeated across entries; ints and
+# points as lists or tuples, as a file or a caller gives them
+value_spellings = st.sampled_from(
+    ["1/2", "2/4", "0.5", " 1/2 ", "+1/2", "5e-1", "-1/2", "-0.5", "-2/4", "1", "3/7"]
+) | st.integers(-2, 2)
+entry_points = (st.tuples(st.integers(0, 2), st.integers(0, 2))
+                | st.lists(st.integers(0, 2), min_size=2, max_size=2))
+spelled_entries = st.lists(st.tuples(entry_points, value_spellings), max_size=30)
+bad_values = st.sampled_from([True, False, 0.5, "x", "1/0", "", None, [1], "1e99999"])
+bad_points = st.sampled_from([[1, True], (False, 0), [0, 1.0], [0], (0, 0, 0), "ab", 5, None])
+bad_entries = (st.tuples(entry_points, bad_values) | st.tuples(bad_points, value_spellings)
+               | st.tuples(bad_points, bad_values))
+
+
+@settings(max_examples=200)
+@given(spelled_entries)
+def test_constructor_matches_one_parse_per_entry(entries):
+    f = SparseFunction(2, entries)
+    assert (f.dim, f._den, list(f._nums.items())) == oracle_function_parts(2, entries)
+
+
+def _refusal(build, entries):
+    """The message a constructor refuses entries with, and how many entries
+    it had read by then."""
+    read = []
+
+    def counted():
+        for entry in entries:
+            read.append(entry)
+            yield entry
+    with pytest.raises(InvalidInputError) as exc:
+        build(2, counted())
+    return str(exc.value), len(read)
+
+
+@settings(max_examples=200)
+@given(spelled_entries, st.lists(st.tuples(st.integers(0, 30), bad_entries),
+                                 min_size=1, max_size=3))
+def test_first_bad_entry_refused_alike(entries, bad):
+    for index, entry in bad:
+        entries.insert(index, entry)
+    assert _refusal(SparseFunction, entries) == _refusal(oracle_function_parts, entries)
