@@ -98,18 +98,10 @@ def _check_axis(dim: int, i) -> int:
 
 def _check_point(dim: int, z) -> Point:
     """Validate a point given as a tuple or list of ints; return the tuple."""
-    # fast path for a list or tuple of exact ints, as a file gives them;
-    # anything else (bool and other int subclasses too) takes the loop below
-    if (type(z) is list or type(z) is tuple) and len(z) == dim:
-        for c in z:
-            if type(c) is not int:
-                break
-        else:
-            return tuple(z)
     if not isinstance(z, (tuple, list)) or len(z) != dim:
         raise InvalidInputError(f"point {z!r} does not have dimension {dim}")
     for c in z:
-        if not isinstance(c, int) or isinstance(c, bool):
+        if type(c) is not int and (not isinstance(c, int) or isinstance(c, bool)):
             raise InvalidInputError(f"point {z!r} has a non-integer coordinate")
     return tuple(z)
 

@@ -136,7 +136,7 @@ def oracle_is_product(points, dim):
 
 
 def oracle_check_point(dim, z):
-    """The point check with no fast path: an isinstance test per coordinate."""
+    """The point check spelled with isinstance tests alone."""
     if not isinstance(z, (tuple, list)) or len(z) != dim:
         raise InvalidInputError(f"point {z!r} does not have dimension {dim}")
     for c in z:

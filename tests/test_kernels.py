@@ -1,7 +1,5 @@
-import itertools
 import math
 import random
-from collections import Counter
 
 import pytest
 
@@ -103,29 +101,3 @@ def test_anneal_boxes(dims):
 
 def test_empty_mask():
     assert kernels.subset_stats(0, (2, 2)) == (0, (0, 0), (0, 0), (0, 0), (0, 0), (0, 0))
-
-
-def _histograms_by_subset(dims, max_size):
-    """subset_histograms' counts, one subset_stats call per subset of
-    1..max_size cells."""
-    by_crossings, by_shadows = Counter(), Counter()
-    for size in range(1, max_size + 1):
-        for cells in itertools.combinations(range(math.prod(dims)), size):
-            stats = kernels.subset_stats(sum(1 << c for c in cells), dims)
-            by_crossings[size, stats.crossings] += 1
-            by_shadows[size, stats.shadow_size] += 1
-    return by_crossings, by_shadows
-
-
-@pytest.mark.parametrize("dims", [(3, 5), (2, 3, 2), (60, 60)])
-def test_histograms_of_single_cells(dims):
-    # the frontier of the 60x60 scan is 60 cells wide
-    assert kernels.subset_histograms(dims, 1) == _histograms_by_subset(dims, 1)
-
-
-def test_histograms_of_the_4x4_box_at_every_size():
-    by_crossings, by_shadows = _histograms_by_subset((4, 4), 16)
-    for max_size in range(1, 17):
-        assert kernels.subset_histograms((4, 4), max_size) == tuple(
-            {k: v for k, v in counts.items() if k[0] <= max_size}
-            for counts in (by_crossings, by_shadows))

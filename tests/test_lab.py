@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -247,10 +248,13 @@ class TestRowsFromProof:
 
 
 def _histograms_by_mask(dims, max_size):
+    """subset_histograms' counts, one subset_stats call per subset of
+    1..max_size cells."""
     by_crossings, by_shadows = Counter(), Counter()
-    for mask in range(1, 1 << math.prod(dims)):
-        if mask.bit_count() <= max_size:
-            size, crossings, _, _, _, shadow = kernels.subset_stats(mask, dims)
+    for size in range(1, max_size + 1):
+        for cells in itertools.combinations(range(math.prod(dims)), size):
+            mask = sum(1 << c for c in cells)
+            _, crossings, _, _, _, shadow = kernels.subset_stats(mask, dims)
             by_crossings[size, crossings] += 1
             by_shadows[size, shadow] += 1
     return by_crossings, by_shadows
@@ -263,6 +267,17 @@ class TestSubsetHistograms:
         for max_size in (1, cells // 2, cells):
             assert kernels.subset_histograms(dims, max_size) == _histograms_by_mask(
                 dims, max_size)
+
+    def test_single_cells_of_a_wide_box(self):
+        # the frontier of the 60x60 scan is 60 cells wide
+        assert kernels.subset_histograms((60, 60), 1) == _histograms_by_mask((60, 60), 1)
+
+    def test_four_by_four_at_every_size(self):
+        by_crossings, by_shadows = _histograms_by_mask((4, 4), 16)
+        for max_size in range(1, 17):
+            assert kernels.subset_histograms((4, 4), max_size) == tuple(
+                {k: v for k, v in counts.items() if k[0] <= max_size}
+                for counts in (by_crossings, by_shadows))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(
