@@ -53,6 +53,7 @@ ENUM_CASES = [
     (["enumerate", "--n", "2", "--box", "3"], "enumerate_n2_box3"),
     (["enumerate", "--n", "2", "--box", "5", "--max-size", "2"], "enumerate_n2_box5_max2"),
     (["enumerate", "--n", "3", "--box", "2"], "enumerate_n3_box2"),
+    (["enumerate", "--n", "3", "--box", "3", "--max-size", "2"], "enumerate_n3_box3_max2"),
 ]
 
 
