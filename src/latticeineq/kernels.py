@@ -9,11 +9,14 @@ hands them to `core.set_stats`, the one statistics pass over a point set.
 
 `subset_histograms` counts the subsets of a box by (size, crossings) and by
 (size, shadow sizes) without visiting them: a transfer-matrix scan (Stanley,
-Enumerative Combinatorics I, 4.7) keeps a dict from a packed state to the
-number of partial subsets in it.  Rigidity enumeration reads these counts,
-and `subset_stats` only for the slab patterns of the scan and the product
-sets (`product_sets`), one per translation class; only the per-mask path,
-which runs when the counts do not prove the theorems, calls it per subset.
+Enumerative Combinatorics I, 4.7) walks the cells and keeps a dict from a
+packed state to the number of partial subsets in it.  The one scan serves
+both counts; they differ only in the rule that marks a cell (in the subset,
+or on a line that already meets it), and a state that holds the size cap
+leaves the scan early.  Rigidity enumeration reads these counts, and
+`subset_stats` only for the product sets (`product_sets`), one per
+translation class; only the per-mask path, which runs when the counts do
+not prove the theorems, calls it per subset.
 """
 
 import itertools
@@ -111,113 +114,94 @@ def product_sets(dims, max_size):
 def subset_histograms(dims, max_size):
     """Two counts of the subsets of the box with 1..max_size cells:
     {(size, crossings): count} and {(size, shadow_size): count}, with the
-    fields of subset_stats.  Each scan keeps a dict from a packed state to a
-    count and drops the states over max_size cells, so it holds no more
-    states than there are subsets of at most max_size cells."""
+    fields of subset_stats.  Both come from one scan, `_scan`, under two
+    mark rules: the run starts per axis, whose doubles are the crossings,
+    and the lines per axis that meet the subset, which are the shadow
+    sizes.  The scan keeps a dict from a packed state to a count, and a
+    state leaves it once it holds max_size cells, so it holds no more
+    states than there are subsets of fewer than max_size cells."""
     dims = tuple(dims)
-    return _crossing_histogram(dims, max_size), _shadow_histogram(dims, max_size)
+    starts = _scan(dims, max_size, lines=False)
+    return ({(size, tuple(2 * c for c in counters)): count
+             for (size, counters), count in starts.items()},
+            _scan(dims, max_size, lines=True))
 
 
-def _decode(states, window, fields, width):
-    """(size, counters, window, count) of each packed state with size >= 1;
-    a key holds |A| on top, then `fields` counters of `width` bits, then
-    `window` bits."""
-    low = (1 << width) - 1
-    for key, count in states.items():
-        counters = key >> window
-        size = counters >> (fields * width)
-        if size:
-            yield (size, tuple(counters >> (i * width) & low for i in range(fields)),
-                   key & ((1 << window) - 1), count)
+def _scan(dims, max_size, lines):
+    """{(size, counters): count} over the subsets A of the box with
+    1..max_size cells, scanning the cells z in packing order.  Per axis i a
+    register holds the marks of the last stride[i] cells, so the mark of
+    z - e_i is its bit stride[i] - 1, and counter i goes up by one when z is
+    taken into A while z - e_i is unmarked or outside the box.  With lines
+    false a cell is marked when it is in A, and counter i counts the runs of
+    A along axis i, as in core.set_stats.  With lines true a cell is also
+    marked when z - e_i is: the axis-i line through z already meets A, and
+    counter i counts the axis-i lines that meet A, the shadow size.
 
-
-def _crossing_histogram(dims, max_size):
-    """Scan the cells in packing order.  A state packs, from the low bits:
-    the frontier, where bit b is the membership of the cell b steps back
-    (the last stride[n-1] cells, so z - e_i is bit stride[i] - 1); the run
-    starts per axis; |A| on top.  Cell z starts a run on axis i when
-    z - e_i is outside the box or not in the set, as in core.set_stats.  A
-    frontier bit is cleared once no later cell looks it up, which merges
-    states."""
+    A state packs, from the low bits: the registers, the n counters, and |A|
+    on top.  A register bit is cleared once no later cell reads it, which
+    merges states, so a cell on the low face of axis i, whose z - e_i lies
+    outside the box, reads a 0 there.  A state that reaches max_size cells
+    can take no more, so its counters are final: it leaves the scan at once
+    instead of being carried through the remaining cells."""
     plan = _plan(dims)
     n = len(dims)
     window = plan[-1][0]
     cells = window * dims[-1]
     width = cells.bit_length()
-    top = window + n * width
-    cap = max_size << top
-    # frontier bit b, the cell idx - b, is read later by the cell idx - b + s
-    # on an axis of stride s > b if that cell is in the axis' `inner`; each
-    # `flip` is an inner mask reversed (bit t at bit span - 1 - t), so one
-    # shift lines up those cells with b = 0..s-1
+    regs = sum(s for s, _, _ in plan)
+    top = regs + n * width
+    full = max_size << top
+    # register bit b, the cell idx - b, is read by the cell idx - b + s if
+    # that cell is in the axis' `inner`; each `flip` is an inner mask
+    # reversed (bit t at bit span - 1 - t), so one shift lines up those
+    # cells with b = 0..s-1
     span = cells + window
-    flips = [(s, int(f"{inner:0{span}b}"[::-1], 2), (1 << s) - 1) for s, _, inner in plan]
+    axes = []  # (register offset, stride, flip, counter unit) per axis
+    offset = 0
+    for i, (s, _, inner) in enumerate(plan):
+        flip = int(f"{inner:0{span}b}"[::-1], 2)
+        axes.append((offset, s, flip, 1 << (regs + i * width)))
+        offset += s
     states = {0: 1}
+    done = {}  # key without its registers -> count, of the finished states
     for idx in range(cells):
-        keep = 0  # frontier bits still read by a later cell
-        for s, flip, below in flips:
-            keep |= flip >> (span - 1 - idx - s) & below
-        axes = [(1 << (window + i * width), s - 1, low >> idx & 1)
-                for i, (s, low, _) in enumerate(plan)]
-        moves = {}  # frontier -> (key step if z is left out, if z is taken)
+        # per axis, the register bits still read after this cell
+        step = [(off, s, flip >> (span - 1 - idx - s) & ((1 << s) - 1), unit)
+                for off, s, flip, unit in axes]
+        moves = {}  # registers -> (key step if z is left out, if z is taken)
         nxt = {}
         get = nxt.get
         for key, count in states.items():
-            w = key & ((1 << window) - 1)
+            w = key & ((1 << regs) - 1)
             move = moves.get(w)
             if move is None:
+                left = taken = 0
                 grow = 1 << top
-                for unit, bit, edge in axes:
-                    if edge or not w >> bit & 1:
+                for off, s, keep, unit in step:
+                    r = w >> off & ((1 << s) - 1)
+                    seen = r >> (s - 1)  # the mark of z - e_i
+                    if not seen:
                         grow += unit
-                move = moves[w] = (((w << 1) & keep) - w,
-                                   (((w << 1) | 1) & keep) - w + grow)
+                    left |= ((r << 1 | (seen if lines else 0)) & keep) << off
+                    taken |= ((r << 1 | 1) & keep) << off
+                move = moves[w] = (left - w, taken - w + grow)
             k = key + move[0]
             nxt[k] = get(k, 0) + count
-            if key < cap:
-                k = key + move[1]
+            k = key + move[1]
+            if k < full:
                 nxt[k] = get(k, 0) + count
+            else:
+                k >>= regs
+                done[k] = done.get(k, 0) + count
         states = nxt
+    for key, count in states.items():
+        k = key >> regs
+        done[k] = done.get(k, 0) + count
+    low = (1 << width) - 1
     out = {}
-    for size, starts, _, count in _decode(states, window, n, width):
-        k = (size, tuple(2 * s for s in starts))
-        out[k] = out.get(k, 0) + count
-    return out
-
-
-def _shadow_histogram(dims, max_size):
-    """Scan the slabs along the last axis, adding one slab pattern at a
-    time.  A state packs, from the low bits: the OR of the slabs so far; the
-    shadow sizes on the axes before the last, summed slab by slab (the
-    slabs' images are disjoint once another axis is dropped); |A| on top.
-    The shadow on the last axis is the popcount of the OR."""
-    n = len(dims)
-    window = strides(dims)[-1]
-    width = (window * dims[-1]).bit_length()
-    top = window + (n - 1) * width
-    patterns = []  # (size, pattern, key step), by size
-    for k in range(min(window, max_size) + 1):
-        for bits in itertools.combinations(range(window), k):
-            p = sum(1 << b for b in bits)
-            step = k << top
-            shadow = subset_stats(p, dims[:-1]).shadow_size if n > 1 else ()
-            for i, sh in enumerate(shadow):
-                step += sh << (window + i * width)
-            patterns.append((k, p, step))
-    states = {0: 1}
-    for _ in range(dims[-1]):
-        nxt = {}
-        get = nxt.get
-        for key, count in states.items():
-            room = max_size - (key >> top)
-            for size, p, step in patterns:
-                if size > room:
-                    break
-                k = (key | p) + step
-                nxt[k] = get(k, 0) + count
-        states = nxt
-    out = {}
-    for size, shadow, union, count in _decode(states, window, n - 1, width):
-        k = (size, shadow + (union.bit_count(),))
-        out[k] = out.get(k, 0) + count
+    for key, count in done.items():
+        size = key >> (n * width)
+        if size:
+            out[size, tuple(key >> (i * width) & low for i in range(n))] = count
     return out

@@ -193,8 +193,8 @@ class TestCountPath:
         calls = _counted_subset_stats(monkeypatch)
         rep = enumerate_rigidity(2, 4)
         assert rep.total_checked == 65535
-        # the 64 canonical product sets and the 16 patterns of a 4-cell slab
-        assert len(calls) == 80
+        # the 64 canonical product sets; the histogram scan makes none
+        assert len(calls) == 64
 
     def test_full_five_by_five_closed_forms(self):
         # 2^25 subsets, out of the per-mask path's reach
@@ -231,8 +231,8 @@ class TestRowsFromProof:
         rows = []
         enumerate_rigidity(2, 4, row_sink=rows.append)
         assert len(rows) == 65535
-        # the count path's calls only; visiting would make one per row
-        assert len(calls) == 80
+        # the 64 canonical product sets only; visiting would make one per row
+        assert len(calls) == 64
 
     def test_failing_proof_sends_the_per_mask_rows(self, monkeypatch):
         monkeypatch.setattr(lab, "bl_certificate", _refuses_row_pairs)
@@ -268,9 +268,24 @@ class TestSubsetHistograms:
             assert kernels.subset_histograms(dims, max_size) == _histograms_by_mask(
                 dims, max_size)
 
-    def test_single_cells_of_a_wide_box(self):
-        # the frontier of the 60x60 scan is 60 cells wide
-        assert kernels.subset_histograms((60, 60), 1) == _histograms_by_mask((60, 60), 1)
+    @pytest.mark.parametrize("dims,max_size", [
+        ((60, 60), 1), ((4, 4, 4), 2), ((2, 2, 2, 2), 3), ((20, 20), 2),
+    ], ids=["60x60-1", "4x4x4-2", "2x2x2x2-3", "20x20-2"])
+    def test_single_cells_of_a_wide_box(self, dims, max_size):
+        # registers up to 60 cells wide, and states that fill up long before
+        # the last cell and leave the scan there
+        assert kernels.subset_histograms(dims, max_size) == _histograms_by_mask(
+            dims, max_size)
+
+    @pytest.mark.parametrize("dims,max_size", [((2, 2, 2), 8), ((3, 5), 7)])
+    def test_scan_decodes_no_masks(self, dims, max_size, monkeypatch):
+        def refuse(mask, dims):
+            raise AssertionError("subset_stats called by the scan")
+
+        monkeypatch.setattr(kernels, "subset_stats", refuse)
+        by_crossings, by_shadows = kernels.subset_histograms(dims, max_size)
+        assert sum(by_crossings.values()) == sum(by_shadows.values()) == sum(
+            math.comb(math.prod(dims), k) for k in range(1, max_size + 1))
 
     def test_four_by_four_at_every_size(self):
         by_crossings, by_shadows = _histograms_by_mask((4, 4), 16)
