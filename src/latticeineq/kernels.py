@@ -14,13 +14,12 @@ packed state to the number of partial subsets in it.  The one scan serves
 both counts; they differ only in the rule that marks a cell (in the subset,
 or on a line that already meets it), and a state that holds the size cap
 leaves the scan early.  Rigidity enumeration reads these counts, and
-`subset_stats` only for the product sets (`product_sets`), one per
-translation class; only the per-mask path, which runs when the counts do
-not prove the theorems, calls it per subset.
+`subset_stats` only for the product sets whose coordinate sets all contain
+0 (`product_sets`), one per translation class; only the per-mask path,
+which runs when the counts do not prove the theorems, calls it per subset.
 """
 
 import itertools
-from functools import lru_cache
 
 from .core import set_stats
 
@@ -68,21 +67,17 @@ def unpack(mask, dims):
     return sorted(_cells(mask, dims))
 
 
-@lru_cache(maxsize=None)
-def _plan(dims):
-    """The box's per-axis masks, built once per dims: per axis i, the tuple
-    (stride, low, inner).  `low` holds the cells whose coordinate i is 0
-    and `inner` the others."""
+def low_faces(dims):
+    """Per axis i, the mask of the box's cells whose coordinate i is 0."""
     st = strides(dims)
     cells = st[-1] * dims[-1]
-    full = (1 << cells) - 1
-    plan = []
+    faces = []
     for d, s in zip(dims, st):
         low = 0
         for start in range(0, cells, d * s):
             low |= ((1 << s) - 1) << start
-        plan.append((s, low, full & ~low))
-    return tuple(plan)
+        faces.append(low)
+    return tuple(faces)
 
 
 def subset_stats(mask, dims):
@@ -92,21 +87,22 @@ def subset_stats(mask, dims):
 
 
 def product_sets(dims, max_size):
-    """Masks of the product sets S_0 x .. x S_{n-1} of nonempty coordinate
-    sets S_i in the box with at most max_size cells, each once."""
+    """Masks of the product sets S_0 x .. x S_{n-1} in the box with at most
+    max_size cells whose coordinate sets S_i all contain 0, each once: one
+    per translation class of product sets, its canonical translate."""
     st = strides(dims)
 
     def extend(axis, mask, size):
         if axis == len(dims):
             yield mask
             return
-        for k in range(1, min(dims[axis], max_size // size) + 1):
-            for coords in itertools.combinations(range(dims[axis]), k):
+        for k in range(min(dims[axis], max_size // size)):
+            for coords in itertools.combinations(range(1, dims[axis]), k):
                 # mask has coordinate 0 on this axis, so each shift is a copy
-                m = 0
+                m = mask
                 for c in coords:
                     m |= mask << (c * st[axis])
-                yield from extend(axis + 1, m, size * k)
+                yield from extend(axis + 1, m, size * (k + 1))
 
     yield from extend(0, 1, 1)
 
@@ -130,8 +126,8 @@ def subset_histograms(dims, max_size):
 def _scan(dims, max_size, lines):
     """{(size, counters): count} over the subsets A of the box with
     1..max_size cells, scanning the cells z in packing order.  Per axis i a
-    register holds the marks of the last stride[i] cells, so the mark of
-    z - e_i is its bit stride[i] - 1, and counter i goes up by one when z is
+    register holds the marks of the last stride[i] cells, oldest first, so
+    the mark of z - e_i is its bit 0, and counter i goes up by one when z is
     taken into A while z - e_i is unmarked or outside the box.  With lines
     false a cell is marked when it is in A, and counter i counts the runs of
     A along axis i, as in core.set_stats.  With lines true a cell is also
@@ -139,52 +135,49 @@ def _scan(dims, max_size, lines):
     counter i counts the axis-i lines that meet A, the shadow size.
 
     A state packs, from the low bits: the registers, the n counters, and |A|
-    on top.  A register bit is cleared once no later cell reads it, which
-    merges states, so a cell on the low face of axis i, whose z - e_i lies
-    outside the box, reads a 0 there.  A state that reaches max_size cells
-    can take no more, so its counters are final: it leaves the scan at once
-    instead of being carried through the remaining cells."""
-    plan = _plan(dims)
+    on top.  A cell's axis-i mark is read later exactly when the cell is not
+    on the high face of axis i (z_i < dims[i] - 1); the other register bits
+    are cleared, which merges states, so a cell on the low face of axis i,
+    whose z - e_i lies outside the box, reads a 0 there.  A state that
+    reaches max_size cells can take no more, so its counters are final: it
+    leaves the scan at once instead of being carried through the remaining
+    cells."""
+    st = strides(dims)
     n = len(dims)
-    window = plan[-1][0]
-    cells = window * dims[-1]
+    cells = st[-1] * dims[-1]
     width = cells.bit_length()
-    regs = sum(s for s, _, _ in plan)
+    regs = sum(st)
     top = regs + n * width
     full = max_size << top
-    # register bit b, the cell idx - b, is read by the cell idx - b + s if
-    # that cell is in the axis' `inner`; each `flip` is an inner mask
-    # reversed (bit t at bit span - 1 - t), so one shift lines up those
-    # cells with b = 0..s-1
-    span = cells + window
-    axes = []  # (register offset, stride, flip, counter unit) per axis
-    offset = 0
-    for i, (s, _, inner) in enumerate(plan):
-        flip = int(f"{inner:0{span}b}"[::-1], 2)
-        axes.append((offset, s, flip, 1 << (regs + i * width)))
-        offset += s
+    all_regs = (1 << regs) - 1
+    # per axis: register offset, its ones, its newest bit, the register
+    # bits still read after this cell (keep), counter unit
+    step = [[sum(st[:i]), (1 << s) - 1, 1 << (s - 1), 0, 1 << (regs + i * width)]
+            for i, s in enumerate(st)]
     states = {0: 1}
     done = {}  # key without its registers -> count, of the finished states
     for idx in range(cells):
-        # per axis, the register bits still read after this cell
-        step = [(off, s, flip >> (span - 1 - idx - s) & ((1 << s) - 1), unit)
-                for off, s, flip, unit in axes]
+        for axis, d, s in zip(step, dims, st):
+            # the newest bit, the mark of cell idx, is read by cell idx + s
+            # unless cell idx is on the high face
+            axis[3] = axis[3] >> 1 | (axis[2] if idx // s % d < d - 1 else 0)
         moves = {}  # registers -> (key step if z is left out, if z is taken)
         nxt = {}
         get = nxt.get
         for key, count in states.items():
-            w = key & ((1 << regs) - 1)
+            w = key & all_regs
             move = moves.get(w)
             if move is None:
                 left = taken = 0
                 grow = 1 << top
-                for off, s, keep, unit in step:
-                    r = w >> off & ((1 << s) - 1)
-                    seen = r >> (s - 1)  # the mark of z - e_i
+                for off, ones, head, keep, unit in step:
+                    r = w >> off & ones
+                    seen = r & 1  # the mark of z - e_i
                     if not seen:
                         grow += unit
-                    left |= ((r << 1 | (seen if lines else 0)) & keep) << off
-                    taken |= ((r << 1 | 1) & keep) << off
+                    r >>= 1
+                    left |= ((r | head if lines and seen else r) & keep) << off
+                    taken |= ((r | head) & keep) << off
                 move = moves[w] = (left - w, taken - w + grow)
             k = key + move[0]
             nxt[k] = get(k, 0) + count

@@ -7,14 +7,15 @@ certificate, never by float rounding) and a value in (0, 1) otherwise.
 `enumerate_rigidity` cross-checks the exact equality certificates against
 the shape classification on every subset of a small box — the brute-force
 ground truth for the equality characterizations.  It counts the subsets by
-class from kernels' transfer-matrix histograms and lists only the product
-sets; once the counts prove the theorems, a row sink (`--report`) gets
-each subset's row from that proof.  The masks are visited one by one only
-when the counts do not prove the theorems.
+class from kernels' transfer-matrix histograms and lists one product set
+per translation class; once the counts prove the theorems, a row sink
+(`--report`) gets each subset's row from that proof.  The masks are
+visited one by one only when the counts do not prove the theorems.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -67,7 +68,8 @@ def iso_ratio(A: LatticeSet) -> float:
 def iso_ratio_from_counts(size: int, boundary: int, n: int) -> float:
     if size < 1:
         raise DegenerateInputError("empty set")
-    if (1 << n) * n ** n * size ** (n - 1) == boundary ** n:
+    # the Sobolev certificate reads |A| and the boundary, no more
+    if sobolev_certificate(SetCounts(size, (boundary,), (), (), (), ()), n).equal:
         return 1.0
     return 2 * n * float(size ** (n - 1)) ** (1.0 / n) / boundary
 
@@ -145,8 +147,6 @@ def _masks(cells: int, max_size: int):
     if max_size >= cells:
         yield from range(1, 1 << cells)
         return
-    import itertools
-
     for k in range(1, max_size + 1):
         for bits in itertools.combinations(range(cells), k):
             mask = 0
@@ -196,11 +196,11 @@ def enumerate_rigidity(
 
     report = RigidityReport(n=n, box_side=box_side, max_size=max_size)
     start = time.perf_counter()
-    shapes = _count_classes(report)
-    if shapes is None:
+    classes = _count_classes(report)
+    if classes is None:
         _visit_masks(report, row_sink)
     elif row_sink is not None:
-        _proved_rows(report, shapes, row_sink)
+        _proved_rows(report, classes, row_sink)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -211,18 +211,20 @@ def _flags(counts: SetCounts, n: int) -> tuple:
                  for certificate in (gn_certificate, sobolev_certificate, bl_certificate))
 
 
-def _count_classes(report: RigidityReport) -> Optional[dict]:
+def _count_classes(report: RigidityReport) -> Optional[list]:
     """Fill report from counts of the subsets by class and return the
-    {product-set mask: shape} of the box; None, leaving report untouched,
-    when the counts do not prove 0 mismatches.
+    [(mask, proj_max, shape)] of the box's canonical product sets; None,
+    leaving report untouched, when the counts do not prove 0 mismatches.
 
     The equality counts apply the certificates to the keys of
     kernels.subset_histograms.  A subset that is not a product set is NONE,
-    so the shape counts come from listing the product sets.  Statistics,
+    so the shape counts come from the product sets, which
+    kernels.product_sets lists once per translation class.  Statistics,
     shape and certificates are translation invariant, so they are computed
-    once per canonical translate.  For each reduction, 0 mismatches follows
-    from two facts: every member of its class passes the certificate, and
-    as many subsets pass it as the class has members.
+    once per class, on its canonical translate, which has
+    prod_i (side - proj_max_i) translates in the box.  For each reduction,
+    0 mismatches follows from two facts: every member of its class passes
+    the certificate, and as many subsets pass it as the class has members.
     """
     n, side, max_size = report.n, report.box_side, report.max_size
     dims = (side,) * n
@@ -239,22 +241,15 @@ def _count_classes(report: RigidityReport) -> Optional[dict]:
 
     shape_counts = {c: 0 for c in ShapeClass}
     canonical_counts = {c: 0 for c in ShapeClass}
-    shapes = {}
+    classes = []
     for mask in kernels.product_sets(dims, max_size):
-        # a product set's lowest cell holds its per-axis minima, so the shift
-        # that moves it to bit 0 gives the canonical translate, itself listed
-        low = (mask & -mask).bit_length() - 1
-        canon = mask >> low
-        shape = shapes.get(canon)
-        if shape is None:
-            stats = kernels.subset_stats(canon, dims)
-            shape = shapes[canon] = classify_counts(stats)
-            flags = _flags(stats, n)
-            if any(want and not got for want, got in zip(_EXPECTED_FLAGS[shape], flags)):
-                return None
-        shapes[mask] = shape
-        shape_counts[shape] += 1
-        canonical_counts[shape] += not low
+        stats = kernels.subset_stats(mask, dims)
+        shape = classify_counts(stats)
+        if any(want and not got for want, got in zip(_EXPECTED_FLAGS[shape], _flags(stats, n))):
+            return None
+        classes.append((mask, stats.proj_max, shape))
+        shape_counts[shape] += math.prod(side - top for top in stats.proj_max)
+        canonical_counts[shape] += 1
     for name, reduction in zip(equal_counts, Reduction):
         if equal_counts[name] != sum(shape_counts[s] for s in EQUALITY_CLASSES[reduction]):
             return None
@@ -270,17 +265,25 @@ def _count_classes(report: RigidityReport) -> Optional[dict]:
     shape_counts[ShapeClass.NONE] += report.total_checked - sum(shape_counts.values())
     canonical_counts[ShapeClass.NONE] += canonical_total - sum(canonical_counts.values())
     _finish(report, shape_counts, canonical_counts, equal_counts)
-    return shapes
+    return classes
 
 
-def _proved_rows(report: RigidityReport, shapes: dict, row_sink) -> None:
+def _proved_rows(report: RigidityReport, classes: list, row_sink) -> None:
     """Send row_sink each subset's row in _masks order, once _count_classes
     has proved that every subset's flags are the ones its shape predicts:
-    the shape is NONE unless shapes lists the mask, and a subset is
-    canonical when it meets the low face c_i = 0 of every axis."""
-    n = report.n
-    lows = [low for _, low, _ in kernels._plan((report.box_side,) * n)]
-    for mask in _masks(report.box_side ** n, report.max_size):
+    the shape is NONE unless the subset is a translate of a listed
+    canonical product set, and a subset is canonical when it meets the low
+    face c_i = 0 of every axis."""
+    side, n = report.box_side, report.n
+    dims = (side,) * n
+    st = kernels.strides(dims)
+    shapes = {}
+    for mask, proj_max, shape in classes:
+        steps = (range(0, (side - top) * s, s) for top, s in zip(proj_max, st))
+        for shifts in itertools.product(*steps):
+            shapes[mask << sum(shifts)] = shape
+    lows = kernels.low_faces(dims)
+    for mask in _masks(side ** n, report.max_size):
         shape = shapes.get(mask, ShapeClass.NONE)
         row_sink(RigidityRow(mask, mask.bit_count(), shape, *_EXPECTED_FLAGS[shape],
                              all(mask & low for low in lows)))

@@ -239,6 +239,14 @@ class TestEnumerateCommand:
         assert lines[0] == "set_id,size,shape_class,gn_equal,iso_equal,lw_equal"
         assert len(lines) == 16
 
+    def test_wide_box_small_size_at_default_budget(self, capsys):
+        # 40 000 cells: one translation class of product sets to list
+        assert main(["enumerate", "--n", "2", "--box", "200", "--max-size", "1"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["total_checked"] == 40000
+        assert obj["mismatches"] == 0
+        assert obj["equality_counts"] == {"gn": 40000, "iso": 40000, "lw": 40000}
+
     def test_budget_exceeded_exit_2(self, capsys):
         assert main(["enumerate", "--n", "2", "--box", "4", "--budget", "10"]) == 2
         err = capsys.readouterr().err

@@ -301,16 +301,39 @@ class TestSubsetHistograms:
         assert kernels.subset_histograms(dims, max_size) == _histograms_by_mask(
             dims, max_size)
 
+    def test_single_cells_in_closed_form(self):
+        # 40 000 cells, far past _histograms_by_mask: each cell is one run
+        # and one line per axis
+        assert kernels.subset_histograms((200, 200), 1) == (
+            {(1, (2, 2)): 40000}, {(1, (1, 1)): 40000})
+
+    def test_pairs_in_closed_form(self):
+        k = 30
+        pairs, lined = math.comb(k * k, 2), k * math.comb(k, 2)
+        # neighbours along an axis make one run there and two across it
+        assert kernels.subset_histograms((k, k), 2) == (
+            {(1, (2, 2)): k * k, (2, (2, 4)): k * (k - 1), (2, (4, 2)): k * (k - 1),
+             (2, (4, 4)): pairs - 2 * k * (k - 1)},
+            # two cells on one axis-i line leave one line of it, two of the other
+            {(1, (1, 1)): k * k, (2, (1, 2)): lined, (2, (2, 1)): lined,
+             (2, (2, 2)): pairs - 2 * lined})
+
     @pytest.mark.parametrize("dims,max_size", [((3, 2, 2), 12), ((2, 4), 3), ((4, 1), 2)])
     def test_product_sets_are_the_non_none_subsets(self, dims, max_size):
+        # one mask per translation class: the one that meets every low face
         listed = list(kernels.product_sets(dims, max_size))
-        expected = {
-            mask for mask in range(1, 1 << math.prod(dims))
-            if mask.bit_count() <= max_size
-            and classify_counts(kernels.subset_stats(mask, dims)) is not ShapeClass.NONE
-        }
-        assert len(listed) == len(expected)
+        expected = set()
+        for mask in range(1, 1 << math.prod(dims)):
+            stats = kernels.subset_stats(mask, dims)
+            if (stats.size <= max_size and not any(stats.proj_min)
+                    and classify_counts(stats) is not ShapeClass.NONE):
+                expected.add(mask)
+        assert len(listed) == len(set(listed))
         assert set(listed) == expected
+
+    def test_one_product_set_per_class(self):
+        # the 40 000 single cells are one translation class
+        assert list(kernels.product_sets((200, 200), 1)) == [1]
 
 
 class TestAnnealOracleComparison:
