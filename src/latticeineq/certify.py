@@ -25,11 +25,9 @@ from .core import (
     LatticeSet,
     SetCounts,
     SparseFunction,
-    axis_variation,
+    axis_lines,
     indicator,
-    max_projection,
     norm,
-    set_stats,
 )
 from .core import _check_exponent, _entropy_sum
 from .errors import (
@@ -163,16 +161,20 @@ def _float_sum(values) -> float:
 
 
 class FunctionCounts:
-    """What the function checkers read of f, each computed on first use: per
-    axis ||d_i f||_1 (`sigmas`) and ||max_projection(f, i)||_1 (`masses`),
-    exact; ||f||_p (`p_norm(p)`, once per p), the float of core.norm, and
-    `norm`, its value at p = n/(n-1); the SetCounts of supp f (`support`),
-    one core.set_stats pass; and that same SetCounts when f is a scaled
-    indicator (`indicator`), else None."""
+    """What the function checkers read of f, each computed on first use.
+
+    f's line passes (`lines`, one core.axis_lines per axis, kept on f) give
+    the exact per-axis statistics: ||d_i f||_1 (`sigmas`), the sum of the
+    lines' variations; the 1-norm of the max projection of |f| (`masses`),
+    the sum of the lines' maxima, which the checkers read only once f is
+    known to be nonnegative; and the SetCounts of supp f (`support`), from
+    the runs, coordinates and line counts.  ||f||_p (`p_norm(p)`, once per
+    p) is the float of core.norm, and `norm` its value at p = n/(n-1);
+    `indicator` is the support's SetCounts when f is a scaled indicator,
+    else None."""
 
     def __init__(self, f: SparseFunction):
         self._f = f._twin()  # f itself would make f and its counts a cycle
-        self._axes = range(1, f.dim + 1)
         self._norms = {}
 
     def p_norm(self, p) -> float:
@@ -182,12 +184,16 @@ class FunctionCounts:
         return value
 
     @cached_property
+    def lines(self) -> tuple:
+        return tuple(axis_lines(self._f, i) for i in range(1, self._f.dim + 1))
+
+    @cached_property
     def sigmas(self) -> tuple:
-        return tuple(axis_variation(self._f, i) for i in self._axes)
+        return tuple(Fraction(p.variation, self._f._den) for p in self.lines)
 
     @cached_property
     def masses(self) -> tuple:
-        return tuple(norm(max_projection(self._f, i), 1) for i in self._axes)
+        return tuple(Fraction(p.mass, self._f._den) for p in self.lines)
 
     @cached_property
     def norm(self) -> float:
@@ -195,7 +201,7 @@ class FunctionCounts:
 
     @cached_property
     def support(self) -> SetCounts:
-        return set_stats(self._f._nums, self._f.dim)
+        return SetCounts.from_lines(len(self._f._nums), self.lines)
 
     @cached_property
     def indicator(self) -> Optional[SetCounts]:

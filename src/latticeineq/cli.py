@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import decimal
 import functools
 import itertools
 import math
@@ -196,7 +197,10 @@ def cmd_enumerate(args) -> int:
                 if write is None:
                     write = stack.enter_context(open(args.report, "w")).write
                     write("set_id,size,shape_class,gn_equal,iso_equal,lw_equal\n")
-                write(f"{row.set_id},{row.size},{row.shape_class.value},"
+                # a set id has a bit per cell of the box, so past about
+                # 14 000 cells it has more digits than str(int) will write
+                # (sys.get_int_max_str_digits); Decimal has no such limit
+                write(f"{decimal.Decimal(row.set_id)},{row.size},{row.shape_class.value},"
                       f"{int(row.gn_equal)},{int(row.iso_equal)},{int(row.lw_equal)}\n")
 
         report = enumerate_rigidity(

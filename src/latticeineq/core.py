@@ -12,12 +12,21 @@ Fractional powers and logarithms live on the float track, where each value
 enters as the correctly rounded numerator / denominator, which is exactly
 float(Fraction).  Float-track sums always iterate entries in lexicographic
 key order, which makes them deterministic and bit-stable under translation.
-Only a function's forward differences are cached; certify keeps its counts
-there.  A `LatticeSet` is held as its indicator, the one storage of its
-points.  `set_stats` is the one statistics pass over a finite point set,
-returning the one `SetCounts` record (size, crossings, projections,
-shadows) that certify reads; kernels.subset_stats calls it on the cells of
-a bit-packed mask.
+A `LatticeSet` is held as its indicator, the one storage of its points.
+
+Every statistic the checkers read is a sum over the lines of one axis, and
+`_line_pass` is the one loop that gathers them: one walk over the entries
+per axis, with no sort and no difference function, since the entries of an
+axis-i line arrive in increasing order of coordinate i.  It keeps per line
+the 1-variation and the maximum of |f|, and per axis the runs and the
+coordinates (`LinePass`).  `axis_lines` caches the pass of a function per
+axis; the per-line bound, certify's variations, max-projection masses and
+support counts, and `boundary_count` read it.  `SetCounts` is the one
+record of a finite set's statistics (size, crossings, projections,
+shadows); `line_stats` builds it from the passes over keys that rise along
+every line, which is how kernels.subset_stats reads a bit-packed mask, and
+`set_stats` from points in any order.  A function's forward differences
+and line passes are its only caches; certify keeps its counts there.
 
 Axis indices are 1-based throughout: ``i`` ranges over ``1..dim``.
 """
@@ -165,12 +174,12 @@ class SparseFunction:
     numerator) = 1, so it is the lcm of the reduced value denominators and
     equal functions have equal (dim, _den, _nums).  Zero entries are pruned,
     so the stored keys *are* the support, kept in lexicographic order.
-    Instances are immutable by convention.  Only the forward differences are
-    cached; the `_counts` slot keeps certify's `FunctionCounts` of the
-    function.
+    Instances are immutable by convention.  Only the forward differences and
+    the line passes are cached, per axis; the `_counts` slot keeps certify's
+    `FunctionCounts` of the function.
     """
 
-    __slots__ = ("dim", "_nums", "_den", "_diffs", "_counts", "_hash")
+    __slots__ = ("dim", "_nums", "_den", "_diffs", "_lines", "_counts", "_hash")
 
     def __init__(self, dim: int, entries: Union[Mapping, Iterable] = ()):
         dim = _check_dim(dim)
@@ -224,13 +233,16 @@ class SparseFunction:
         self._nums = {z: nums[z] for z in sorted(nums)}
         self._den = den
         self._diffs: dict = {}
+        self._lines: dict = {}
         self._counts = None
         self._hash = None
 
     def _twin(self) -> "SparseFunction":
-        """This function, sharing its entries and differences but not `_counts`."""
+        """This function, sharing its entries, differences and line passes
+        but not `_counts`."""
         g = object.__new__(SparseFunction)
-        g.dim, g._nums, g._den, g._diffs = self.dim, self._nums, self._den, self._diffs
+        g.dim, g._nums, g._den = self.dim, self._nums, self._den
+        g._diffs, g._lines = self._diffs, self._lines
         g._counts = g._hash = None
         return g
 
@@ -552,6 +564,80 @@ def shadow_projection(A: LatticeSet, i: int) -> frozenset:
     return frozenset(_drop(z, ax) for z in A.points)
 
 
+class LinePass(NamedTuple):
+    """What one walk over a function's entries finds on the lines parallel
+    to one axis, in numerators over the function's denominator.
+
+    `lines` maps each line meeting the support, keyed by its points with
+    the axis coordinate dropped, to [last coordinate, last numerator,
+    variation, max |numerator|], where the variation so far counts |a| at
+    the line's first entry, |a - a_prev| between neighbours and
+    |a_prev| + |a| across a gap, but not yet the |a| of its last entry.
+    """
+
+    runs: int       # maximal runs of consecutive support points, all lines
+    coords: set     # the axis coordinates of the support
+    lines: dict
+
+    @property
+    def variation(self) -> int:
+        """The 1-variation of the function along the axis (sum over lines)."""
+        return sum(v + abs(a) for _, a, v, _ in self.lines.values())
+
+    @property
+    def mass(self) -> int:
+        """The sum over the lines of max |f|: the 1-norm of the max
+        projection of |f| along the axis."""
+        return sum(line[3] for line in self.lines.values())
+
+
+def _line_pass(nums: dict, ax: int) -> LinePass:
+    """The line pass of the entries `nums` (point -> nonzero numerator)
+    along the 0-based axis ax: the one statistics loop.
+
+    Invariant: entries on each axis line arrive in increasing coordinate
+    order.  Lexicographic key order, which every SparseFunction keeps, has
+    it (the points of one line differ only in coordinate ax), and so has a
+    box's bit order (kernels), so the pass needs no sort.
+    """
+    lines: dict = {}
+    get = lines.get
+    coords = set()
+    add = coords.add
+    runs = 0
+    for z, a in nums.items():
+        c = z[ax]
+        add(c)
+        key = z[:ax] + z[ax + 1:]
+        line = get(key)
+        m = a if a > 0 else -a
+        if line is None:
+            lines[key] = [c, a, m, m]
+            runs += 1
+            continue
+        b = line[1]
+        if c == line[0] + 1:
+            d = a - b
+            line[2] += d if d > 0 else -d
+        else:
+            line[2] += m + (b if b > 0 else -b)
+            runs += 1
+        if m > line[3]:
+            line[3] = m
+        line[0] = c
+        line[1] = a
+    return LinePass(runs, coords, lines)
+
+
+def axis_lines(f: SparseFunction, i: int) -> LinePass:
+    """The line pass of f along axis i, made on first use and kept on f."""
+    ax = _check_axis(f.dim, i)
+    lines = f._lines.get(ax)
+    if lines is None:
+        lines = f._lines[ax] = _line_pass(f._nums, ax)
+    return lines
+
+
 class SetCounts(NamedTuple):
     """Exact combinatorial statistics of a finite set; each field but
     `size` holds one entry per axis i."""
@@ -569,38 +655,33 @@ class SetCounts(NamedTuple):
     def boundary(self) -> int:
         return sum(self.crossings)
 
+    @classmethod
+    def from_lines(cls, size: int, passes) -> "SetCounts":
+        """The counts of a set of `size` points from its line passes, one
+        per axis; all zeros for the empty set."""
+        if not size:
+            zeros = (0,) * len(passes)
+            return cls(0, zeros, zeros, zeros, zeros, zeros)
+        crossings, sizes, lows, highs, shadows = [], [], [], [], []
+        for runs, coords, lines in passes:
+            crossings.append(2 * runs)
+            sizes.append(len(coords))
+            lows.append(min(coords))
+            highs.append(max(coords))
+            shadows.append(len(lines))
+        return cls(size, tuple(crossings), tuple(sizes), tuple(lows), tuple(highs),
+                   tuple(shadows))
+
+
+def line_stats(nums: dict, n: int) -> SetCounts:
+    """The SetCounts of the keys of `nums`, n-tuples that rise along every
+    axis line (see `_line_pass`): one line pass per axis."""
+    return SetCounts.from_lines(len(nums), [_line_pass(nums, ax) for ax in range(n)])
+
 
 def set_stats(points, n: int) -> SetCounts:
-    """The SetCounts of a finite set of n-tuples (any container supporting
-    `in`); all zeros for the empty set.  The one statistics loop over a
-    point set, behind certify.set_counts, boundary_count and
-    kernels.subset_stats.
-    """
-    if not points:
-        zeros = (0,) * n
-        return SetCounts(0, zeros, zeros, zeros, zeros, zeros)
-    crossings, proj, shadow = [], [], []
-    for ax in range(n):
-        starts = 0
-        coords = set()
-        image = set()
-        for z in points:
-            head, c, tail = z[:ax], z[ax], z[ax + 1:]
-            coords.add(c)
-            image.add(head + tail)
-            if head + (c - 1,) + tail not in points:
-                starts += 1
-        crossings.append(2 * starts)
-        proj.append(coords)
-        shadow.append(len(image))
-    return SetCounts(
-        len(points),
-        tuple(crossings),
-        tuple(len(p) for p in proj),
-        tuple(min(p) for p in proj),
-        tuple(max(p) for p in proj),
-        tuple(shadow),
-    )
+    """The SetCounts of a finite set of n-tuples given in any order."""
+    return line_stats(dict.fromkeys(sorted(points), 1), n)
 
 
 def boundary_edges(A: LatticeSet) -> list:
@@ -619,9 +700,11 @@ def boundary_edges(A: LatticeSet) -> list:
 def boundary_count(A: LatticeSet) -> int:
     """Number of lattice edges with exactly one endpoint in A.
 
-    Equals the exact 1-norm of the differential of the indicator of A.
+    Equals the exact 1-norm of the differential of the indicator of A:
+    2 per run, read off the indicator's line passes.
     """
-    return set_stats(A.points, A.dim).boundary
+    chi = A._indicator
+    return 2 * sum(axis_lines(chi, i).runs for i in range(1, A.dim + 1))
 
 
 def entropy(f: SparseFunction, p) -> float:
@@ -675,40 +758,28 @@ def pointwise_line_bound(f: SparseFunction, i: int) -> LineBoundCheck:
     maximum of |f| is at most half the 1-variation of f along the line.
 
     Exact: the comparison is variation >= 2 * max on numerators over f's
-    denominator; lines not meeting the support are skipped.
+    denominator, read off the line pass; lines not meeting the support are
+    skipped.
     """
-    ax = _check_axis(f.dim, i)
-    maxima: dict = {}
-    for z, a in f._nums.items():
-        key = _drop(z, ax)
-        a = abs(a)
-        if a > maxima.get(key, 0):
-            maxima[key] = a
-    variation: dict = {}  # numerators over f's denominator, as maxima
-    for z, a in partial_difference(f, i)._nums.items():
-        key = _drop(z, ax)
-        variation[key] = variation.get(key, 0) + abs(a)
-
-    ok = True
-    worst_key = None
-    worst_margin = None  # 2 * denominator * (half variation - max)
-    for key in sorted(maxima):
-        margin = variation.get(key, 0) - 2 * maxima[key]
-        if margin < 0:
-            ok = False
-        if worst_margin is None or margin < worst_margin:
-            worst_margin = margin
-            worst_key = key
-    if worst_key is None:
-        worst_max = worst_half = ZERO
-    else:
-        worst_max = Fraction(maxima[worst_key], f._den)
-        worst_half = Fraction(variation.get(worst_key, 0), 2 * f._den)
+    lines = axis_lines(f, i).lines
+    # (margin, line, variation, max) of the line of least margin, the first
+    # in key order on a tie; the margin is 2 * denominator * (half
+    # variation - max)
+    worst = None
+    for key in sorted(lines):
+        _, last, variation, top = lines[key]
+        variation += abs(last)
+        margin = variation - 2 * top
+        if worst is None or margin < worst[0]:
+            worst = margin, key, variation, top
+    if worst is None:
+        return LineBoundCheck(True, i, 0, None, ZERO, ZERO)
+    margin, key, variation, top = worst
     return LineBoundCheck(
-        ok=ok,
+        ok=margin >= 0,
         axis=i,
-        lines_checked=len(maxima),
-        worst_line=worst_key,
-        worst_max=worst_max,
-        worst_half_variation=worst_half,
+        lines_checked=len(lines),
+        worst_line=key,
+        worst_max=Fraction(top, f._den),
+        worst_half_variation=Fraction(variation, 2 * f._den),
     )

@@ -5,7 +5,9 @@ A subset of the box prod_i [0, dims[i]-1] is packed as a bitmask: the cell
 with coordinates (c_0, .., c_{n-1}) sits at bit
 c_0 + dims[0]*(c_1 + dims[1]*...), axis 0 fastest.  Works for boxes of any
 size (Python integers).  `subset_stats` decodes the cells of one mask and
-hands them to `core.set_stats`, the one statistics pass over a point set.
+hands them, in bit order, to `core.line_stats`: the one statistics loop,
+the line pass, needs each axis line's cells in increasing order, and bit
+order rises along every line.
 
 `subset_histograms` counts the subsets of a box by (size, crossings) and by
 (size, shadow sizes) without visiting them: a transfer-matrix scan (Stanley,
@@ -21,7 +23,7 @@ which runs when the counts do not prove the theorems, calls it per subset.
 
 import itertools
 
-from .core import set_stats
+from .core import line_stats
 
 
 def strides(dims):
@@ -81,9 +83,9 @@ def low_faces(dims):
 
 
 def subset_stats(mask, dims):
-    """The core.SetCounts of the subset packed in mask: core.set_stats on
-    its decoded cells."""
-    return set_stats(frozenset(_cells(mask, dims)), len(dims))
+    """The core.SetCounts of the subset packed in mask: core.line_stats on
+    its decoded cells, in bit order."""
+    return line_stats(dict.fromkeys(_cells(mask, dims), 1), len(dims))
 
 
 def product_sets(dims, max_size):
@@ -130,7 +132,7 @@ def _scan(dims, max_size, lines):
     the mark of z - e_i is its bit 0, and counter i goes up by one when z is
     taken into A while z - e_i is unmarked or outside the box.  With lines
     false a cell is marked when it is in A, and counter i counts the runs of
-    A along axis i, as in core.set_stats.  With lines true a cell is also
+    A along axis i, as in core.line_stats.  With lines true a cell is also
     marked when z - e_i is: the axis-i line through z already meets A, and
     counter i counts the axis-i lines that meet A, the shadow size.
 

@@ -33,7 +33,7 @@ from latticeineq import (
     set_counts,
 )
 
-from latticeineq import certify, fileio
+from latticeineq import certify, core, fileio
 from latticeineq.certify import (
     LOG_INEQUALITIES,
     NONNEGATIVE_INEQUALITIES,
@@ -507,7 +507,8 @@ class TestFunctionCounts:
     def test_each_statistic_computed_once(self, x, p, monkeypatch):
         # only norm(f, n/(n-1)) is counted: at p = 1/2 the normalizing norm
         # of the log checks is another norm, at p = 2 in 2-D it is the same;
-        # set_stats counts the one pass over the support, whatever reads it
+        # every per-axis statistic comes from one line pass per axis, kept
+        # on the input, and the one-statistic routes are never taken
         n = x.dim
         calls = collections.Counter()
 
@@ -518,16 +519,13 @@ class TestFunctionCounts:
                 return fn(*args)
             return wrapper
 
-        for name in ("axis_variation", "max_projection", "set_stats"):
-            monkeypatch.setattr(certify, name, counted(name, getattr(certify, name)))
+        for name in ("_line_pass", "partial_difference", "axis_variation",
+                     "max_projection", "set_stats"):
+            assert not hasattr(certify, name), name
+            monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
         monkeypatch.setattr(certify, "norm",
                             counted("norm", certify.norm, only_p=F(n, n - 1)))
         for _ in range(2):
             for ineq in Inequality:
                 check(ineq, x, p, normalize=True)
-        assert calls == {
-            "axis_variation": n,
-            "max_projection": n,
-            "norm": 1,
-            "set_stats": 1,
-        }
+        assert calls == {"_line_pass": n, "norm": 1}

@@ -1,4 +1,6 @@
+import decimal
 import json
+import sys
 
 import pytest
 
@@ -238,6 +240,25 @@ class TestEnumerateCommand:
         lines = dest.read_text().strip().splitlines()
         assert lines[0] == "set_id,size,shape_class,gn_equal,iso_equal,lw_equal"
         assert len(lines) == 16
+
+    def test_report_ids_past_the_int_digit_limit(self, tmp_path, capsys):
+        # 2 209 cells: the last id, 1 << 2208, has 665 digits, past a limit
+        # of 640, as the ids of a box of over 14 000 cells pass the default
+        # limit of 4 300
+        dest = tmp_path / "rows.csv"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = main(["enumerate", "--n", "2", "--box", "47", "--max-size", "1",
+                         "--report", str(dest)])
+            rows = dest.read_text().splitlines()[1:]
+            last = str(decimal.Decimal(1 << 2208))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0, capsys.readouterr().err
+        assert len(rows) == 2209
+        assert rows[-1].split(",")[0] == last
+        assert len(last) == 665 and last == str(1 << 2208)
 
     def test_wide_box_small_size_at_default_budget(self, capsys):
         # 40 000 cells: one translation class of product sets to list

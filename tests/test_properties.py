@@ -33,7 +33,7 @@ from latticeineq import (
 )
 from latticeineq import fileio, kernels
 from latticeineq.certify import function_counts, is_scaled_indicator, set_counts
-from latticeineq.core import set_stats
+from latticeineq.core import SetCounts, axis_lines, set_stats
 
 from oracles import (
     oracle_axis_variation,
@@ -45,6 +45,7 @@ from oracles import (
     oracle_norm,
     oracle_partial_difference,
     oracle_set_counts,
+    oracle_subset_stats,
 )
 
 F = Fraction
@@ -189,6 +190,91 @@ def test_cuboid_projection_is_interval(c, data):
     j = data.draw(st.integers(1, c.dim))
     a, b = c.intervals[j - 1]
     assert coord_projection(c.points(), j) == set(range(a, b + 1))
+
+
+# -- the line pass ------------------------------------------------------------
+
+
+def lined_functions(dim):
+    """Signed functions on a few axis lines with gaps: each line is a base
+    point, an axis and a set of coordinates along it, in a window that
+    includes negatives; lines may cross, and other entries may fall
+    anywhere."""
+    # the oracles scan the padded bounding box, so the window stays small
+    near = st.integers(-2, 2)
+    point = st.tuples(*([near] * dim))
+    line = st.tuples(point, st.integers(0, dim - 1),
+                     st.sets(near, min_size=1, max_size=5),
+                     st.lists(rationals, min_size=5, max_size=5))
+
+    def build(case):
+        lines, scattered = case
+        entries = dict(scattered)
+        for base, ax, cs, values in lines:
+            for c, v in zip(sorted(cs), values):
+                entries[base[:ax] + (c,) + base[ax + 1:]] = v
+        return SparseFunction(dim, entries)
+
+    return st.tuples(st.lists(line, min_size=1, max_size=4),
+                     st.dictionaries(point, rationals, max_size=4)).map(build)
+
+
+lined_function = st.integers(1, 4).flatmap(lined_functions)
+
+
+@settings(max_examples=150)
+@given(lined_function)
+def test_line_pass_matches_oracles(f):
+    n = f.dim
+    passes = []
+    for i in range(1, n + 1):
+        lines = axis_lines(f, i)
+        assert axis_lines(f, i) is lines
+        passes.append(lines)
+        assert F(lines.variation, f._den) == oracle_axis_variation(f, i)
+        assert F(lines.mass, f._den) == sum(oracle_max_projection(f.abs(), i).values())
+        check = pointwise_line_bound(f, i)
+        assert (check.ok, check.lines_checked, check.worst_line, check.worst_max,
+                check.worst_half_variation) == oracle_line_bound(f, i)
+    expected = oracle_set_counts(f.support(), n)
+    assert SetCounts.from_lines(f.support_size(), passes) == expected
+    assert set_stats(f.support(), n) == expected
+
+
+@settings(max_examples=150)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple)
+       .flatmap(lambda dims: st.tuples(st.just(dims),
+                                       st.integers(0, (1 << math.prod(dims)) - 1))))
+def test_bit_order_stats_match_oracle(case):
+    # subset_stats hands the line pass its cells in bit order, axis 0
+    # fastest: it rises along every line, as lexicographic order does
+    dims, mask = case
+    assert kernels.subset_stats(mask, dims) == oracle_subset_stats(mask, dims)
+
+
+def _in_key_order(f):
+    return list(f._nums) == sorted(f._nums)
+
+
+@given(lined_function, st.randoms(use_true_random=False), positive_rationals,
+       st.data())
+def test_every_constructor_keeps_keys_in_lexicographic_order(f, rng, c, data):
+    # the invariant the line pass relies on: entries on each axis line
+    # arrive in increasing coordinate order
+    n = f.dim
+    shuffled = list(f._nums.items())
+    rng.shuffle(shuffled)
+    shift = data.draw(points(n))
+    built = [
+        SparseFunction(n, shuffled),
+        SparseFunction._from_clean(n, dict(shuffled), f._den),
+        f.abs(), -f, f.scaled(c), f.scaled(-c), f.translate(shift),
+        LatticeSet._from_clean(n, (z for z, _ in shuffled))._indicator,
+        LatticeSet(n, (z for z, _ in shuffled)).translate(shift)._indicator,
+        data.draw(cuboids(n)).points()._indicator,
+    ]
+    for g in built:
+        assert _in_key_order(g), g
 
 
 # -- checker invariants -------------------------------------------------------
