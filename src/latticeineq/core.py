@@ -14,19 +14,24 @@ float(Fraction).  Float-track sums always iterate entries in lexicographic
 key order, which makes them deterministic and bit-stable under translation.
 A `LatticeSet` is held as its indicator, the one storage of its points.
 
-Every statistic the checkers read is a sum over the lines of one axis, and
+Every statistic of the calculus is a sum over the lines of one axis, and
 `_line_pass` is the one loop that gathers them: one walk over the entries
 per axis, with no sort and no difference function, since the entries of an
 axis-i line arrive in increasing order of coordinate i.  It keeps per line
 the 1-variation and the maximum of |f|, and per axis the runs and the
 coordinates (`LinePass`).  `axis_lines` caches the pass of a function per
-axis; the per-line bound, certify's variations, max-projection masses and
-support counts, and `boundary_count` read it.  `SetCounts` is the one
-record of a finite set's statistics (size, crossings, projections,
-shadows); `line_stats` builds it from the passes over keys that rise along
-every line, which is how kernels.subset_stats reads a bit-packed mask, and
-`set_stats` from points in any order.  A function's forward differences
-and line passes are its only caches; certify keeps its counts there.
+axis, and the calculus reads it: `axis_variation`, `diff_norm` at p = 1,
+`max_projection`, `pointwise_line_bound`, `coord_projection`,
+`shadow_projection`, `LatticeSet.bounding_intervals` and `boundary_count`,
+as do certify's variations, max-projection masses and support counts.
+`partial_difference` is the one other loop along an axis; it builds the
+difference function that `diff_norm` needs at p != 1, and keeps nothing.
+`SetCounts` is the one record of a finite set's statistics (size,
+crossings, projections, shadows); `line_stats` builds it from the passes
+over keys that rise along every line, which is how kernels.subset_stats
+reads a bit-packed mask, and `set_stats` from points in any order.  The
+line passes are a function's only cache; certify keeps its counts beside
+them.
 
 Axis indices are 1-based throughout: ``i`` ranges over ``1..dim``.
 """
@@ -162,10 +167,6 @@ def check_box_dim(n: int, what: str):
         )
 
 
-def _drop(z: Point, ax: int) -> Point:
-    return z[:ax] + z[ax + 1:]
-
-
 class SparseFunction:
     """A finitely supported rational-valued function on Z^n.
 
@@ -174,12 +175,12 @@ class SparseFunction:
     numerator) = 1, so it is the lcm of the reduced value denominators and
     equal functions have equal (dim, _den, _nums).  Zero entries are pruned,
     so the stored keys *are* the support, kept in lexicographic order.
-    Instances are immutable by convention.  Only the forward differences and
-    the line passes are cached, per axis; the `_counts` slot keeps certify's
-    `FunctionCounts` of the function.
+    Instances are immutable by convention.  Only the line passes are
+    cached, per axis; the `_counts` slot keeps certify's `FunctionCounts` of
+    the function.
     """
 
-    __slots__ = ("dim", "_nums", "_den", "_diffs", "_lines", "_counts", "_hash")
+    __slots__ = ("dim", "_nums", "_den", "_lines", "_counts", "_hash")
 
     def __init__(self, dim: int, entries: Union[Mapping, Iterable] = ()):
         dim = _check_dim(dim)
@@ -232,17 +233,15 @@ class SparseFunction:
         self.dim = dim
         self._nums = {z: nums[z] for z in sorted(nums)}
         self._den = den
-        self._diffs: dict = {}
         self._lines: dict = {}
         self._counts = None
         self._hash = None
 
     def _twin(self) -> "SparseFunction":
-        """This function, sharing its entries, differences and line passes
-        but not `_counts`."""
+        """This function, sharing its entries and line passes but not
+        `_counts`."""
         g = object.__new__(SparseFunction)
-        g.dim, g._nums, g._den = self.dim, self._nums, self._den
-        g._diffs, g._lines = self._diffs, self._lines
+        g.dim, g._nums, g._den, g._lines = self.dim, self._nums, self._den, self._lines
         g._counts = g._hash = None
         return g
 
@@ -374,12 +373,12 @@ class LatticeSet:
         )
 
     def bounding_intervals(self) -> list:
-        """Per-axis (min, max) over the points; empty set -> error."""
+        """Per-axis (min, max) over the points, read off the indicator's
+        line passes; empty set -> error."""
         if not self.points:
             raise DegenerateInputError("empty set has no bounding box")
-        lo = [min(z[ax] for z in self.points) for ax in range(self.dim)]
-        hi = [max(z[ax] for z in self.points) for ax in range(self.dim)]
-        return list(zip(lo, hi))
+        coords = [axis_lines(self._indicator, i).coords for i in range(1, self.dim + 1)]
+        return [(min(c), max(c)) for c in coords]
 
     def __repr__(self):
         return f"LatticeSet(dim={self.dim}, {len(self.points)} points)"
@@ -461,38 +460,28 @@ def partial_difference(f: SparseFunction, i: int) -> SparseFunction:
 
     g has f's denominator: its values are differences of f's, and each
     value of f is minus the sum of g along the line from that point on.
-    Results are cached on `f` per axis.
     """
     ax = _check_axis(f.dim, i)
-    g = f._diffs.get(ax)
-    if g is None:
-        acc: dict = {}
-        for z, a in f._nums.items():
-            zm = z[:ax] + (z[ax] - 1,) + z[ax + 1:]
-            w = acc.get(zm, 0) + a
-            if w:
-                acc[zm] = w
-            else:
-                del acc[zm]
-            w = acc.get(z, 0) - a
-            if w:
-                acc[z] = w
-            else:
-                del acc[z]
-        g = SparseFunction._from_clean(f.dim, acc, f._den)
-        f._diffs[ax] = g
-    return g
-
-
-def _abs_sum(f: SparseFunction) -> int:
-    """The numerator of the exact 1-norm of f over f's denominator."""
-    return sum(map(abs, f._nums.values()))
+    acc: dict = {}
+    for z, a in f._nums.items():
+        zm = z[:ax] + (z[ax] - 1,) + z[ax + 1:]
+        w = acc.get(zm, 0) + a
+        if w:
+            acc[zm] = w
+        else:
+            del acc[zm]
+        w = acc.get(z, 0) - a
+        if w:
+            acc[z] = w
+        else:
+            del acc[z]
+    return SparseFunction._from_clean(f.dim, acc, f._den)
 
 
 def axis_variation(f: SparseFunction, i: int) -> Fraction:
-    """Exact 1-norm of the forward difference along axis i."""
-    g = partial_difference(f, i)
-    return Fraction(_abs_sum(g), g._den)
+    """Exact 1-norm of the forward difference along axis i, read off the
+    line pass."""
+    return Fraction(axis_lines(f, i).variation, f._den)
 
 
 def norm(f: SparseFunction, p) -> Union[Fraction, float]:
@@ -506,7 +495,7 @@ def norm(f: SparseFunction, p) -> Union[Fraction, float]:
     if f.is_zero():
         return ZERO if q == 1 else 0.0
     if q == 1:
-        return Fraction(_abs_sum(f), f._den)
+        return Fraction(sum(map(abs, f._nums.values())), f._den)
     pf = float(q)
     den = f._den
     total = 0.0
@@ -518,17 +507,19 @@ def norm(f: SparseFunction, p) -> Union[Fraction, float]:
 def diff_norm(f: SparseFunction, p) -> Union[Fraction, float]:
     """(sum_i ||forward difference along axis i||_p^p) ** (1/p).
 
-    Exact for p = 1, where it equals the total variation over lattice edges.
+    Exact for p = 1, where it equals the total variation over lattice edges,
+    the sum of the line passes' variations.  Other p build the differences,
+    since the pass keeps no per-edge values.
     """
     q = _check_exponent(p)
-    diffs = [partial_difference(f, i) for i in range(1, f.dim + 1)]
+    axes = range(1, f.dim + 1)
     if q == 1:
-        return Fraction(sum(map(_abs_sum, diffs)), f._den)
+        return Fraction(sum(axis_lines(f, i).variation for i in axes), f._den)
     pf = float(q)
     den = f._den
     total = 0.0
-    for g in diffs:
-        for a in g._nums.values():
+    for i in axes:
+        for a in partial_difference(f, i)._nums.values():
             total += (abs(a) / den) ** pf
     return total ** (1.0 / pf) if total else 0.0
 
@@ -537,31 +528,28 @@ def max_projection(f: SparseFunction, i: int) -> SparseFunction:
     """Drop coordinate i and take the maximum of f over the dropped axis.
 
     Defined for nonnegative f on Z^n with n >= 2; the result lives on
-    Z^(n-1) and is supported on the drop-axis image of supp f.
+    Z^(n-1) and is supported on the drop-axis image of supp f.  Its values
+    are the line pass's per-line maxima.
     """
     if f.dim < 2:
         raise InvalidInputError("max projection needs ambient dimension >= 2")
-    ax = _check_axis(f.dim, i)
-    out: dict = {}
-    for z, a in f._nums.items():
-        if a < 0:
-            raise DomainError("max projection requires a nonnegative function")
-        key = _drop(z, ax)
-        if a > out.get(key, 0):
-            out[key] = a
-    return SparseFunction._from_clean(f.dim - 1, out, f._den)
+    _check_axis(f.dim, i)
+    if not f.is_nonnegative():
+        raise DomainError("max projection requires a nonnegative function")
+    lines = axis_lines(f, i).lines
+    return SparseFunction._from_clean(
+        f.dim - 1, {key: line[3] for key, line in lines.items()}, f._den
+    )
 
 
 def coord_projection(A: LatticeSet, i: int) -> frozenset:
     """The set of i-th coordinates of points of A."""
-    ax = _check_axis(A.dim, i)
-    return frozenset(z[ax] for z in A.points)
+    return frozenset(axis_lines(A._indicator, i).coords)
 
 
 def shadow_projection(A: LatticeSet, i: int) -> frozenset:
     """Image of A under dropping coordinate i (a set of (n-1)-tuples)."""
-    ax = _check_axis(A.dim, i)
-    return frozenset(_drop(z, ax) for z in A.points)
+    return frozenset(axis_lines(A._indicator, i).lines)
 
 
 class LinePass(NamedTuple):

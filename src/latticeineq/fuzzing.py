@@ -9,8 +9,8 @@ input its checker saw at the smallest deficit.
 
 The random stream of instance k is derived from (seed << 32) + k, so
 summaries are bit-identical no matter how instances are scheduled; the
-optional process pool (capped by LATTICE_INEQ_THREADS) reduces chunks in
-index order.
+optional process pool (LATTICE_INEQ_THREADS or `threads` workers, at most
+the CPU count and the number of chunks) reduces chunks in index order.
 """
 
 from __future__ import annotations
@@ -237,7 +237,9 @@ def fuzz(
     if denominator < 1:
         raise InvalidInputError("denominator must be >= 1")
     check_box(window, n, "fuzz window")
-    threads = resolve_threads(threads)
+    # more workers than CPUs would only contend, and a huge --threads would
+    # ask the OS for that many processes
+    threads = min(resolve_threads(threads), os.cpu_count() or 1)
 
     chunk = max(256, -(-count // (threads * 4)))
     args = [(seed, n, window, q, denominator, tol, start, min(start + chunk, count))

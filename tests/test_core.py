@@ -1,3 +1,4 @@
+import collections
 import math
 from fractions import Fraction
 
@@ -23,6 +24,8 @@ from latticeineq import (
     pointwise_line_bound,
     shadow_projection,
 )
+from latticeineq import core
+from latticeineq.certify import set_counts
 from latticeineq.core import SetCounts, as_fraction, set_stats
 
 from oracles import (
@@ -271,15 +274,19 @@ class TestMaxProjection:
         assert dict(g.items()) == {(0,): 2, (1,): 1}
         assert norm(g, 1) == 3
 
+    # refused in this order: dimension, axis, sign
     def test_negative_rejected(self):
-        f = SparseFunction(2, {(0, 0): -1})
+        f = SparseFunction(2, {(0, 0): 1, (1, 0): -1})
         with pytest.raises(DomainError):
             max_projection(f, 1)
+        with pytest.raises(InvalidInputError):
+            max_projection(f, 0)
 
     def test_dim1_rejected(self):
-        f = SparseFunction(1, {(0,): 1})
-        with pytest.raises(InvalidInputError):
-            max_projection(f, 1)
+        for value in (1, -1):
+            f = SparseFunction(1, {(0,): value})
+            with pytest.raises(InvalidInputError):
+                max_projection(f, 1)
 
 
 class TestSetOperations:
@@ -311,6 +318,62 @@ class TestSetOperations:
     def test_boundary_is_diff_norm_of_indicator(self):
         for A in (RECT.points(), L_SHAPE, LatticeSet(2, [(0, 0), (5, 5)])):
             assert boundary_count(A) == diff_norm(chi(A), 1)
+
+
+class TestOneLinePassPerAxis:
+    """The calculus reads each input's line passes, one per axis: whichever
+    reader comes first makes them, the others and a second round reuse
+    them, and p = 1 builds no difference function."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("_line_pass", "partial_difference"):
+            def wrapper(*args, _name=name, _fn=getattr(core, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(core, name, wrapper)
+        return calls
+
+    @staticmethod
+    def _pin(calls, build, readers):
+        for first in readers:
+            x = build()
+            first(x)
+            assert calls == {"_line_pass": x.dim}
+            for _ in range(2):
+                for read in readers:
+                    read(x)
+            assert calls == {"_line_pass": x.dim}
+            calls.clear()
+
+    @staticmethod
+    def _on_each_axis(fn):
+        return lambda x: [fn(x, i) for i in range(1, x.dim + 1)]
+
+    def test_function_calculus(self, calls):
+        on_each_axis = self._on_each_axis
+        self._pin(calls, lambda: SparseFunction(3, {
+            (0, 0, 0): 2, (0, 1, 0): F(1, 2), (2, 1, 0): 3, (2, 1, 1): 1,
+            (1, 0, 2): F(5, 4),
+        }), (
+            lambda f: diff_norm(f, 1),
+            on_each_axis(axis_variation),
+            on_each_axis(max_projection),
+            on_each_axis(pointwise_line_bound),
+        ))
+
+    def test_set_calculus(self, calls):
+        on_each_axis = self._on_each_axis
+        self._pin(calls, lambda: LatticeSet(3, [
+            (0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 2, 3), (4, 1, 1),
+        ]), (
+            LatticeSet.bounding_intervals,
+            boundary_count,
+            set_counts,
+            on_each_axis(coord_projection),
+            on_each_axis(shadow_projection),
+        ))
 
 
 class TestCuboid:

@@ -33,9 +33,12 @@ class TestThreadResolution:
         with pytest.raises(InvalidInputError, match="--threads"):
             resolve_threads(threads)
 
-    def test_pool_never_exceeds_chunk_count(self, monkeypatch):
-        # record the pool size and run the chunks inline: no process starts
+    @staticmethod
+    def _inline_pool(monkeypatch, cpus):
+        """Report `cpus` CPUs and run the pool's chunks inline, so no
+        process starts; returns the list the pool sizes are recorded in."""
         import concurrent.futures
+        import os
 
         sizes = []
 
@@ -51,13 +54,27 @@ class TestThreadResolution:
 
             map = staticmethod(map)
 
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    def test_pool_never_exceeds_chunk_count(self, monkeypatch):
+        sizes = self._inline_pool(monkeypatch, 64)
         serial = summary_to_dict(fuzz(600, 2, seed=5, threads=1))
         assert sizes == []
         for threads in (2, 64, 10_000):
             assert summary_to_dict(fuzz(600, 2, seed=5, threads=threads)) == serial
         # 600 instances in chunks of at least 256 make 3 chunks
         assert sizes == [2, 3, 3]
+
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch):
+        sizes = self._inline_pool(monkeypatch, 2)
+        serial = summary_to_dict(fuzz(3000, 2, seed=5, threads=1))
+        assert sizes == []
+        # uncapped, 10 000 threads would cut 3 000 instances into 12 chunks
+        # of 256 and start 12 workers
+        assert summary_to_dict(fuzz(3000, 2, seed=5, threads=10_000)) == serial
+        assert sizes == [2]
 
 
 class TestFuzz:

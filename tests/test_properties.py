@@ -30,6 +30,7 @@ from latticeineq import (
     partial_difference,
     pointwise_line_bound,
     projection_chain,
+    shadow_projection,
 )
 from latticeineq import fileio, kernels
 from latticeineq.certify import function_counts, is_scaled_indicator, set_counts
@@ -38,6 +39,8 @@ from latticeineq.core import SetCounts, axis_lines, set_stats
 from oracles import (
     oracle_axis_variation,
     oracle_boundary,
+    oracle_coord_projection,
+    oracle_diff_norm_1,
     oracle_function_parts,
     oracle_lex_norm,
     oracle_line_bound,
@@ -239,6 +242,28 @@ def test_line_pass_matches_oracles(f):
     expected = oracle_set_counts(f.support(), n)
     assert SetCounts.from_lines(f.support_size(), passes) == expected
     assert set_stats(f.support(), n) == expected
+
+
+@settings(max_examples=150)
+@given(st.one_of(any_function, lined_function))
+def test_calculus_matches_dense_oracles(f):
+    # the public calculus reads the line pass; the oracles scan the padded
+    # bounding box cell by cell, or test each point
+    n = f.dim
+    assert diff_norm(f, 1) == oracle_diff_norm_1(f)
+    A = LatticeSet(n, f.support())
+    for i in range(1, n + 1):
+        assert axis_variation(f, i) == oracle_axis_variation(f, i)
+        if n > 1:
+            expected = sorted(oracle_max_projection(f.abs(), i).items())
+            assert max_projection(f.abs(), i).items() == expected
+        assert coord_projection(A, i) == oracle_coord_projection(A.points, i)
+        ax = i - 1
+        assert shadow_projection(A, i) == {z[:ax] + z[ax + 1:] for z in A.points}
+    assert A.bounding_intervals() == [
+        (min(z[ax] for z in A.points), max(z[ax] for z in A.points))
+        for ax in range(n)
+    ]
 
 
 @settings(max_examples=150)
