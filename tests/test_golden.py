@@ -3,6 +3,9 @@
 The files under `golden/` are the stdout of each command below.  They pin
 every printed float: a change to the exact track (how values are stored,
 differences taken, sums ordered) must leave these bytes unchanged.  The
+`search` goldens pin whole traces: `ascend` reads every candidate's ratio
+off the GN checker's float sides, so a change to their rounding moves a
+pick and with it the trace.  The
 `enumerate` goldens pin the rows CSV of `--report` and the summary (with
 `elapsed_seconds` masked): the rows follow from the proof of the class
 counts, and without `--report` the summary is the same file.
@@ -37,6 +40,14 @@ CASES = [
      "check_square2d_all_exact.json"),
     (["table", "--n", "3", "--max-side", "3", "--ineq", "all", "--p", "1/2"],
      "table_n3_max3_all_p1-2.csv"),
+    (["search", "--mode", "ascend", "--n", "2", "--window-side", "3", "--iters", "60",
+      "--seed", "0"], "search_ascend_n2_side3_iters60_seed0.json"),
+    (["search", "--mode", "ascend", "--n", "3", "--window-side", "2", "--iters", "200",
+      "--seed", "1"], "search_ascend_n3_side2_iters200_seed1.json"),
+    (["search", "--mode", "anneal", "--n", "2", "--size", "7", "--iters", "3000",
+      "--seed", "5"], "search_anneal_n2_size7_iters3000_seed5.json"),
+    (["search", "--mode", "anneal", "--n", "3", "--size", "10", "--iters", "3000",
+      "--seed", "2"], "search_anneal_n3_size10_iters3000_seed2.json"),
 ]
 
 
