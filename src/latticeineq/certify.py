@@ -8,6 +8,14 @@ float path decides `EQUAL_WITHIN_TOL` / `STRICT` / `VIOLATED` with a
 relative tolerance; a `VIOLATED` verdict on valid input signals a bug and
 echoes the offending input.
 
+The function checkers read f's `FunctionCounts`, built once from its line
+passes and kept on f: per-axis variations and max-projection masses as int
+numerators over f's one denominator D, the counts of its support and a memo
+of its float p-norms.  The record holds no reference to f, so checking
+makes no reference cycle.  Each float side divides ints once, correctly
+rounded, before any power or logarithm (prod_i v_i / D^n, sum_i v_i / D or
+v_i / D), which is the same double as the float of the exact rational.
+
 All checkers require ambient dimension n >= 2 and reject the zero function /
 empty set.
 """
@@ -18,8 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     LatticeSet,
@@ -148,71 +155,45 @@ def is_scaled_indicator(f: SparseFunction) -> Optional[tuple]:
             LatticeSet._from_clean(f.dim, f._nums))
 
 
-def _float_prod(values) -> float:
-    """float(prod(values)) of Fractions, as one correctly rounded int / int."""
-    return (math.prod(v.numerator for v in values)
-            / math.prod(v.denominator for v in values))
+class FunctionCounts(NamedTuple):
+    """What the function checkers read of f, built once from f's line
+    passes (one core.axis_lines per axis) and holding no reference to f.
 
+    `variations` (||d_i f||_1, the sum of the lines' variations) and
+    `masses` (the 1-norm of the max projection of |f|, the sum of the
+    lines' maxima, read only once f is known to be nonnegative) are int
+    numerators over f's denominator D, one per axis.  `support` is the
+    SetCounts of supp f, from the runs, coordinates and line counts;
+    `indicator` is `support` when f is a scaled indicator, else None.
+    `norms` maps p to the float of ||f||_p, filled by `_p_norm`."""
 
-def _float_sum(values) -> float:
-    """float(sum(values)) of Fractions, as one correctly rounded int / int."""
-    den = math.lcm(*(v.denominator for v in values))
-    return sum(v.numerator * (den // v.denominator) for v in values) / den
-
-
-class FunctionCounts:
-    """What the function checkers read of f, each computed on first use.
-
-    f's line passes (`lines`, one core.axis_lines per axis, kept on f) give
-    the exact per-axis statistics: ||d_i f||_1 (`sigmas`), the sum of the
-    lines' variations; the 1-norm of the max projection of |f| (`masses`),
-    the sum of the lines' maxima, which the checkers read only once f is
-    known to be nonnegative; and the SetCounts of supp f (`support`), from
-    the runs, coordinates and line counts.  ||f||_p (`p_norm(p)`, once per
-    p) is the float of core.norm, and `norm` its value at p = n/(n-1);
-    `indicator` is the support's SetCounts when f is a scaled indicator,
-    else None."""
-
-    def __init__(self, f: SparseFunction):
-        self._f = f._twin()  # f itself would make f and its counts a cycle
-        self._norms = {}
-
-    def p_norm(self, p) -> float:
-        value = self._norms.get(p)
-        if value is None:
-            value = self._norms[p] = float(norm(self._f, p))  # core.norm
-        return value
-
-    @cached_property
-    def lines(self) -> tuple:
-        return tuple(axis_lines(self._f, i) for i in range(1, self._f.dim + 1))
-
-    @cached_property
-    def sigmas(self) -> tuple:
-        return tuple(Fraction(p.variation, self._f._den) for p in self.lines)
-
-    @cached_property
-    def masses(self) -> tuple:
-        return tuple(Fraction(p.mass, self._f._den) for p in self.lines)
-
-    @cached_property
-    def norm(self) -> float:
-        return self.p_norm(Fraction(self._f.dim, self._f.dim - 1))
-
-    @cached_property
-    def support(self) -> SetCounts:
-        return SetCounts.from_lines(len(self._f._nums), self.lines)
-
-    @cached_property
-    def indicator(self) -> Optional[SetCounts]:
-        return self.support if len(set(self._f._nums.values())) == 1 else None
+    variations: tuple
+    masses: tuple
+    support: SetCounts
+    indicator: Optional[SetCounts]
+    norms: dict
 
 
 def function_counts(f: SparseFunction) -> FunctionCounts:
     """The FunctionCounts of f, made on first use and kept on f."""
-    if f._counts is None:
-        f._counts = FunctionCounts(f)
-    return f._counts
+    counts = f._counts
+    if counts is None:
+        passes = [axis_lines(f, i) for i in range(1, f.dim + 1)]
+        support = SetCounts.from_lines(len(f._nums), passes)
+        constant = len(set(f._nums.values())) == 1
+        counts = f._counts = FunctionCounts(
+            tuple(p.variation for p in passes), tuple(p.mass for p in passes),
+            support, support if constant else None, {})
+    return counts
+
+
+def _p_norm(f: SparseFunction, p: Fraction) -> float:
+    """float(||f||_p) from core.norm, once per f and p."""
+    norms = function_counts(f).norms
+    value = norms.get(p)
+    if value is None:
+        value = norms[p] = float(norm(f, p))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +308,20 @@ def check_gn(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     """||f||_{n/(n-1)} <= (1/2) prod_i ||d_i f||_1^{1/n}; equality exactly on
     scaled cuboid indicators."""
     _require_checkable(f)
-    counts = function_counts(f)
-    rhs = 0.5 * _float_prod(counts.sigmas) ** (1.0 / f.dim)
-    return _function_report(Inequality.GN, f, None, counts.norm, rhs, tol, gn_certificate)
+    n = f.dim
+    rhs = 0.5 * (math.prod(function_counts(f).variations) / f._den ** n) ** (1.0 / n)
+    lhs = _p_norm(f, Fraction(n, n - 1))
+    return _function_report(Inequality.GN, f, None, lhs, rhs, tol, gn_certificate)
 
 
 def check_sobolev(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     """||f||_{n/(n-1)} <= (1/2n) ||df||_1; equality exactly on scaled cube
     indicators."""
     _require_checkable(f)
-    counts = function_counts(f)
-    rhs = _float_sum(counts.sigmas) / (2 * f.dim)
-    return _function_report(Inequality.SOBOLEV, f, None, counts.norm, rhs, tol,
+    n = f.dim
+    rhs = sum(function_counts(f).variations) / f._den / (2 * n)
+    lhs = _p_norm(f, Fraction(n, n - 1))
+    return _function_report(Inequality.SOBOLEV, f, None, lhs, rhs, tol,
                             sobolev_certificate)
 
 
@@ -354,9 +337,10 @@ def check_bl(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     projection; equality exactly on scaled product-set indicators."""
     _require_checkable(f)
     _require_nonnegative(f)
-    counts = function_counts(f)
-    rhs = _float_prod(counts.masses) ** (1.0 / f.dim)
-    return _function_report(Inequality.BL, f, None, counts.norm, rhs, tol, bl_certificate)
+    n = f.dim
+    rhs = (math.prod(function_counts(f).masses) / f._den ** n) ** (1.0 / n)
+    lhs = _p_norm(f, Fraction(n, n - 1))
+    return _function_report(Inequality.BL, f, None, lhs, rhs, tol, bl_certificate)
 
 
 def check_loomis_whitney(A, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -397,7 +381,7 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
     cases first, and the message gives the float norm.
     """
     if normalize:
-        nf = function_counts(f).p_norm(p)
+        nf = _p_norm(f, p)
         if not nf:
             raise InvalidInputError(
                 f"||f||_{p} underflows the floating-point range; cannot normalize"
@@ -421,7 +405,7 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
                 "pass normalize=True"
             )
         return 1.0
-    nf = function_counts(f).p_norm(p)
+    nf = _p_norm(f, p)
     if abs(nf - 1.0) > tol:
         raise PreconditionError(
             f"||f||_{p} must be 1 (got {nf!r}); pass normalize=True"
@@ -457,15 +441,15 @@ def check_log_sobolev(
     cube indicators.  `normalize` rescales f to unit p-norm first.
     """
     p, scale, lhs = _entropy_side(f, p, tol, normalize)
-    n = f.dim
-    sigmas = function_counts(f).sigmas
+    n, den = f.dim, f._den
+    variations = function_counts(f).variations
     if directional:
         rhs = -math.log(2.0) + math.fsum(
-            math.log(float(s) / scale) for s in sigmas
+            math.log(v / den / scale) for v in variations
         ) / n
         ineq = Inequality.LOG_SOBOLEV_DIR
     else:
-        rhs = math.log(_float_sum(sigmas) / scale / (2 * n))
+        rhs = math.log(sum(variations) / den / scale / (2 * n))
         ineq = Inequality.LOG_SOBOLEV
     certificate = gn_certificate if directional else sobolev_certificate
     return _function_report(ineq, f, p, lhs, rhs, tol, certificate)
@@ -485,7 +469,7 @@ def check_log_bl(
     """
     p, scale, lhs = _entropy_side(f, p, tol, normalize)
     masses = function_counts(f).masses
-    rhs = math.fsum(math.log(float(m) / scale) for m in masses) / f.dim
+    rhs = math.fsum(math.log(m / f._den / scale) for m in masses) / f.dim
     return _function_report(Inequality.LOG_BL, f, p, lhs, rhs, tol, bl_certificate)
 
 
@@ -543,4 +527,5 @@ def jensen_gap(f: SparseFunction, p) -> float:
     f^p is uniform on its support.
     """
     p, scale, entropy_side = _entropy_side(f, p, 0.0, normalize=True)
-    return math.log(function_counts(f).norm / scale) - entropy_side
+    n = f.dim
+    return math.log(_p_norm(f, Fraction(n, n - 1)) / scale) - entropy_side

@@ -30,8 +30,9 @@ difference function that `diff_norm` needs at p != 1, and keeps nothing.
 crossings, projections, shadows); `line_stats` builds it from the passes
 over keys that rise along every line, which is how kernels.subset_stats
 reads a bit-packed mask, and `set_stats` from points in any order.  The
-line passes are a function's only cache; certify keeps its counts beside
-them.
+line passes are a function's only cache; certify keeps beside them the
+integers it reads off them, in a record that does not refer back to the
+function.
 
 Axis indices are 1-based throughout: ``i`` ranges over ``1..dim``.
 """
@@ -176,8 +177,8 @@ class SparseFunction:
     equal functions have equal (dim, _den, _nums).  Zero entries are pruned,
     so the stored keys *are* the support, kept in lexicographic order.
     Instances are immutable by convention.  Only the line passes are
-    cached, per axis; the `_counts` slot keeps certify's `FunctionCounts` of
-    the function.
+    cached, per axis; the `_counts` slot keeps certify's `FunctionCounts`,
+    a record of plain numbers read off those passes.
     """
 
     __slots__ = ("dim", "_nums", "_den", "_lines", "_counts", "_hash")
@@ -236,14 +237,6 @@ class SparseFunction:
         self._lines: dict = {}
         self._counts = None
         self._hash = None
-
-    def _twin(self) -> "SparseFunction":
-        """This function, sharing its entries and line passes but not
-        `_counts`."""
-        g = object.__new__(SparseFunction)
-        g.dim, g._nums, g._den, g._lines = self.dim, self._nums, self._den, self._lines
-        g._counts = g._hash = None
-        return g
 
     # -- basic queries -----------------------------------------------------
 

@@ -183,7 +183,7 @@ def anneal_sets(
         if k % sample_every == 0:
             history.append((k, best))
 
-    if not history or history[-1][0] != steps:
+    if history[-1][0] != steps:
         history.append((steps, best))
     best_mask = sum(1 << idx for idx in best_members)
     best_set = LatticeSet._from_clean(n, kernels.unpack(best_mask, dims))
@@ -303,7 +303,7 @@ def ascend_function(
             current_f = build(values)
             current = gn_ratio(current_f)
 
-    if not history or history[-1][0] != steps:
+    if history[-1][0] != steps:
         history.append((steps, best))
     return SearchTrace(
         seed=seed,

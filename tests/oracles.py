@@ -49,6 +49,21 @@ def oracle_norm(f, p):
     return total ** (1.0 / float(p))
 
 
+def oracle_float_prod(values):
+    """float(prod(values)) of Fractions, as one correctly rounded int / int
+    of the product of their numerators over the product of their
+    denominators."""
+    return (math.prod(v.numerator for v in values)
+            / math.prod(v.denominator for v in values))
+
+
+def oracle_float_sum(values):
+    """float(sum(values)) of Fractions, as one correctly rounded int / int
+    over the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return sum(v.numerator * (den // v.denominator) for v in values) / den
+
+
 def oracle_lex_norm(f, p):
     """The float-track p-norm as one plain float sum of float(|f(z)|) ** p
     over the support in lexicographic order, values read as Fractions."""

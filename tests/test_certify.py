@@ -1,4 +1,5 @@
 import collections
+import gc
 import math
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from latticeineq import (
     is_scaled_indicator,
     jensen_gap,
     norm,
+    pointwise_line_bound,
     projection_chain,
     set_counts,
 )
@@ -529,3 +531,23 @@ class TestFunctionCounts:
             for ineq in Inequality:
                 check(ineq, x, p, normalize=True)
         assert calls == {"_line_pass": n, "norm": 1}
+
+    def test_checking_makes_no_reference_cycle(self):
+        # the counts kept on an input are plain numbers with no way back to
+        # the input, so what was checked is freed by reference counting
+        gc.collect()
+        gc.disable()
+        try:
+            f = SparseFunction(2, {(0, 0): 2, (1, 0): 1, (0, 1): F(2, 3)})
+            A = LatticeSet(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)])
+            signed = SparseFunction(3, {(0, 0, 0): 2, (1, 0, 0): F(-1, 3),
+                                        (0, 1, 1): F(5, 4), (2, 0, 0): -1})
+            reports = [check(ineq, x, F(1, 2), normalize=True)
+                       for x in (f, A) for ineq in Inequality]
+            reports += [check_gn(signed), check_sobolev(signed),
+                        check_isoperimetric(signed), check_loomis_whitney(signed)]
+            reports += [pointwise_line_bound(signed, i) for i in (1, 2, 3)]
+            del f, A, signed, reports
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

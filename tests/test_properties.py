@@ -33,7 +33,7 @@ from latticeineq import (
     shadow_projection,
 )
 from latticeineq import fileio, kernels
-from latticeineq.certify import function_counts, is_scaled_indicator, set_counts
+from latticeineq.certify import _p_norm, function_counts, is_scaled_indicator, set_counts
 from latticeineq.core import SetCounts, axis_lines, set_stats
 
 from oracles import (
@@ -41,6 +41,8 @@ from oracles import (
     oracle_boundary,
     oracle_coord_projection,
     oracle_diff_norm_1,
+    oracle_float_prod,
+    oracle_float_sum,
     oracle_function_parts,
     oracle_lex_norm,
     oracle_line_bound,
@@ -336,15 +338,62 @@ def test_function_counts_match_oracles(f):
     assert function_counts(f) is counts
     n = f.dim
     axes = range(1, n + 1)
-    assert counts.sigmas == tuple(oracle_axis_variation(f, i) for i in axes)
-    assert counts.masses == tuple(
+    assert tuple(F(v, f._den) for v in counts.variations) == tuple(
+        oracle_axis_variation(f, i) for i in axes
+    )
+    assert tuple(F(m, f._den) for m in counts.masses) == tuple(
         sum(oracle_max_projection(f, i).values()) for i in axes
     )
-    assert math.isclose(counts.norm, oracle_norm(f, F(n, n - 1)), rel_tol=1e-12)
+    assert math.isclose(_p_norm(f, F(n, n - 1)), oracle_norm(f, F(n, n - 1)),
+                        rel_tol=1e-12)
     assert (counts.indicator is None) == (is_scaled_indicator(f) is None)
     if counts.indicator is not None:
         assert counts.indicator.size == f.support_size()
         assert counts.indicator.boundary == oracle_boundary(f.support(), n)
+
+
+def compact_functions(dim, values):
+    """Functions on [-2, 2]^dim, which keeps the dense oracles' padded
+    window at 7^dim cells."""
+    near = st.tuples(*([st.integers(-2, 2)] * dim))
+    return st.dictionaries(near, values, min_size=1, max_size=8).map(
+        lambda d: SparseFunction(dim, d)
+    )
+
+
+float_side_functions = st.integers(2, 4).flatmap(
+    lambda d: st.one_of(compact_functions(d, rationals),
+                        compact_functions(d, positive_rationals))
+)
+
+
+@settings(max_examples=100)
+@given(float_side_functions, st.sampled_from([F(1, 2), F(1), F(2)]))
+def test_float_sides_match_fraction_oracles(f, p):
+    # each right side, read off int numerators over f's denominator, is the
+    # same double as the reference formula on the Fraction statistics
+    n = f.dim
+    counts = function_counts(f)
+    assert all(type(x) is int for x in counts.variations + counts.masses)
+    sigmas = [oracle_axis_variation(f, i) for i in range(1, n + 1)]
+    assert oracle_float_prod(sigmas) == float(math.prod(sigmas))
+    assert oracle_float_sum(sigmas) == float(sum(sigmas))
+    assert check_gn(f).rhs == 0.5 * oracle_float_prod(sigmas) ** (1.0 / n)
+    assert check_sobolev(f).rhs == oracle_float_sum(sigmas) / (2 * n)
+    if not f.is_nonnegative():
+        return
+    masses = [sum(oracle_max_projection(f, i).values()) for i in range(1, n + 1)]
+    assert check_bl(f).rhs == oracle_float_prod(masses) ** (1.0 / n)
+    scale = float(norm(f, p))  # the normalizing factor, not under test here
+    assert check_log_sobolev(f, p, directional=True, normalize=True).rhs == (
+        -math.log(2.0) + math.fsum(math.log(float(s) / scale) for s in sigmas) / n
+    )
+    assert check_log_sobolev(f, p, directional=False, normalize=True).rhs == (
+        math.log(oracle_float_sum(sigmas) / scale / (2 * n))
+    )
+    assert check_log_bl(f, p, normalize=True).rhs == (
+        math.fsum(math.log(float(m) / scale) for m in masses) / n
+    )
 
 
 @given(any_function_2d3d, st.data())
