@@ -215,6 +215,10 @@ def _relation(lhs: float, rhs: float, tol: float,
 
 
 def _report(ineq, x, p, lhs, rhs, tol, cert, shape) -> InequalityReport:
+    # a float sum can overflow to inf without raising; an inf or nan side
+    # has no verdict, and a JSON report cannot hold it
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise OverflowError(f"{ineq.value}: a side is not finite (lhs={lhs!r}, rhs={rhs!r})")
     relation = _relation(lhs, rhs, tol, cert)
     return InequalityReport(
         inequality=ineq,

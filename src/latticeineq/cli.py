@@ -10,8 +10,6 @@ exception; nothing is written to stdout).
 from __future__ import annotations
 
 import argparse
-import contextlib
-import decimal
 import functools
 import itertools
 import math
@@ -185,47 +183,15 @@ def cmd_search(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    with contextlib.ExitStack() as stack:
-        sink = None
-        if args.report is not None:
-            write = None
-
-            # the rows stream to the file, opened on the first row, so a run
-            # refused upfront writes none
-            def sink(row):
-                nonlocal write
-                if write is None:
-                    write = stack.enter_context(open(args.report, "w")).write
-                    write("set_id,size,shape_class,gn_equal,iso_equal,lw_equal\n")
-                # a set id has a bit per cell of the box, so past about
-                # 14 000 cells it has more digits than str(int) will write
-                # (sys.get_int_max_str_digits); Decimal has no such limit
-                write(f"{decimal.Decimal(row.set_id)},{row.size},{row.shape_class.value},"
-                      f"{int(row.gn_equal)},{int(row.iso_equal)},{int(row.lw_equal)}\n")
-
-        report = enumerate_rigidity(
-            n=args.n,
-            box_side=args.box,
-            max_size=args.max_size,
-            budget=args.budget,
-            row_sink=sink,
-        )
-    _write(
-        fileio.dumps(
-            {
-                "n": report.n,
-                "box_side": report.box_side,
-                "max_size": report.max_size,
-                "total_checked": report.total_checked,
-                "mismatches": report.mismatch_count,
-                "shape_counts": report.shape_counts,
-                "canonical_shape_counts": report.canonical_shape_counts,
-                "equality_counts": report.equality_counts,
-                "elapsed_seconds": report.elapsed,
-            }
-        ),
-        args.out,
+    report = enumerate_rigidity(
+        n=args.n,
+        box_side=args.box,
+        max_size=args.max_size,
+        budget=args.budget,
     )
+    if args.report is not None:
+        _write(fileio.rigidity_rows_csv(report), args.report)
+    _write(fileio.dumps(fileio.rigidity_to_dict(report)), args.out)
     return 1 if report.mismatch_count else 0
 
 
@@ -355,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--box", type=int, required=True, help="box side length")
     pe.add_argument("--max-size", type=int, default=None)
     pe.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
-    pe.add_argument("--report", help="write one CSV row per subset here")
+    pe.add_argument("--report", help="write the proof here as CSV: one row per "
+                                     "histogram key and per canonical product set")
     pe.add_argument("--out")
     pe.set_defaults(func=cmd_enumerate)
 

@@ -25,9 +25,11 @@ from .errors import InvalidInputError
 if TYPE_CHECKING:
     from .certify import ExactCertificate, InequalityReport
     from .fuzzing import FuzzSummary
+    from .lab import RigidityReport
     from .search import SearchTrace
 
 REPORT_CSV_HEADER = "inequality,n,p,lhs,rhs,deficit,relation,extremal_class"
+RIGIDITY_CSV_HEADER = "group,key,size,count,shape_class,gn_equal,iso_equal,lw_equal"
 
 
 def format_float(x: float) -> str:
@@ -146,6 +148,38 @@ def report_csv_row(report: InequalityReport) -> str:
 # ---------------------------------------------------------------------------
 
 
+def rigidity_to_dict(report: RigidityReport) -> dict:
+    return {
+        "n": report.n,
+        "box_side": report.box_side,
+        "max_size": report.max_size,
+        "total_checked": report.total_checked,
+        "mismatches": report.mismatch_count,
+        "shape_counts": report.shape_counts,
+        "canonical_shape_counts": report.canonical_shape_counts,
+        "equality_counts": report.equality_counts,
+        "elapsed_seconds": report.elapsed,
+    }
+
+
+def rigidity_rows_csv(report: RigidityReport) -> str:
+    """The `enumerate --report` CSV: a row per group of report.groups.  A
+    crossings or shadows key is its per-axis counts, space-separated; a
+    class key is its coordinate sets, space-separated, axis by axis with
+    "/" between axes.  A field the group does not decide is empty."""
+    lines = [RIGIDITY_CSV_HEADER]
+    for row in report.groups:
+        if row.group == "class":
+            key = "/".join(" ".join(map(str, coords)) for coords in row.key)
+        else:
+            key = " ".join(map(str, row.key))
+        flags = ("" if flag is None else str(int(flag))
+                 for flag in (row.gn_equal, row.iso_equal, row.lw_equal))
+        shape = "" if row.shape_class is None else row.shape_class.value
+        lines.append(",".join([row.group, key, str(row.size), str(row.count), shape, *flags]))
+    return "\n".join(lines)
+
+
 def trace_to_dict(trace: SearchTrace) -> dict:
     return {
         "seed": trace.seed,
@@ -167,12 +201,13 @@ def summary_to_dict(summary: FuzzSummary) -> dict:
         "denominator": summary.denominator,
         "tol": summary.tol,
         "violations": summary.violations,
+        # each instance runs one line-bound and one chain check
         "line_bound": {
-            "checks": summary.line_bound_checks,
+            "checks": summary.count,
             "failures": summary.line_bound_failures,
         },
         "chain": {
-            "checks": summary.chain_checks,
+            "checks": summary.count,
             "failures": summary.chain_failures,
         },
         "per_inequality": {

@@ -84,9 +84,7 @@ class FuzzSummary:
     denominator: int
     tol: float
     per_inequality: dict = field(default_factory=dict)
-    line_bound_checks: int = 0
     line_bound_failures: int = 0
-    chain_checks: int = 0
     chain_failures: int = 0
 
     @property
@@ -101,9 +99,7 @@ class FuzzSummary:
         self.count += other.count
         for key, stats in other.per_inequality.items():
             self.per_inequality.setdefault(key, IneqStats()).merge(stats)
-        self.line_bound_checks += other.line_bound_checks
         self.line_bound_failures += other.line_bound_failures
-        self.chain_checks += other.chain_checks
         self.chain_failures += other.chain_failures
 
 
@@ -180,9 +176,7 @@ def _fuzz_range(seed, n, window, q, denominator, tol, start, stop) -> FuzzSummar
                 index,
                 outcome["inputs"][key],
             )
-        summary.line_bound_checks += 1
         summary.line_bound_failures += not outcome["line_ok"]
-        summary.chain_checks += 1
         summary.chain_failures += not outcome["chain_ok"]
     return summary
 

@@ -15,10 +15,11 @@ Enumerative Combinatorics I, 4.7) walks the cells and keeps a dict from a
 packed state to the number of partial subsets in it.  The one scan serves
 both counts; they differ only in the rule that marks a cell (in the subset,
 or on a line that already meets it), and a state that holds the size cap
-leaves the scan early.  Rigidity enumeration reads these counts, and
-`subset_stats` only for the product sets whose coordinate sets all contain
-0 (`product_sets`), one per translation class; only the per-mask path,
-which runs when the counts do not prove the theorems, calls it per subset.
+leaves the scan early.  Rigidity enumeration, and its report, read these
+counts, and `subset_stats` only for the product sets whose coordinate sets
+all contain 0 (`product_sets`), one per translation class; only the
+per-mask path, which runs when the counts do not prove the theorems, calls
+it per subset.
 """
 
 import itertools
@@ -69,19 +70,6 @@ def unpack(mask, dims):
     return sorted(_cells(mask, dims))
 
 
-def low_faces(dims):
-    """Per axis i, the mask of the box's cells whose coordinate i is 0."""
-    st = strides(dims)
-    cells = st[-1] * dims[-1]
-    faces = []
-    for d, s in zip(dims, st):
-        low = 0
-        for start in range(0, cells, d * s):
-            low |= ((1 << s) - 1) << start
-        faces.append(low)
-    return tuple(faces)
-
-
 def subset_stats(mask, dims):
     """The core.SetCounts of the subset packed in mask: core.line_stats on
     its decoded cells, in bit order."""
@@ -89,14 +77,15 @@ def subset_stats(mask, dims):
 
 
 def product_sets(dims, max_size):
-    """Masks of the product sets S_0 x .. x S_{n-1} in the box with at most
-    max_size cells whose coordinate sets S_i all contain 0, each once: one
-    per translation class of product sets, its canonical translate."""
+    """(coordinate sets, mask) of the product sets S_0 x .. x S_{n-1} in the
+    box with at most max_size cells whose coordinate sets S_i all contain 0,
+    each once: one per translation class of product sets, its canonical
+    translate.  Each S_i is a sorted tuple."""
     st = strides(dims)
 
-    def extend(axis, mask, size):
+    def extend(axis, sets, mask, size):
         if axis == len(dims):
-            yield mask
+            yield sets, mask
             return
         for k in range(min(dims[axis], max_size // size)):
             for coords in itertools.combinations(range(1, dims[axis]), k):
@@ -104,9 +93,9 @@ def product_sets(dims, max_size):
                 m = mask
                 for c in coords:
                     m |= mask << (c * st[axis])
-                yield from extend(axis + 1, m, size * (k + 1))
+                yield from extend(axis + 1, sets + ((0, *coords),), m, size * (k + 1))
 
-    yield from extend(0, 1, 1)
+    yield from extend(0, (), 1, 1)
 
 
 def subset_histograms(dims, max_size):

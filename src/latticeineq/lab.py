@@ -8,9 +8,11 @@ certificate, never by float rounding) and a value in (0, 1) otherwise.
 the shape classification on every subset of a small box — the brute-force
 ground truth for the equality characterizations.  It counts the subsets by
 class from kernels' transfer-matrix histograms and lists one product set
-per translation class; once the counts prove the theorems, a row sink
-(`--report`) gets each subset's row from that proof.  The masks are
-visited one by one only when the counts do not prove the theorems.
+per translation class.  Its groups (`--report`) state that proof once per
+histogram key and once per class: what the certificates say on each key,
+and the shape, flags and number of translates of each product set.  The
+masks are visited one by one only when the counts do not prove the
+theorems, to list the mismatching subsets.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 from . import kernels
 from .certify import (
@@ -94,7 +96,27 @@ class RigidityRow:
     gn_equal: bool
     iso_equal: bool
     lw_equal: bool
-    canonical: bool          # per-axis minimum at 0 (translation-class rep)
+
+
+class GroupRow(NamedTuple):
+    """One group of enumerated subsets and what their certificates say.
+
+    group "crossings": the subsets of one (size, per-axis crossings) key,
+    with the GN and isoperimetric flags; "shadows": those of one (size,
+    per-axis shadow sizes) key, with the Loomis-Whitney flag; "class": the
+    translates of one canonical product set, key its per-axis coordinate
+    sets, with its shape and all three flags.  A field the group does not
+    decide is None.
+    """
+
+    group: str
+    key: tuple
+    size: int
+    count: int
+    shape_class: Optional[ShapeClass]
+    gn_equal: Optional[bool]
+    iso_equal: Optional[bool]
+    lw_equal: Optional[bool]
 
 
 # (gn, iso, lw) equality flags, in Reduction order, that the rigidity
@@ -114,6 +136,7 @@ class RigidityReport:
     shape_counts: dict = field(default_factory=dict)
     canonical_shape_counts: dict = field(default_factory=dict)
     equality_counts: dict = field(default_factory=dict)
+    groups: list = field(default_factory=list)  # GroupRow, the proof's terms
     elapsed: float = 0.0
 
     @property
@@ -160,7 +183,6 @@ def enumerate_rigidity(
     box_side: int,
     max_size: Optional[int] = None,
     budget: int = DEFAULT_ENUM_BUDGET,
-    row_sink: Optional[Callable[[RigidityRow], None]] = None,
 ) -> RigidityReport:
     """Check equality <=> shape on every subset of the [0, box_side-1]^n box.
 
@@ -172,10 +194,10 @@ def enumerate_rigidity(
     (per-axis minimum at the origin).  Refuses upfront when the subset count
     exceeds the budget.
 
-    The subsets are counted by class, not visited (`_count_classes`), and
-    a row_sink gets each subset's row from that proof (`_proved_rows`).
-    The masks are visited one by one only when the counts do not prove
-    every certificate exact on its class, which then finds the mismatches.
+    The subsets are counted by class, not visited (`_count_classes`),
+    which also keeps the terms of that count on report.groups.  The masks
+    are visited one by one only when the counts do not prove every
+    certificate exact on its class, which then finds the mismatches.
     """
     if n < 2:
         raise InvalidInputError("enumeration needs ambient dimension >= 2")
@@ -196,11 +218,8 @@ def enumerate_rigidity(
 
     report = RigidityReport(n=n, box_side=box_side, max_size=max_size)
     start = time.perf_counter()
-    classes = _count_classes(report)
-    if classes is None:
-        _visit_masks(report, row_sink)
-    elif row_sink is not None:
-        _proved_rows(report, classes, row_sink)
+    if not _count_classes(report):
+        _visit_masks(report)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -211,10 +230,11 @@ def _flags(counts: SetCounts, n: int) -> tuple:
                  for certificate in (gn_certificate, sobolev_certificate, bl_certificate))
 
 
-def _count_classes(report: RigidityReport) -> Optional[list]:
-    """Fill report from counts of the subsets by class and return the
-    [(mask, proj_max, shape)] of the box's canonical product sets; None,
-    leaving report untouched, when the counts do not prove 0 mismatches.
+def _count_classes(report: RigidityReport) -> bool:
+    """Keep on report.groups a row per key of kernels.subset_histograms
+    and per canonical product set, and fill report from them when they
+    prove 0 mismatches; return whether they do, leaving the rest of report
+    untouched when not.
 
     The equality counts apply the certificates to the keys of
     kernels.subset_histograms.  A subset that is not a product set is NONE,
@@ -231,28 +251,37 @@ def _count_classes(report: RigidityReport) -> Optional[list]:
     by_crossings, by_shadows = kernels.subset_histograms(dims, max_size)
     zeros = (0,) * n
     equal_counts = {"gn": 0, "iso": 0, "lw": 0}
-    for (size, crossings), count in by_crossings.items():
-        gn, iso, _ = _flags(SetCounts(size, crossings, zeros, zeros, zeros, zeros), n)
+    groups = report.groups
+    for (size, crossings), count in sorted(by_crossings.items()):
+        counts = SetCounts(size, crossings, zeros, zeros, zeros, zeros)
+        gn = gn_certificate(counts, n).equal
+        iso = sobolev_certificate(counts, n).equal
         equal_counts["gn"] += count * gn
         equal_counts["iso"] += count * iso
-    for (size, shadow), count in by_shadows.items():
-        _, _, lw = _flags(SetCounts(size, zeros, zeros, zeros, zeros, shadow), n)
+        groups.append(GroupRow("crossings", crossings, size, count, None, gn, iso, None))
+    for (size, shadow), count in sorted(by_shadows.items()):
+        lw = bl_certificate(SetCounts(size, zeros, zeros, zeros, zeros, shadow), n).equal
         equal_counts["lw"] += count * lw
+        groups.append(GroupRow("shadows", shadow, size, count, None, None, None, lw))
 
     shape_counts = {c: 0 for c in ShapeClass}
     canonical_counts = {c: 0 for c in ShapeClass}
-    classes = []
-    for mask in kernels.product_sets(dims, max_size):
+    proved = True
+    for sets, mask in kernels.product_sets(dims, max_size):
         stats = kernels.subset_stats(mask, dims)
         shape = classify_counts(stats)
-        if any(want and not got for want, got in zip(_EXPECTED_FLAGS[shape], _flags(stats, n))):
-            return None
-        classes.append((mask, stats.proj_max, shape))
-        shape_counts[shape] += math.prod(side - top for top in stats.proj_max)
+        flags = _flags(stats, n)
+        proved = proved and all(got or not want
+                                for want, got in zip(_EXPECTED_FLAGS[shape], flags))
+        count = math.prod(side - top for top in stats.proj_max)
+        groups.append(GroupRow("class", sets, stats.size, count, shape, *flags))
+        shape_counts[shape] += count
         canonical_counts[shape] += 1
     for name, reduction in zip(equal_counts, Reduction):
         if equal_counts[name] != sum(shape_counts[s] for s in EQUALITY_CLASSES[reduction]):
-            return None
+            proved = False
+    if not proved:
+        return False
 
     # canonical subsets meet every hyperplane c_i = 0: inclusion-exclusion
     # over the k axes whose hyperplane a subset misses
@@ -265,31 +294,10 @@ def _count_classes(report: RigidityReport) -> Optional[list]:
     shape_counts[ShapeClass.NONE] += report.total_checked - sum(shape_counts.values())
     canonical_counts[ShapeClass.NONE] += canonical_total - sum(canonical_counts.values())
     _finish(report, shape_counts, canonical_counts, equal_counts)
-    return classes
+    return True
 
 
-def _proved_rows(report: RigidityReport, classes: list, row_sink) -> None:
-    """Send row_sink each subset's row in _masks order, once _count_classes
-    has proved that every subset's flags are the ones its shape predicts:
-    the shape is NONE unless the subset is a translate of a listed
-    canonical product set, and a subset is canonical when it meets the low
-    face c_i = 0 of every axis."""
-    side, n = report.box_side, report.n
-    dims = (side,) * n
-    st = kernels.strides(dims)
-    shapes = {}
-    for mask, proj_max, shape in classes:
-        steps = (range(0, (side - top) * s, s) for top, s in zip(proj_max, st))
-        for shifts in itertools.product(*steps):
-            shapes[mask << sum(shifts)] = shape
-    lows = kernels.low_faces(dims)
-    for mask in _masks(side ** n, report.max_size):
-        shape = shapes.get(mask, ShapeClass.NONE)
-        row_sink(RigidityRow(mask, mask.bit_count(), shape, *_EXPECTED_FLAGS[shape],
-                             all(mask & low for low in lows)))
-
-
-def _visit_masks(report: RigidityReport, row_sink) -> None:
+def _visit_masks(report: RigidityReport) -> None:
     """Fill report by computing the statistics of each subset's mask; the
     certificates are evaluated once per distinct (size, crossings, shadow
     sizes)."""
@@ -308,21 +316,15 @@ def _visit_masks(report: RigidityReport, row_sink) -> None:
         if flags is None:
             flags = flags_of[key] = _flags(stats, n)
         shape = classify_counts(stats)
-        canonical = not any(proj_min)
         report.total_checked += 1
         shape_counts[shape] += 1
-        if canonical:
+        if not any(proj_min):
             canonical_counts[shape] += 1
         equal_counts["gn"] += flags[0]
         equal_counts["iso"] += flags[1]
         equal_counts["lw"] += flags[2]
-        mismatch = flags != _EXPECTED_FLAGS[shape]
-        if mismatch or row_sink is not None:
-            row = RigidityRow(mask, size, shape, *flags, canonical)
-            if mismatch:
-                report.mismatches.append(row)
-            if row_sink is not None:
-                row_sink(row)
+        if flags != _EXPECTED_FLAGS[shape]:
+            report.mismatches.append(RigidityRow(mask, size, shape, *flags))
     _finish(report, shape_counts, canonical_counts, equal_counts)
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to derive expected test values.
 
-Everything here works on dense grids over a padded bounding box with direct
-per-cell loops — deliberately a different computational path from the sparse
-package code it checks.
+Everything here works cell by cell with direct loops — on dense grids over
+a padded bounding box, or on the cells next to each support point —
+deliberately a different computational path from the sparse package code
+it checks.
 """
 
 import itertools
@@ -13,30 +14,26 @@ from latticeineq.core import as_fraction
 from latticeineq.errors import InvalidInputError
 
 
-def dense_window(f, pad=1):
-    """(origin, extents) of the support bounding box padded on every side."""
-    pts = list(f.support()) if hasattr(f, "support") else list(f)
-    n = len(next(iter(pts)))
-    lo = [min(z[ax] for z in pts) - pad for ax in range(n)]
-    hi = [max(z[ax] for z in pts) + pad for ax in range(n)]
-    return tuple(lo), tuple(b - a + 1 for a, b in zip(lo, hi))
-
-
-def grid_points(origin, extents):
-    for offs in itertools.product(*(range(e) for e in extents)):
-        yield tuple(o + d for o, d in zip(origin, offs))
-
-
 def oracle_partial_difference(f, i):
-    """f(z + e_i) - f(z) evaluated cell by cell over the padded box."""
+    """f(z + e_i) - f(z) at each cell z where it can be nonzero: z and
+    z - e_i for each support point z.  Each cell's value is read once, by
+    f.value."""
     ax = i - 1
-    origin, extents = dense_window(f)
+
+    def step(z, d):
+        return z[:ax] + (z[ax] + d,) + z[ax + 1:]
+
+    values = {}
+    for z in f.support():
+        for c in (step(z, -1), z, step(z, 1)):
+            if c not in values:
+                values[c] = f.value(c)
     out = {}
-    for z in grid_points(origin, extents):
-        zp = z[:ax] + (z[ax] + 1,) + z[ax + 1:]
-        v = f.value(zp) - f.value(z)
-        if v:
-            out[z] = v
+    for z in f.support():
+        for c in (step(z, -1), z):
+            v = values[step(c, 1)] - values[c]
+            if v:
+                out[c] = v
     return out
 
 
@@ -173,17 +170,33 @@ def oracle_function_parts(dim, entries):
     return dim, den, [(z, int(total[z] * den)) for z in sorted(total)]
 
 
-def oracle_subset_stats(mask, dims):
-    """Same contract as the kernels, from explicit coordinate sets."""
-    n = len(dims)
+def oracle_cells(mask, dims):
+    """The coordinates of the set bits of mask, axis 0 fastest."""
     pts = []
     for idx in range(math.prod(dims)):
         if (mask >> idx) & 1:
             rem, coords = idx, []
-            for ax in range(n):
-                coords.append(rem % dims[ax])
-                rem //= dims[ax]
+            for d in dims:
+                coords.append(rem % d)
+                rem //= d
             pts.append(tuple(coords))
+    return pts
+
+
+def oracle_shape(points, dim):
+    """The shape class name of a point set, from its coordinate sets."""
+    if not oracle_is_product(points, dim):
+        return "NONE"
+    projs = [sorted(oracle_coord_projection(points, i)) for i in range(1, dim + 1)]
+    if any(p[-1] - p[0] + 1 != len(p) for p in projs):
+        return "PRODUCT_SET"
+    return "CUBE" if len({len(p) for p in projs}) == 1 else "CUBOID"
+
+
+def oracle_subset_stats(mask, dims):
+    """Same contract as the kernels, from explicit coordinate sets."""
+    n = len(dims)
+    pts = oracle_cells(mask, dims)
     if not pts:
         return 0, (0,) * n, (0,) * n, (0,) * n, (0,) * n, (0,) * n
     pset = set(pts)

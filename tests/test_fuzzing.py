@@ -81,8 +81,9 @@ class TestFuzz:
     def test_small_run_no_violations(self):
         summary = fuzz(300, 2, seed=42)
         assert summary.violations == 0
-        assert summary.line_bound_checks == 300
-        assert summary.chain_checks == 300
+        obj = summary_to_dict(summary)
+        assert obj["line_bound"] == {"checks": 300, "failures": 0}
+        assert obj["chain"] == {"checks": 300, "failures": 0}
         for stats in summary.per_inequality.values():
             assert stats.count == 300
             assert stats.violations == 0

@@ -1,5 +1,8 @@
+import csv
+import io
 import itertools
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -17,11 +20,13 @@ from latticeineq import (
     indicator,
     iso_ratio,
 )
-from latticeineq import certify, kernels, lab
+from latticeineq import certify, fileio, kernels, lab
 from latticeineq.certify import ShapeClass, classify_counts
+from latticeineq.cli import main
+from latticeineq.core import SetCounts
 from latticeineq.lab import RigidityReport, enumeration_size
 
-from oracles import oracle_exhaustive_best_iso
+from oracles import oracle_cells, oracle_exhaustive_best_iso, oracle_shape, oracle_subset_stats
 
 RECT = Cuboid(((0, 1), (0, 2)))
 L_SHAPE = LatticeSet(2, [(0, 0), (1, 0), (0, 1)])
@@ -137,19 +142,23 @@ class TestEnumerateRigidity:
         assert rep.mismatch_count == 9
         assert {r.shape_class.value for r in rep.mismatches} == {"CUBE", "CUBOID"}
 
-    def test_row_sink_sees_every_subset(self):
-        rows = []
-        enumerate_rigidity(2, 2, row_sink=rows.append)
-        assert len(rows) == 15
-        singleton = [r for r in rows if r.size == 1]
-        assert all(r.gn_equal and r.iso_equal and r.lw_equal for r in singleton)
+    def test_report_groups_cover_every_subset(self):
+        groups = enumerate_rigidity(2, 2).groups
+        for group in ("crossings", "shadows"):
+            assert sum(g.count for g in groups if g.group == group) == 15
+        # the 9 product sets of the 2x2 box: S x T, with 0 in S and in T
+        classes = {g.key: g for g in groups if g.group == "class"}
+        assert len(classes) == 4 and sum(g.count for g in classes.values()) == 9
+        assert classes[(0,), (0,)] == ("class", ((0,), (0,)), 1, 4, ShapeClass.CUBE,
+                                       True, True, True)
+        assert classes[(0, 1), (0, 1)].count == 1
 
 
-def _by_mask(n, side, max_size=None, row_sink=None):
+def _by_mask(n, side, max_size=None):
     # the per-mask path, which enumerate_rigidity takes only when the counts
     # do not prove the theorems
     report = RigidityReport(n, side, side ** n if max_size is None else max_size)
-    lab._visit_masks(report, row_sink)
+    lab._visit_masks(report)
     return report
 
 
@@ -215,36 +224,100 @@ class TestCountPath:
         assert _summary(counted) == _summary(visited)
 
 
+OLD_ROWS_HEADER = "set_id,size,shape_class,gn_equal,iso_equal,lw_equal"
+
+
+def _rebuilt_rows(report_csv, n, side, max_size):
+    """The rows of the per-subset report format, in lab._masks order,
+    rebuilt from a group report and each mask's oracle statistics: its
+    flags from the rows of its (size, crossings) and (size, shadow sizes)
+    keys, its shape from the class row of its canonical translate, NONE if
+    there is none.  Asserts that every group counts the subsets it covers
+    and that a class row's flags are its keys'."""
+    dims = (side,) * n
+    st_ = kernels.strides(dims)
+    keyed, classes = {}, {}
+    for row in csv.DictReader(io.StringIO(report_csv)):
+        if row["group"] == "class":
+            sets = [map(int, part.split()) for part in row["key"].split("/")]
+            mask = sum(1 << sum(c * s for c, s in zip(z, st_)) for z in itertools.product(*sets))
+            classes[mask] = row
+        else:
+            keyed[row["group"], row["size"], row["key"]] = row
+    covered = Counter()
+    lines = [OLD_ROWS_HEADER]
+    for mask in lab._masks(side ** n, max_size):
+        size, crossings, _, proj_min, _, shadow = oracle_subset_stats(mask, dims)
+        by_crossings = keyed["crossings", str(size), " ".join(map(str, crossings))]
+        by_shadows = keyed["shadows", str(size), " ".join(map(str, shadow))]
+        flags = by_crossings["gn_equal"], by_crossings["iso_equal"], by_shadows["lw_equal"]
+        covered[id(by_crossings)] += 1
+        covered[id(by_shadows)] += 1
+        row = classes.get(mask >> sum(m * s for m, s in zip(proj_min, st_)))
+        shape = "NONE"
+        if row is not None:
+            covered[id(row)] += 1
+            shape = row["shape_class"]
+            assert (row["gn_equal"], row["iso_equal"], row["lw_equal"]) == flags
+        lines.append(",".join([str(mask), str(size), shape, *flags]))
+    for row in (*keyed.values(), *classes.values()):
+        assert covered[id(row)] == int(row["count"]), row
+    return "\n".join(lines) + "\n"
+
+
+def _brute_rows(n, side, max_size):
+    """The same rows from each mask's cells: the certificates on its oracle
+    statistics, and the shape of its coordinate sets."""
+    dims = (side,) * n
+    lines = [OLD_ROWS_HEADER]
+    for mask in lab._masks(side ** n, max_size):
+        counts = SetCounts(*oracle_subset_stats(mask, dims))
+        flags = (str(int(cert(counts, n).equal)) for cert in (
+            certify.gn_certificate, certify.sobolev_certificate, certify.bl_certificate))
+        shape = oracle_shape(oracle_cells(mask, dims), n)
+        lines.append(",".join([str(mask), str(counts.size), shape, *flags]))
+    return "\n".join(lines) + "\n"
+
+
+def _report_csv(n, side, max_size):
+    return fileio.rigidity_rows_csv(enumerate_rigidity(n, side, max_size)) + "\n"
+
+
 class TestRowsFromProof:
     @pytest.mark.parametrize("n,side,max_size", [
         (2, 4, 16), (3, 2, 8), *((2, 3, m) for m in range(1, 10)), (2, 5, 5), (3, 3, 3),
+        (2, 5, 2), (3, 3, 2),
     ])
     def test_equal_the_visited_rows(self, n, side, max_size):
-        # every RigidityRow field, canonical included, in the same order
-        proved, visited = [], []
-        enumerate_rigidity(n, side, max_size, row_sink=proved.append)
-        _by_mask(n, side, max_size, row_sink=visited.append)
-        assert proved == visited
+        # the per-subset rows, rebuilt from the group report alone, equal
+        # those of a visit of every mask
+        assert _rebuilt_rows(_report_csv(n, side, max_size), n, side, max_size) == (
+            _brute_rows(n, side, max_size))
 
     def test_four_by_four_rows_visit_no_masks(self, monkeypatch):
         calls = _counted_subset_stats(monkeypatch)
-        rows = []
-        enumerate_rigidity(2, 4, row_sink=rows.append)
-        assert len(rows) == 65535
-        # the 64 canonical product sets only; visiting would make one per row
+        groups = enumerate_rigidity(2, 4).groups
+        assert sum(g.count for g in groups if g.group == "crossings") == 65535
+        # the 64 canonical product sets only; visiting would make one per subset
         assert len(calls) == 64
+        assert sum(g.group == "class" for g in groups) == 64
 
-    def test_failing_proof_sends_the_per_mask_rows(self, monkeypatch):
+    def test_failing_proof_keeps_the_rows(self, monkeypatch, tmp_path, capsys):
+        proved = _report_csv(2, 4, 16)
         monkeypatch.setattr(lab, "bl_certificate", _refuses_row_pairs)
-        rows, visited = [], []
-        rep = enumerate_rigidity(2, 4, row_sink=rows.append)
-        _by_mask(2, 4, row_sink=visited.append)
-        assert rep.mismatch_count == 24
-        assert rows == visited
-        # the faulty flags: the row pairs are product sets that fail LW
-        faulty = [r for r in rows if r.shape_class is not ShapeClass.NONE and not r.lw_equal]
-        assert len(faulty) == 24
-        assert rep.mismatches == faulty
+        dest = tmp_path / "rows.csv"
+        assert main(["enumerate", "--n", "2", "--box", "4", "--report", str(dest)]) == 1
+        # the per-mask path's 24 (TestCountPath checks them one by one)
+        assert '"mismatches": 24,' in capsys.readouterr().out
+        # the same rows, but for the faulty flag: the shadows key of two
+        # cells of one row, and the class rows of those pairs, {0, k} x {0}
+        faulty = {"shadows,1 2,2,24,,,,1", "class,0 1/0,2,12,CUBOID,1,0,1",
+                  "class,0 2/0,2,8,PRODUCT_SET,0,0,1", "class,0 3/0,2,4,PRODUCT_SET,0,0,1"}
+        rows = dest.read_text().splitlines()
+        expected = proved.splitlines()
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            assert row == (re.sub("1$", "0", want) if want in faulty else want)
 
 
 def _histograms_by_mask(dims, max_size):
@@ -321,19 +394,21 @@ class TestSubsetHistograms:
     @pytest.mark.parametrize("dims,max_size", [((3, 2, 2), 12), ((2, 4), 3), ((4, 1), 2)])
     def test_product_sets_are_the_non_none_subsets(self, dims, max_size):
         # one mask per translation class: the one that meets every low face
-        listed = list(kernels.product_sets(dims, max_size))
-        expected = set()
+        listed = dict(kernels.product_sets(dims, max_size))
+        expected = {}
         for mask in range(1, 1 << math.prod(dims)):
             stats = kernels.subset_stats(mask, dims)
             if (stats.size <= max_size and not any(stats.proj_min)
                     and classify_counts(stats) is not ShapeClass.NONE):
-                expected.add(mask)
-        assert len(listed) == len(set(listed))
-        assert set(listed) == expected
+                cells = oracle_cells(mask, dims)
+                sets = tuple(tuple(sorted({z[i] for z in cells})) for i in range(len(dims)))
+                expected[sets] = mask
+        assert len(listed) == len(list(kernels.product_sets(dims, max_size)))
+        assert listed == expected
 
     def test_one_product_set_per_class(self):
         # the 40 000 single cells are one translation class
-        assert list(kernels.product_sets((200, 200), 1)) == [1]
+        assert list(kernels.product_sets((200, 200), 1)) == [(((0,), (0,)), 1)]
 
 
 class TestAnnealOracleComparison:

@@ -205,11 +205,9 @@ def lined_functions(dim):
     point, an axis and a set of coordinates along it, in a window that
     includes negatives; lines may cross, and other entries may fall
     anywhere."""
-    # the oracles scan the padded bounding box, so the window stays small
-    near = st.integers(-2, 2)
-    point = st.tuples(*([near] * dim))
+    point = points(dim)
     line = st.tuples(point, st.integers(0, dim - 1),
-                     st.sets(near, min_size=1, max_size=5),
+                     st.sets(coords, min_size=1, max_size=5),
                      st.lists(rationals, min_size=5, max_size=5))
 
     def build(case):
@@ -249,8 +247,8 @@ def test_line_pass_matches_oracles(f):
 @settings(max_examples=150)
 @given(st.one_of(any_function, lined_function))
 def test_calculus_matches_dense_oracles(f):
-    # the public calculus reads the line pass; the oracles scan the padded
-    # bounding box cell by cell, or test each point
+    # the public calculus reads the line pass; the oracles read cell by
+    # cell around the support, or test each point
     n = f.dim
     assert diff_norm(f, 1) == oracle_diff_norm_1(f)
     A = LatticeSet(n, f.support())
@@ -352,18 +350,8 @@ def test_function_counts_match_oracles(f):
         assert counts.indicator.boundary == oracle_boundary(f.support(), n)
 
 
-def compact_functions(dim, values):
-    """Functions on [-2, 2]^dim, which keeps the dense oracles' padded
-    window at 7^dim cells."""
-    near = st.tuples(*([st.integers(-2, 2)] * dim))
-    return st.dictionaries(near, values, min_size=1, max_size=8).map(
-        lambda d: SparseFunction(dim, d)
-    )
-
-
 float_side_functions = st.integers(2, 4).flatmap(
-    lambda d: st.one_of(compact_functions(d, rationals),
-                        compact_functions(d, positive_rationals))
+    lambda d: st.one_of(functions(d, rationals), functions(d, positive_rationals))
 )
 
 
