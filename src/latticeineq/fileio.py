@@ -1,4 +1,5 @@
-"""File formats: sparse functions, sets, reports, traces and summaries.
+"""File formats: sparse functions, sets, reports, traces, summaries and the
+groups of an enumeration's proof.
 
 Function files:  {"dim": n, "entries": [{"z": [int, ...], "v": "p/q"}, ...]}
 Set files:       {"dim": n, "points": [[int, ...], ...]}
@@ -29,7 +30,6 @@ if TYPE_CHECKING:
     from .search import SearchTrace
 
 REPORT_CSV_HEADER = "inequality,n,p,lhs,rhs,deficit,relation,extremal_class"
-RIGIDITY_CSV_HEADER = "group,key,size,count,shape_class,gn_equal,iso_equal,lw_equal"
 
 
 def format_float(x: float) -> str:
@@ -167,7 +167,7 @@ def rigidity_rows_csv(report: RigidityReport) -> str:
     crossings or shadows key is its per-axis counts, space-separated; a
     class key is its coordinate sets, space-separated, axis by axis with
     "/" between axes.  A field the group does not decide is empty."""
-    lines = [RIGIDITY_CSV_HEADER]
+    lines = ["group,key,size,count,shape_class,gn_equal,iso_equal,lw_equal"]
     for row in report.groups:
         if row.group == "class":
             key = "/".join(" ".join(map(str, coords)) for coords in row.key)
