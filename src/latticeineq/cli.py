@@ -296,9 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--q", type=float, default=0.4)
     pf.add_argument("--denominator", type=int, default=64)
     pf.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    pf.add_argument("--threads", type=int, default=None,
-                    help="worker processes, at most the CPU count "
-                         "(default: LATTICE_INEQ_THREADS or 1)")
+    pf.add_argument("--threads", type=int, default=1,
+                    help="worker processes, at most the CPU count (default: 1)")
     pf.add_argument("--out")
     pf.set_defaults(func=cmd_fuzz)
 

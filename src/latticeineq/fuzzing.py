@@ -9,8 +9,8 @@ input its checker saw at the smallest deficit.
 
 The random stream of instance k is derived from (seed << 32) + k, so
 summaries are bit-identical no matter how instances are scheduled; the
-optional process pool (LATTICE_INEQ_THREADS or `threads` workers, at most
-the CPU count and the number of chunks) reduces chunks in index order.
+optional process pool (`threads` workers, at most the CPU count and the
+number of chunks) reduces chunks in index order.
 """
 
 from __future__ import annotations
@@ -193,18 +193,8 @@ def _merged(parts) -> FuzzSummary:
     return total
 
 
-def resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        raw = os.environ.get("LATTICE_INEQ_THREADS", "1") or "1"
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise InvalidInputError(
-                f"LATTICE_INEQ_THREADS must be an integer, got {raw!r}"
-            ) from None
-        if threads < 1:
-            raise InvalidInputError(f"LATTICE_INEQ_THREADS must be >= 1, got {raw!r}")
-    elif threads < 1:
+def resolve_threads(threads: int) -> int:
+    if threads < 1:
         raise InvalidInputError(f"--threads must be >= 1, got {threads}")
     return threads
 
@@ -217,7 +207,7 @@ def fuzz(
     q: float = 0.4,
     denominator: int = 64,
     tol: float = DEFAULT_TOL,
-    threads: Optional[int] = None,
+    threads: int = 1,
 ) -> FuzzSummary:
     """Run `count` random instances at dimension n; see module docstring."""
     if count < 1:

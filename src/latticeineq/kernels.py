@@ -17,9 +17,8 @@ both counts; they differ only in the rule that marks a cell (in the subset,
 or on a line that already meets it), and a state that holds the size cap
 leaves the scan early.  Rigidity enumeration, and its report, read these
 counts, and `subset_stats` only for the product sets whose coordinate sets
-all contain 0 (`product_sets`), one per translation class; only the
-per-mask path, which runs when the counts do not prove the theorems, calls
-it per subset.
+all contain 0 (`product_sets`), one per translation class; no subset is
+decoded one by one, whether the theorems hold or not.
 """
 
 import itertools

@@ -11,13 +11,12 @@ class from kernels' transfer-matrix histograms and lists one product set
 per translation class.  Its groups (`--report`) state that proof once per
 histogram key and once per class: what the certificates say on each key,
 and the shape, flags and number of translates of each product set.  The
-masks are visited one by one only when the counts do not prove the
-theorems, to list the mismatching subsets.
+mismatches, whether the theorems hold or not, follow from the same counts;
+no subset is visited.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -86,18 +85,6 @@ def bl_ratio(f: SparseFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RigidityRow:
-    """One enumerated subset: equality flags vs shape class."""
-
-    set_id: int              # bitmask over the box, axis 0 fastest
-    size: int
-    shape_class: ShapeClass
-    gn_equal: bool
-    iso_equal: bool
-    lw_equal: bool
-
-
 class GroupRow(NamedTuple):
     """One group of enumerated subsets and what their certificates say.
 
@@ -132,7 +119,7 @@ class RigidityReport:
     box_side: int
     max_size: int
     total_checked: int = 0
-    mismatches: list = field(default_factory=list)
+    mismatches: dict = field(default_factory=dict)  # per reduction, the disagreeing subsets
     shape_counts: dict = field(default_factory=dict)
     canonical_shape_counts: dict = field(default_factory=dict)
     equality_counts: dict = field(default_factory=dict)
@@ -141,7 +128,7 @@ class RigidityReport:
 
     @property
     def mismatch_count(self) -> int:
-        return len(self.mismatches)
+        return sum(self.mismatches.values())
 
 
 # a refusal quotes the exact subset count up to this many (or the budget, if
@@ -166,18 +153,6 @@ def enumeration_size(cells: int, max_size: int, limit: Optional[int] = None) -> 
     return total
 
 
-def _masks(cells: int, max_size: int):
-    if max_size >= cells:
-        yield from range(1, 1 << cells)
-        return
-    for k in range(1, max_size + 1):
-        for bits in itertools.combinations(range(cells), k):
-            mask = 0
-            for b in bits:
-                mask |= 1 << b
-            yield mask
-
-
 def enumerate_rigidity(
     n: int,
     box_side: int,
@@ -190,14 +165,14 @@ def enumerate_rigidity(
     certificates are compared against the shape classification:
     difference-product equality <=> cuboid, isoperimetric equality <=> cube,
     projection-product equality <=> product set.  Every positioned subset is
-    checked; translation classes are counted via the canonical representative
-    (per-axis minimum at the origin).  Refuses upfront when the subset count
-    exceeds the budget.
+    counted; translation classes are counted via the canonical representative
+    (per-axis minimum at the origin).  Refuses upfront a budget below 1 and a
+    subset count over the budget.
 
     The subsets are counted by class, not visited (`_count_classes`),
-    which also keeps the terms of that count on report.groups.  The masks
-    are visited one by one only when the counts do not prove every
-    certificate exact on its class, which then finds the mismatches.
+    which also keeps the terms of that count on report.groups.  A mismatch
+    is a (subset, reduction) pair whose certificate disagrees with the
+    subset's shape, so a subset that fails two reductions counts twice.
     """
     if n < 2:
         raise InvalidInputError("enumeration needs ambient dimension >= 2")
@@ -211,6 +186,8 @@ def enumerate_rigidity(
         max_size = cells
     if max_size < 1:
         raise InvalidInputError("max size must be >= 1")
+    if budget < 1:
+        raise InvalidInputError(f"budget must be >= 1, got {budget}")
     limit = max(budget, _EXACT_COUNT_LIMIT)
     estimate = enumeration_size(cells, max_size, limit)
     if estimate > budget:
@@ -218,8 +195,7 @@ def enumerate_rigidity(
 
     report = RigidityReport(n=n, box_side=box_side, max_size=max_size)
     start = time.perf_counter()
-    if not _count_classes(report):
-        _visit_masks(report)
+    _count_classes(report)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -230,11 +206,9 @@ def _flags(counts: SetCounts, n: int) -> tuple:
                  for certificate in (gn_certificate, sobolev_certificate, bl_certificate))
 
 
-def _count_classes(report: RigidityReport) -> bool:
+def _count_classes(report: RigidityReport) -> None:
     """Keep on report.groups a row per key of kernels.subset_histograms
-    and per canonical product set, and fill report from them when they
-    prove 0 mismatches; return whether they do, leaving the rest of report
-    untouched when not.
+    and per canonical product set, and fill report from them.
 
     The equality counts apply the certificates to the keys of
     kernels.subset_histograms.  A subset that is not a product set is NONE,
@@ -242,9 +216,12 @@ def _count_classes(report: RigidityReport) -> bool:
     kernels.product_sets lists once per translation class.  Statistics,
     shape and certificates are translation invariant, so they are computed
     once per class, on its canonical translate, which has
-    prod_i (side - proj_max_i) translates in the box.  For each reduction,
-    0 mismatches follows from two facts: every member of its class passes
-    the certificate, and as many subsets pass it as the class has members.
+    prod_i (side - proj_max_i) translates in the box.  The mismatches of a
+    reduction are the product sets whose flag is not their shape's, and
+    the NONE subsets that pass it: as many as pass it beyond the product
+    sets that do.  So 0 mismatches follows from two facts: every member of
+    its class passes the certificate, and as many subsets pass it as the
+    class has members.
     """
     n, side, max_size = report.n, report.box_side, report.max_size
     dims = (side,) * n
@@ -266,22 +243,19 @@ def _count_classes(report: RigidityReport) -> bool:
 
     shape_counts = {c: 0 for c in ShapeClass}
     canonical_counts = {c: 0 for c in ShapeClass}
-    proved = True
+    wrong = dict.fromkeys(equal_counts, 0)    # product sets, flag not their shape's
+    passing = dict.fromkeys(equal_counts, 0)  # product sets that pass
     for sets, mask in kernels.product_sets(dims, max_size):
         stats = kernels.subset_stats(mask, dims)
         shape = classify_counts(stats)
         flags = _flags(stats, n)
-        proved = proved and all(got or not want
-                                for want, got in zip(_EXPECTED_FLAGS[shape], flags))
         count = math.prod(side - top for top in stats.proj_max)
         groups.append(GroupRow("class", sets, stats.size, count, shape, *flags))
         shape_counts[shape] += count
         canonical_counts[shape] += 1
-    for name, reduction in zip(equal_counts, Reduction):
-        if equal_counts[name] != sum(shape_counts[s] for s in EQUALITY_CLASSES[reduction]):
-            proved = False
-    if not proved:
-        return False
+        for name, want, got in zip(wrong, _EXPECTED_FLAGS[shape], flags):
+            wrong[name] += count * (got != want)
+            passing[name] += count * got
 
     # canonical subsets meet every hyperplane c_i = 0: inclusion-exclusion
     # over the k axes whose hyperplane a subset misses
@@ -293,42 +267,8 @@ def _count_classes(report: RigidityReport) -> bool:
     report.total_checked = enumeration_size(side ** n, max_size)
     shape_counts[ShapeClass.NONE] += report.total_checked - sum(shape_counts.values())
     canonical_counts[ShapeClass.NONE] += canonical_total - sum(canonical_counts.values())
-    _finish(report, shape_counts, canonical_counts, equal_counts)
-    return True
-
-
-def _visit_masks(report: RigidityReport) -> None:
-    """Fill report by computing the statistics of each subset's mask; the
-    certificates are evaluated once per distinct (size, crossings, shadow
-    sizes)."""
-    n, max_size = report.n, report.max_size
-    dims = (report.box_side,) * n
-    shape_counts = {c: 0 for c in ShapeClass}
-    canonical_counts = {c: 0 for c in ShapeClass}
-    equal_counts = {"gn": 0, "iso": 0, "lw": 0}
-    # the certificates read |A|, the crossings and the shadow sizes, no more
-    flags_of = {}
-    for mask in _masks(report.box_side ** n, max_size):
-        stats = kernels.subset_stats(mask, dims)
-        size, crossings, _, proj_min, _, shadow = stats
-        key = (size, crossings, shadow)
-        flags = flags_of.get(key)
-        if flags is None:
-            flags = flags_of[key] = _flags(stats, n)
-        shape = classify_counts(stats)
-        report.total_checked += 1
-        shape_counts[shape] += 1
-        if not any(proj_min):
-            canonical_counts[shape] += 1
-        equal_counts["gn"] += flags[0]
-        equal_counts["iso"] += flags[1]
-        equal_counts["lw"] += flags[2]
-        if flags != _EXPECTED_FLAGS[shape]:
-            report.mismatches.append(RigidityRow(mask, size, shape, *flags))
-    _finish(report, shape_counts, canonical_counts, equal_counts)
-
-
-def _finish(report, shape_counts, canonical_counts, equal_counts) -> None:
+    report.mismatches = {name: wrong[name] + equal_counts[name] - passing[name]
+                         for name in equal_counts}
     report.shape_counts = {c.value: shape_counts[c] for c in ShapeClass}
     report.canonical_shape_counts = {c.value: canonical_counts[c] for c in ShapeClass}
     report.equality_counts = equal_counts

@@ -170,6 +170,14 @@ def oracle_function_parts(dim, entries):
     return dim, den, [(z, int(total[z] * den)) for z in sorted(total)]
 
 
+def oracle_masks(cells, max_size):
+    """The bitmask of every nonempty subset of `cells` cells with at most
+    max_size of them, by size and then in combinations order."""
+    for k in range(1, min(max_size, cells) + 1):
+        for bits in itertools.combinations(range(cells), k):
+            yield sum(1 << b for b in bits)
+
+
 def oracle_cells(mask, dims):
     """The coordinates of the set bits of mask, axis 0 fastest."""
     pts = []

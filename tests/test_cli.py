@@ -1,6 +1,8 @@
 import json
+import shlex
 import time
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,21 +167,6 @@ class TestFuzzCommand:
         assert obj["count"] == 60
         assert obj["per_inequality"]["GN"]["count"] == 60
 
-    def test_bad_thread_variable_exit_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("LATTICE_INEQ_THREADS", "abc")
-        assert main(["fuzz", "--count", "2", "--n", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid input: LATTICE_INEQ_THREADS")
-        assert err.count("\n") == 1
-
-    @pytest.mark.parametrize("raw", ["-3", "0"])
-    def test_thread_variable_below_one_exit_2(self, raw, monkeypatch, capsys):
-        monkeypatch.setenv("LATTICE_INEQ_THREADS", raw)
-        assert main(["fuzz", "--count", "2", "--n", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid input: LATTICE_INEQ_THREADS must be >= 1")
-        assert err.count("\n") == 1
-
     @pytest.mark.parametrize("threads", ["-3", "0"])
     def test_bad_thread_flag_exit_2(self, threads, capsys):
         assert main(["fuzz", "--count", "2", "--n", "2", "--threads", threads]) == 2
@@ -272,6 +259,13 @@ class TestEnumerateCommand:
         assert main(["enumerate", "--n", "2", "--box", "4", "--budget", "10"]) == 2
         err = capsys.readouterr().err
         assert "65535" in err
+
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_budget_below_one_exit_2(self, budget, capsys):
+        assert main(["enumerate", "--n", "2", "--box", "3", "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid input: budget must be >= 1, got {budget}\n"
+        assert captured.out == ""
 
     def test_budget_refusal_writes_no_report(self, tmp_path, capsys):
         # the report is written once the run has ended, which a refused run never does
@@ -456,6 +450,19 @@ class TestParserReuse:
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr() == first
+
+
+class TestReadmeExamples:
+    def test_cli_block_parses(self):
+        # the code block of the README's CLI section, one command a line
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+        assert all(argv[0] == "latticeineq" for argv in commands)
+        for argv in commands:
+            build_parser().parse_args(argv[1:])
+        assert {argv[1] for argv in commands} == {
+            "check", "fuzz", "enumerate", "search", "table"}
 
 
 class TestTableCommand:

@@ -10,23 +10,13 @@ from latticeineq.errors import InvalidInputError
 
 
 class TestThreadResolution:
-    def test_env_var_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("LATTICE_INEQ_THREADS", "3")
-        assert resolve_threads(None) == 3
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("LATTICE_INEQ_THREADS", "3")
-        assert resolve_threads(2) == 2
-
     def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv("LATTICE_INEQ_THREADS", raising=False)
-        assert resolve_threads(None) == 1
-
-    @pytest.mark.parametrize("raw", ["0", "-3"])
-    def test_env_var_below_one_rejected(self, raw, monkeypatch):
-        monkeypatch.setenv("LATTICE_INEQ_THREADS", raw)
-        with pytest.raises(InvalidInputError, match="LATTICE_INEQ_THREADS"):
-            resolve_threads(None)
+        # no setting but `threads` starts a pool, the environment included
+        sizes = self._inline_pool(monkeypatch, 64)
+        monkeypatch.setenv("LATTICE_INEQ_THREADS", "3")
+        serial = summary_to_dict(fuzz(600, 2, seed=5))
+        assert sizes == []
+        assert serial == summary_to_dict(fuzz(600, 2, seed=5, threads=1))
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_argument_below_one_rejected(self, threads):

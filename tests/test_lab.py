@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -24,9 +25,15 @@ from latticeineq import certify, fileio, kernels, lab
 from latticeineq.certify import ShapeClass, classify_counts
 from latticeineq.cli import main
 from latticeineq.core import SetCounts
-from latticeineq.lab import RigidityReport, enumeration_size
+from latticeineq.lab import enumeration_size
 
-from oracles import oracle_cells, oracle_exhaustive_best_iso, oracle_shape, oracle_subset_stats
+from oracles import (
+    oracle_cells,
+    oracle_exhaustive_best_iso,
+    oracle_masks,
+    oracle_shape,
+    oracle_subset_stats,
+)
 
 RECT = Cuboid(((0, 1), (0, 2)))
 L_SHAPE = LatticeSet(2, [(0, 0), (1, 0), (0, 1)])
@@ -140,7 +147,10 @@ class TestEnumerateRigidity:
         # so each of the 9 cuboids of the 2x2 box is a mismatch
         assert rep.equality_counts["gn"] == 0
         assert rep.mismatch_count == 9
-        assert {r.shape_class.value for r in rep.mismatches} == {"CUBE", "CUBOID"}
+        assert rep.mismatches == {"gn": 9, "iso": 0, "lw": 0}
+        failing = [g for g in rep.groups if g.group == "class" and not g.gn_equal]
+        assert {g.shape_class.value for g in failing} == {"CUBE", "CUBOID"}
+        assert sum(g.count for g in failing) == 9
 
     def test_report_groups_cover_every_subset(self):
         groups = enumerate_rigidity(2, 2).groups
@@ -154,17 +164,45 @@ class TestEnumerateRigidity:
         assert classes[(0, 1), (0, 1)].count == 1
 
 
+# the shapes on which each reduction's certificate is equal, by the theorems
+THEOREM_SHAPES = {"gn": {"CUBE", "CUBOID"}, "iso": {"CUBE"},
+                  "lw": {"CUBE", "CUBOID", "PRODUCT_SET"}}
+
+
+def _visit(n, side, max_size):
+    """(mask, oracle statistics, shape, (gn, iso, lw) flags) of each subset
+    of the box with at most max_size cells, by a visit of every mask.  The
+    flags are those of the certificates that lab reads, patched ones
+    included, on the oracle statistics."""
+    dims = (side,) * n
+    certificates = (lab.gn_certificate, lab.sobolev_certificate, lab.bl_certificate)
+    for mask in oracle_masks(side ** n, max_size):
+        counts = SetCounts(*oracle_subset_stats(mask, dims))
+        yield (mask, counts, oracle_shape(oracle_cells(mask, dims), n),
+               tuple(certificate(counts, n).equal for certificate in certificates))
+
+
 def _by_mask(n, side, max_size=None):
-    # the per-mask path, which enumerate_rigidity takes only when the counts
-    # do not prove the theorems
-    report = RigidityReport(n, side, side ** n if max_size is None else max_size)
-    lab._visit_masks(report)
-    return report
+    """The summary of enumerate_rigidity from _visit.  A mismatch is a
+    (subset, reduction) pair whose flag is not the theorem's for the shape."""
+    total = 0
+    shapes, canonical, equal, mismatches = Counter(), Counter(), Counter(), Counter()
+    for _, counts, shape, flags in _visit(n, side, side ** n if max_size is None else max_size):
+        total += 1
+        shapes[shape] += 1
+        canonical[shape] += not any(counts.proj_min)
+        for (name, theorem), flag in zip(THEOREM_SHAPES.items(), flags):
+            equal[name] += flag
+            mismatches[name] += flag != (shape in theorem)
+    return (total, {c.value: shapes[c.value] for c in ShapeClass},
+            {c.value: canonical[c.value] for c in ShapeClass},
+            {name: equal[name] for name in THEOREM_SHAPES},
+            {name: mismatches[name] for name in THEOREM_SHAPES})
 
 
 def _summary(rep):
     return (rep.total_checked, rep.shape_counts, rep.canonical_shape_counts,
-            rep.equality_counts, rep.mismatch_count)
+            rep.equality_counts, rep.mismatches)
 
 
 def _counted_subset_stats(monkeypatch):
@@ -189,14 +227,21 @@ def _refuses_row_pairs(counts, n):
     return cert
 
 
+def _passing(certificate):
+    """certificate, made to pass on every subset."""
+    def passing(counts, n):
+        cert = certificate(counts, n)
+        return certify.ExactCertificate(cert.reduction, cert.rhs_integer, cert.rhs_integer)
+    return passing
+
+
 class TestCountPath:
     @pytest.mark.parametrize("n,side,max_size", [
         (2, 4, None), (3, 2, None), (2, 5, 5),
         *((2, 3, m) for m in range(1, 10)),
     ])
     def test_agrees_with_per_mask_path(self, n, side, max_size):
-        assert _summary(enumerate_rigidity(n, side, max_size)) == _summary(
-            _by_mask(n, side, max_size))
+        assert _summary(enumerate_rigidity(n, side, max_size)) == _by_mask(n, side, max_size)
 
     def test_four_by_four_visits_no_masks(self, monkeypatch):
         calls = _counted_subset_stats(monkeypatch)
@@ -217,18 +262,53 @@ class TestCountPath:
 
     def test_failing_certificate_gives_the_per_mask_mismatches(self, monkeypatch):
         monkeypatch.setattr(lab, "bl_certificate", _refuses_row_pairs)
-        counted, visited = enumerate_rigidity(2, 4), _by_mask(2, 4)
+        calls = _counted_subset_stats(monkeypatch)
+        counted = enumerate_rigidity(2, 4)
+        # a failed proof decodes the 64 canonical product sets, no more
+        assert len(calls) == 64
         # two cells of one row: C(4,2) pairs in each of 4 rows, all product sets
         assert counted.mismatch_count == 24
-        assert counted.mismatches == visited.mismatches
-        assert _summary(counted) == _summary(visited)
+        assert counted.mismatches == {"gn": 0, "iso": 0, "lw": 24}
+        assert _summary(counted) == _by_mask(2, 4)
+
+    def test_failed_proof_past_the_reach_of_a_mask_visit_ends(self, monkeypatch, capsys):
+        # 2^36 - 1 subsets: a visit of every mask would take weeks
+        monkeypatch.setattr(lab, "bl_certificate", _refuses_row_pairs)
+        start = time.perf_counter()
+        rep = enumerate_rigidity(2, 6, budget=1 << 36)
+        assert time.perf_counter() - start < 5
+        # two cells of one row: C(6,2) pairs in each of 6 rows
+        assert rep.mismatches == {"gn": 0, "iso": 0, "lw": 90}
+        assert main(["enumerate", "--n", "2", "--box", "6", "--budget", str(1 << 36)]) == 1
+        assert '"mismatches": 90,' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("max_size", range(1, 10))
+    def test_two_failing_reductions_count_per_reduction(self, max_size, monkeypatch):
+        monkeypatch.setattr(lab, "sobolev_certificate", _passing(certify.sobolev_certificate))
+        monkeypatch.setattr(lab, "bl_certificate", _refuses_row_pairs)
+        rep = enumerate_rigidity(2, 3, max_size)
+        assert _summary(rep) == _by_mask(2, 3, max_size)
+        # from two cells on, a non-square passes iso and a row pair fails lw
+        assert (rep.mismatches["iso"] > 0 and rep.mismatches["lw"] > 0) == (max_size > 1)
+        assert rep.mismatch_count == sum(rep.mismatches.values())
+
+    def test_a_subset_failing_two_reductions_counts_twice(self, monkeypatch, capsys):
+        # every certificate of iso and lw passes: the 511 - 14 non-squares
+        # are iso mismatches, the 511 - 7^2 non-product sets lw ones, and
+        # those are non-squares as well
+        monkeypatch.setattr(lab, "sobolev_certificate", _passing(certify.sobolev_certificate))
+        monkeypatch.setattr(lab, "bl_certificate", _passing(certify.bl_certificate))
+        rep = enumerate_rigidity(2, 3)
+        assert rep.mismatches == {"gn": 0, "iso": 497, "lw": 462}
+        assert main(["enumerate", "--n", "2", "--box", "3"]) == 1
+        assert '"mismatches": 959,' in capsys.readouterr().out
 
 
 OLD_ROWS_HEADER = "set_id,size,shape_class,gn_equal,iso_equal,lw_equal"
 
 
 def _rebuilt_rows(report_csv, n, side, max_size):
-    """The rows of the per-subset report format, in lab._masks order,
+    """The rows of the per-subset report format, in oracle_masks order,
     rebuilt from a group report and each mask's oracle statistics: its
     flags from the rows of its (size, crossings) and (size, shadow sizes)
     keys, its shape from the class row of its canonical translate, NONE if
@@ -246,7 +326,7 @@ def _rebuilt_rows(report_csv, n, side, max_size):
             keyed[row["group"], row["size"], row["key"]] = row
     covered = Counter()
     lines = [OLD_ROWS_HEADER]
-    for mask in lab._masks(side ** n, max_size):
+    for mask in oracle_masks(side ** n, max_size):
         size, crossings, _, proj_min, _, shadow = oracle_subset_stats(mask, dims)
         by_crossings = keyed["crossings", str(size), " ".join(map(str, crossings))]
         by_shadows = keyed["shadows", str(size), " ".join(map(str, shadow))]
@@ -266,16 +346,11 @@ def _rebuilt_rows(report_csv, n, side, max_size):
 
 
 def _brute_rows(n, side, max_size):
-    """The same rows from each mask's cells: the certificates on its oracle
-    statistics, and the shape of its coordinate sets."""
-    dims = (side,) * n
+    """The same rows from each mask's cells, by _visit: the certificates on
+    its oracle statistics, and the shape of its coordinate sets."""
     lines = [OLD_ROWS_HEADER]
-    for mask in lab._masks(side ** n, max_size):
-        counts = SetCounts(*oracle_subset_stats(mask, dims))
-        flags = (str(int(cert(counts, n).equal)) for cert in (
-            certify.gn_certificate, certify.sobolev_certificate, certify.bl_certificate))
-        shape = oracle_shape(oracle_cells(mask, dims), n)
-        lines.append(",".join([str(mask), str(counts.size), shape, *flags]))
+    for mask, counts, shape, flags in _visit(n, side, max_size):
+        lines.append(",".join([str(mask), str(counts.size), shape, *map(str, map(int, flags))]))
     return "\n".join(lines) + "\n"
 
 
@@ -307,7 +382,7 @@ class TestRowsFromProof:
         monkeypatch.setattr(lab, "bl_certificate", _refuses_row_pairs)
         dest = tmp_path / "rows.csv"
         assert main(["enumerate", "--n", "2", "--box", "4", "--report", str(dest)]) == 1
-        # the per-mask path's 24 (TestCountPath checks them one by one)
+        # the 24 of a visit of every mask (TestCountPath checks them)
         assert '"mismatches": 24,' in capsys.readouterr().out
         # the same rows, but for the faulty flag: the shadows key of two
         # cells of one row, and the class rows of those pairs, {0, k} x {0}
