@@ -155,10 +155,10 @@ def rigidity_to_dict(report: RigidityReport) -> dict:
         "max_size": report.max_size,
         "total_checked": report.total_checked,
         "mismatches": report.mismatch_count,
+        "mismatches_by_reduction": report.mismatches,
         "shape_counts": report.shape_counts,
         "canonical_shape_counts": report.canonical_shape_counts,
         "equality_counts": report.equality_counts,
-        "elapsed_seconds": report.elapsed,
     }
 
 

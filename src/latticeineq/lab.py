@@ -12,14 +12,13 @@ per translation class.  Its groups (`--report`) state that proof once per
 histogram key and once per class: what the certificates say on each key,
 and the shape, flags and number of translates of each product set.  The
 mismatches, whether the theorems hold or not, follow from the same counts;
-no subset is visited.
+no subset is visited.  `_count_classes` builds the report once, finished.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import kernels
@@ -113,18 +112,17 @@ _EXPECTED_FLAGS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RigidityReport:
     n: int
     box_side: int
     max_size: int
-    total_checked: int = 0
-    mismatches: dict = field(default_factory=dict)  # per reduction, the disagreeing subsets
-    shape_counts: dict = field(default_factory=dict)
-    canonical_shape_counts: dict = field(default_factory=dict)
-    equality_counts: dict = field(default_factory=dict)
-    groups: list = field(default_factory=list)  # GroupRow, the proof's terms
-    elapsed: float = 0.0
+    total_checked: int
+    mismatches: dict  # per reduction, the disagreeing subsets
+    shape_counts: dict
+    canonical_shape_counts: dict
+    equality_counts: dict
+    groups: list  # GroupRow, the proof's terms
 
     @property
     def mismatch_count(self) -> int:
@@ -170,7 +168,7 @@ def enumerate_rigidity(
     subset count over the budget.
 
     The subsets are counted by class, not visited (`_count_classes`),
-    which also keeps the terms of that count on report.groups.  A mismatch
+    which also lists the terms of that count in report.groups.  A mismatch
     is a (subset, reduction) pair whose certificate disagrees with the
     subset's shape, so a subset that fails two reductions counts twice.
     """
@@ -192,12 +190,8 @@ def enumerate_rigidity(
     estimate = enumeration_size(cells, max_size, limit)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget, exact=estimate <= limit)
-
-    report = RigidityReport(n=n, box_side=box_side, max_size=max_size)
-    start = time.perf_counter()
-    _count_classes(report)
-    report.elapsed = time.perf_counter() - start
-    return report
+    # admitted, so estimate <= budget <= limit: the count did not stop early
+    return _count_classes(n, box_side, max_size, estimate)
 
 
 def _flags(counts: SetCounts, n: int) -> tuple:
@@ -206,9 +200,10 @@ def _flags(counts: SetCounts, n: int) -> tuple:
                  for certificate in (gn_certificate, sobolev_certificate, bl_certificate))
 
 
-def _count_classes(report: RigidityReport) -> None:
-    """Keep on report.groups a row per key of kernels.subset_histograms
-    and per canonical product set, and fill report from them.
+def _count_classes(n: int, side: int, max_size: int, total: int) -> RigidityReport:
+    """The finished report on the `total` nonempty subsets of at most
+    max_size cells of the side^n box, with a group row per key of
+    kernels.subset_histograms and per canonical product set.
 
     The equality counts apply the certificates to the keys of
     kernels.subset_histograms.  A subset that is not a product set is NONE,
@@ -223,12 +218,11 @@ def _count_classes(report: RigidityReport) -> None:
     its class passes the certificate, and as many subsets pass it as the
     class has members.
     """
-    n, side, max_size = report.n, report.box_side, report.max_size
     dims = (side,) * n
     by_crossings, by_shadows = kernels.subset_histograms(dims, max_size)
     zeros = (0,) * n
     equal_counts = {"gn": 0, "iso": 0, "lw": 0}
-    groups = report.groups
+    groups = []
     for (size, crossings), count in sorted(by_crossings.items()):
         counts = SetCounts(size, crossings, zeros, zeros, zeros, zeros)
         gn = gn_certificate(counts, n).equal
@@ -264,11 +258,12 @@ def _count_classes(report: RigidityReport) -> None:
         * enumeration_size((side - 1) ** k * side ** (n - k), max_size)
         for k in range(n + 1)
     )
-    report.total_checked = enumeration_size(side ** n, max_size)
-    shape_counts[ShapeClass.NONE] += report.total_checked - sum(shape_counts.values())
+    shape_counts[ShapeClass.NONE] += total - sum(shape_counts.values())
     canonical_counts[ShapeClass.NONE] += canonical_total - sum(canonical_counts.values())
-    report.mismatches = {name: wrong[name] + equal_counts[name] - passing[name]
-                         for name in equal_counts}
-    report.shape_counts = {c.value: shape_counts[c] for c in ShapeClass}
-    report.canonical_shape_counts = {c.value: canonical_counts[c] for c in ShapeClass}
-    report.equality_counts = equal_counts
+    return RigidityReport(
+        n=n, box_side=side, max_size=max_size, total_checked=total,
+        mismatches={name: wrong[name] + equal_counts[name] - passing[name]
+                    for name in equal_counts},
+        shape_counts={c.value: shape_counts[c] for c in ShapeClass},
+        canonical_shape_counts={c.value: canonical_counts[c] for c in ShapeClass},
+        equality_counts=equal_counts, groups=groups)

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import itertools
+import json
 import math
 import re
 import time
@@ -126,6 +128,14 @@ class TestEnumerateRigidity:
         rep = enumerate_rigidity(2, 3, max_size=2)
         assert rep.total_checked == enumeration_size(9, 2)
         assert rep.mismatch_count == 0
+
+    def test_report_is_built_finished(self):
+        # every field is a count of the proof, set once by _count_classes
+        rep = enumerate_rigidity(2, 2)
+        for field in dataclasses.fields(rep):
+            assert field.default is field.default_factory is dataclasses.MISSING
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.total_checked = 0
 
     def test_budget_refusal_carries_estimate(self):
         with pytest.raises(BudgetExceededError) as err:
@@ -301,7 +311,9 @@ class TestCountPath:
         rep = enumerate_rigidity(2, 3)
         assert rep.mismatches == {"gn": 0, "iso": 497, "lw": 462}
         assert main(["enumerate", "--n", "2", "--box", "3"]) == 1
-        assert '"mismatches": 959,' in capsys.readouterr().out
+        out = json.loads(capsys.readouterr().out)
+        assert out["mismatches"] == 959
+        assert out["mismatches_by_reduction"] == {"gn": 0, "iso": 497, "lw": 462}
 
 
 OLD_ROWS_HEADER = "set_id,size,shape_class,gn_equal,iso_equal,lw_equal"
