@@ -204,6 +204,9 @@ def _p_norm(f: SparseFunction, p: Fraction) -> float:
 def _relation(lhs: float, rhs: float, tol: float,
               cert: Optional[ExactCertificate]) -> Relation:
     if cert is not None:
+        # the two integers decide, three ways and with no tolerance
+        if cert.lhs_integer > cert.rhs_integer:
+            return Relation.VIOLATED
         return Relation.EXACT_EQUAL if cert.equal else Relation.STRICT
     scale = max(1.0, abs(lhs), abs(rhs))
     deficit = rhs - lhs

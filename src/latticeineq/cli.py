@@ -211,9 +211,10 @@ def emit_table(
     p: Fraction,
     tol: float,
     dedup: bool = False,
-) -> str:
+) -> tuple:
     """CSV sweep over cuboid shapes: per selected inequality the two sides,
-    the certificate integers and the relation."""
+    the certificate integers and the relation; and whether any relation is
+    VIOLATED."""
     if n < 2:
         raise InvalidInputError(f"table needs ambient dimension >= 2, got n={n}")
     if min_side < 1 or max_side < min_side:
@@ -230,6 +231,7 @@ def emit_table(
             f"{tok}_relation",
         ]
     lines = [f"# tol={tol!r}", ",".join(columns)]
+    violated = False
     for sides in itertools.product(range(min_side, max_side + 1), repeat=n):
         if dedup and list(sides) != sorted(sides):
             continue
@@ -246,15 +248,16 @@ def emit_table(
                 "" if cert is None else str(cert.rhs_integer),
                 report.relation.value,
             ]
+            violated |= report.relation is Relation.VIOLATED
         lines.append(",".join(row))
-    return "\n".join(lines)
+    return "\n".join(lines), violated
 
 
 def cmd_table(args) -> int:
     tol = _check_tol(args.tol)
     p = _parse_p(args.p)
     selected = _parse_ineqs(args.ineq) or list(TABLE_INEQS)
-    text = emit_table(
+    text, violated = emit_table(
         n=args.n,
         min_side=args.min_side,
         max_side=args.max_side,
@@ -264,7 +267,7 @@ def cmd_table(args) -> int:
         dedup=args.dedup,
     )
     _write(text, args.out)
-    return 0
+    return 1 if violated else 0
 
 
 @functools.lru_cache(maxsize=1)

@@ -29,10 +29,9 @@ difference function that `diff_norm` needs at p != 1, and keeps nothing.
 `SetCounts` is the one record of a finite set's statistics (size,
 crossings, projections, shadows); `line_stats` builds it from the passes
 over keys that rise along every line, which is how kernels.subset_stats
-reads a bit-packed mask, and `set_stats` from points in any order.  The
-line passes are a function's only cache; certify keeps beside them the
-integers it reads off them, in a record that does not refer back to the
-function.
+reads a bit-packed mask.  The line passes are a function's only cache;
+certify keeps beside them the integers it reads off them, in a record that
+does not refer back to the function.
 
 Axis indices are 1-based throughout: ``i`` ranges over ``1..dim``.
 """
@@ -658,11 +657,6 @@ def line_stats(nums: dict, n: int) -> SetCounts:
     """The SetCounts of the keys of `nums`, n-tuples that rise along every
     axis line (see `_line_pass`): one line pass per axis."""
     return SetCounts.from_lines(len(nums), [_line_pass(nums, ax) for ax in range(n)])
-
-
-def set_stats(points, n: int) -> SetCounts:
-    """The SetCounts of a finite set of n-tuples given in any order."""
-    return line_stats(dict.fromkeys(sorted(points), 1), n)
 
 
 def boundary_edges(A: LatticeSet) -> list:

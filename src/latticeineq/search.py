@@ -41,11 +41,8 @@ def _check_iters(iters: int):
 
 
 def _box_side_for(size: int, n: int) -> int:
-    side = max(2, math.ceil(size ** (1.0 / n)) * 2 + 1)
-    check_box(side, n, "annealing box")  # before side ** n, which a huge n hangs
-    while side ** n < size:
-        side += 1
-    return side
+    # (2 ceil(size^(1/n)) + 1)^n >= size: the box holds the set
+    return max(2, math.ceil(size ** (1.0 / n)) * 2 + 1)
 
 
 def anneal_sets(

@@ -230,8 +230,12 @@ def oracle_subset_stats(mask, dims):
 def oracle_set_counts(points, dim):
     """(size, crossings, proj_size, proj_min, proj_max, shadow_size) of any
     finite point set.  Crossings come from the sorted coordinates on each
-    axis line: 2 per maximal run of consecutive integers."""
+    axis line: 2 per maximal run of consecutive integers.  All zeros for the
+    empty set."""
     pts = set(points)
+    if not pts:
+        zeros = (0,) * dim
+        return (0, zeros, zeros, zeros, zeros, zeros)
     crossings = []
     for ax in range(dim):
         lines = {}

@@ -55,6 +55,13 @@ GRID_PRODUCT = LatticeSet(2, [(0, 0), (0, 2), (1, 0), (1, 2)])  # {0,1} x {0,2}
 TWO_POINT = SparseFunction(2, {(0, 0): 2, (1, 0): 1})
 
 
+def forced_certificate(certificate, lhs, rhs):
+    """certificate, made to compare the integers lhs and rhs."""
+    def forced(counts, n):
+        return certify.ExactCertificate(certificate(counts, n).reduction, lhs, rhs)
+    return forced
+
+
 class TestClassifyShape:
     def test_square_is_cube(self):
         assert classify_shape(SQUARE.points()) is ShapeClass.CUBE
@@ -444,6 +451,29 @@ class TestReportShape:
             assert report.input_echo == fileio.function_to_dict(TWO_POINT)
             assert check(ineq, fileio.function_from_dict(report.input_echo)) == report
 
+    @pytest.mark.parametrize("lhs,relation", [
+        (23, Relation.STRICT), (24, Relation.EXACT_EQUAL), (25, Relation.VIOLATED),
+    ])
+    def test_certificate_integers_decide_three_ways(self, lhs, relation, monkeypatch):
+        # the GN integers of the 2x3 rectangle are 24 vs 24; the theorem
+        # holds, so force the lhs to either side of the rhs
+        monkeypatch.setattr(certify, "gn_certificate",
+                            forced_certificate(certify.gn_certificate, lhs, 24))
+        f = indicator(RECT)
+        report = check_gn(f)
+        assert report.relation is relation
+        echo = fileio.function_to_dict(f) if relation is Relation.VIOLATED else None
+        assert report.input_echo == echo
+
+    def test_set_certificate_over_its_bound_is_violated(self, monkeypatch):
+        monkeypatch.setattr(certify, "sobolev_certificate",
+                            forced_certificate(certify.sobolev_certificate, 100, 50))
+        A = RECT.points()
+        report = check_isoperimetric(A)
+        assert report.relation is Relation.VIOLATED
+        assert report.deficit == (50 - 100) / 16
+        assert report.input_echo == fileio.set_to_dict(A)
+
     def test_deficit_is_rhs_minus_lhs(self):
         r = check_gn(TWO_POINT)
         assert r.deficit == r.rhs - r.lhs
@@ -522,7 +552,7 @@ class TestFunctionCounts:
             return wrapper
 
         for name in ("_line_pass", "partial_difference", "axis_variation",
-                     "max_projection", "set_stats"):
+                     "max_projection"):
             assert not hasattr(certify, name), name
             monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
         monkeypatch.setattr(certify, "norm",

@@ -16,6 +16,20 @@ RECT23 = {
 }
 
 
+def gn_over_its_bound(monkeypatch):
+    """Make certify's GN certificate read lhs + 1 vs rhs: on a cuboid, where
+    the two are equal, a violated theorem."""
+    import latticeineq.certify as certify
+
+    gn_certificate = certify.gn_certificate
+
+    def over(counts, n):
+        cert = gn_certificate(counts, n)
+        return certify.ExactCertificate(cert.reduction, cert.lhs_integer + 1, cert.rhs_integer)
+
+    monkeypatch.setattr(certify, "gn_certificate", over)
+
+
 @pytest.fixture
 def rect_file(tmp_path):
     path = tmp_path / "rect23.json"
@@ -510,6 +524,14 @@ class TestTableCommand:
             ]
         )
 
+    def test_violated_row_exit_1(self, capsys, monkeypatch):
+        gn_over_its_bound(monkeypatch)
+        assert main(["table", "--n", "2", "--max-side", "2", "--ineq", "gn,lw"]) == 1
+        rows = capsys.readouterr().out.strip().splitlines()[2:]
+        # GN on every cuboid, and nothing else
+        assert [row.split(",")[6] for row in rows] == ["VIOLATED"] * 4
+        assert [row.split(",")[11] for row in rows] == ["EXACT_EQUAL"] * 4
+
     def test_invalid_range_exit_2(self, capsys):
         assert main(["table", "--n", "2", "--min-side", "3", "--max-side", "2"]) == 2
         assert "side range" in capsys.readouterr().err
@@ -644,6 +666,17 @@ class TestExitCodeContract:
         obj = json.loads(capsys.readouterr().out)
         assert obj["reports"][0]["relation"] == "VIOLATED"
         assert "input_echo" in obj["reports"][0]
+
+    def test_certificate_over_its_bound_exit_1(self, tmp_path, capsys, monkeypatch):
+        # the verdict of a set comes from its integers alone; GN reads the
+        # set's indicator, and echoes it
+        gn_over_its_bound(monkeypatch)
+        path = tmp_path / "rect.json"
+        path.write_text(json.dumps({"dim": 2, "points": [z["z"] for z in RECT23["entries"]]}))
+        assert main(["check", "--input", str(path), "--ineq", "gn"]) == 1
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        assert report["relation"] == "VIOLATED"
+        assert report["input_echo"] == RECT23
 
     def test_internal_error_exit_3(self, rect_file, capsys, monkeypatch):
         import latticeineq.certify as certify

@@ -26,7 +26,7 @@ from latticeineq import (
 )
 from latticeineq import core
 from latticeineq.certify import set_counts
-from latticeineq.core import SetCounts, as_fraction, set_stats
+from latticeineq.core import as_fraction
 
 from oracles import (
     oracle_axis_variation,
@@ -112,12 +112,6 @@ class TestLatticeSet:
         A = LatticeSet(2, self.PTS)
         assert indicator(A) is indicator(A)
         assert indicator(A, 3) == indicator(A).scaled(3)
-
-    def test_set_stats_is_the_set_counts_record(self):
-        A = LatticeSet(2, self.PTS)
-        counts = set_stats(A.points, A.dim)
-        assert isinstance(counts, SetCounts)
-        assert counts.boundary == boundary_count(A)
 
 
 class TestAsFraction:

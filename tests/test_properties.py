@@ -34,7 +34,7 @@ from latticeineq import (
 )
 from latticeineq import fileio, kernels
 from latticeineq.certify import _p_norm, function_counts, is_scaled_indicator, set_counts
-from latticeineq.core import SetCounts, axis_lines, set_stats
+from latticeineq.core import SetCounts, axis_lines
 
 from oracles import (
     oracle_axis_variation,
@@ -166,7 +166,7 @@ def boxed_subsets(dims):
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple).flatmap(boxed_subsets))
 def test_packed_stats_match_point_set_pass(case):
     dims, A = case
-    assert kernels.subset_stats(kernels.pack(A, dims), dims) == set_stats(A, len(dims))
+    assert kernels.subset_stats(kernels.pack(A, dims), dims) == oracle_set_counts(A, len(dims))
 
 
 @given(nonneg_function_2d3d, positive_rationals, st.data())
@@ -241,7 +241,6 @@ def test_line_pass_matches_oracles(f):
                 check.worst_half_variation) == oracle_line_bound(f, i)
     expected = oracle_set_counts(f.support(), n)
     assert SetCounts.from_lines(f.support_size(), passes) == expected
-    assert set_stats(f.support(), n) == expected
 
 
 @settings(max_examples=150)
