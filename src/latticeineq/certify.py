@@ -6,7 +6,9 @@ indicator inputs the equality question reduces to a comparison of two exact
 integers; `EXACT_EQUAL` is only ever produced by that integer path.  The
 float path decides `EQUAL_WITHIN_TOL` / `STRICT` / `VIOLATED` with a
 relative tolerance; a `VIOLATED` verdict on valid input signals a bug and
-echoes the offending input.
+echoes the offending input.  `_relation` is the one reader of that
+tolerance: it refuses a tol that is not finite and positive, and it decides
+the log inequalities' unit-norm precondition wherever the integers do not.
 
 The function checkers read f's `FunctionCounts`, built once from its line
 passes and kept on f: per-axis variations and max-projection masses as int
@@ -203,6 +205,11 @@ def _p_norm(f: SparseFunction, p: Fraction) -> float:
 
 def _relation(lhs: float, rhs: float, tol: float,
               cert: Optional[ExactCertificate]) -> Relation:
+    """The one tolerance rule: validates tol, then lets the certificate's
+    integers decide when there is one, else compares rhs - lhs with tol
+    relative to max(1, |lhs|, |rhs|)."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InvalidInputError(f"tol must be finite and positive, got {tol}")
     if cert is not None:
         # the two integers decide, three ways and with no tolerance
         if cert.lhs_integer > cert.rhs_integer:
@@ -363,29 +370,17 @@ def check_loomis_whitney(A, tol: float = DEFAULT_TOL) -> InequalityReport:
 _EXACT_POWER_BITS = 10_000
 
 
-def _log_norm_unless_unit(nums, den: int, k: int) -> Optional[float]:
-    """log ||f||_k of the nonzero numerators nums over den, or None when
-    that norm is exactly 1.  The exact test sum a^k == den^k runs only when
-    the float estimate is too close to 0 to tell."""
-    top = max(nums)
-    log_norm = (math.log(top) - math.log(den)
-                + math.log(math.fsum((a / top) ** k for a in nums)) / k)
-    if top >= den:  # one a^k >= den^k, and the other terms are positive
-        return None if len(nums) == 1 and top == den else log_norm
-    # a generous bound on the float rounding of k * log_norm
-    slack = 1e-6 + 8 * k * 2.0 ** -52 * (1.0 + math.log(den))
-    if abs(log_norm) * k > slack:
-        return log_norm
-    return None if sum(a ** k for a in nums) == den ** k else log_norm
-
-
 def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) -> float:
     """The rescaling N = ||f||_p; enforces ||f||_p = 1 when not normalizing.
 
-    For integer p = k the unit-norm precondition is checked exactly, as
-    sum |a|^k == D^k on f's numerators a over its denominator D.  When those
-    powers would pass _EXACT_POWER_BITS, a float log-norm settles the clear
-    cases first, and the message gives the float norm.
+    For an integer p = k the unit-norm precondition is exact, as
+    sum |a|^k == D^k on f's numerators a over its denominator D, while those
+    powers stay under _EXACT_POWER_BITS.  Past that bound it is still exact
+    in two cases: a single entry is unit only if |a| == D, and an |a| >= D
+    only if it is the single entry.  Every other case, a non-integer p
+    included, takes log ||f||_p with the largest |a| factored out, so that
+    no power under- or overflows, and asks `_relation` whether the norm is 1
+    within tol; the message gives that float norm.
     """
     if normalize:
         nf = _p_norm(f, p)
@@ -394,26 +389,26 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
                 f"||f||_{p} underflows the floating-point range; cannot normalize"
             )
         return nf
-    if p.denominator == 1:
+    nums = [abs(a) for a in f._nums.values()]
+    den, top = f._den, max(nums)
+    if p.denominator == 1 and p.numerator * max(top, den).bit_length() <= _EXACT_POWER_BITS:
         k = p.numerator
-        nums = [abs(a) for a in f._nums.values()]
-        if k * max(max(nums), f._den).bit_length() > _EXACT_POWER_BITS:
-            log_norm = _log_norm_unless_unit(nums, f._den, k)
-            if log_norm is not None:
-                raise PreconditionError(
-                    f"||f||_{p} must be 1 (got {math.exp(log_norm)!r}); "
-                    "pass normalize=True"
-                )
-            return 1.0
         total = sum(a ** k for a in nums)
-        if total != f._den ** k:
+        if total != den ** k:
             raise PreconditionError(
-                f"||f||_{p} must be 1 (got ||f||^p = {Fraction(total, f._den ** k)}); "
+                f"||f||_{p} must be 1 (got ||f||^p = {Fraction(total, den ** k)}); "
                 "pass normalize=True"
             )
         return 1.0
-    nf = _p_norm(f, p)
-    if abs(nf - 1.0) > tol:
+    pf = float(p)
+    nf = math.exp(math.log(top) - math.log(den)
+                  + math.log(math.fsum((a / top) ** pf for a in nums)) / pf)
+    if p.denominator == 1 and (len(nums) == 1 or top >= den):
+        # one |a|^k >= D^k, and any other term is positive
+        unit = len(nums) == 1 and top == den
+    else:
+        unit = _relation(nf, 1.0, tol, None) is Relation.EQUAL_WITHIN_TOL
+    if not unit:
         raise PreconditionError(
             f"||f||_{p} must be 1 (got {nf!r}); pass normalize=True"
         )

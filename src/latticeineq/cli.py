@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -27,13 +26,7 @@ from .certify import (
     check,
 )
 from .core import Cuboid, SparseFunction, as_fraction, check_box, indicator
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    InvalidInputError,
-    LatticeError,
-    PreconditionError,
-)
+from .errors import InvalidInputError, LatticeError
 from .fuzzing import fuzz
 from .lab import DEFAULT_ENUM_BUDGET, enumerate_rigidity
 from .search import anneal_sets, ascend_function
@@ -82,12 +75,6 @@ def _parse_p(raw: str) -> Fraction:
     return p
 
 
-def _check_tol(tol: float) -> float:
-    if not (tol > 0 and math.isfinite(tol)):
-        raise InvalidInputError(f"tol must be finite and positive, got {tol}")
-    return tol
-
-
 def _write(text: str, out: Optional[str]):
     if out is None:
         sys.stdout.write(text)
@@ -99,7 +86,7 @@ def _write(text: str, out: Optional[str]):
 
 
 def cmd_check(args) -> int:
-    tol = _check_tol(args.tol)
+    tol = args.tol
     p = _parse_p(args.p)
     obj = fileio.load_input(args.input)
 
@@ -140,7 +127,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    tol = _check_tol(args.tol)
     summary = fuzz(
         count=args.count,
         n=args.n,
@@ -148,7 +134,7 @@ def cmd_fuzz(args) -> int:
         window=args.window,
         q=args.q,
         denominator=args.denominator,
-        tol=tol,
+        tol=args.tol,
         threads=args.threads,
     )
     _write(fileio.dumps(fileio.summary_to_dict(summary)), args.out)
@@ -254,7 +240,6 @@ def emit_table(
 
 
 def cmd_table(args) -> int:
-    tol = _check_tol(args.tol)
     p = _parse_p(args.p)
     selected = _parse_ineqs(args.ineq) or list(TABLE_INEQS)
     text, violated = emit_table(
@@ -263,7 +248,7 @@ def cmd_table(args) -> int:
         max_side=args.max_side,
         ineqs=selected,
         p=p,
-        tol=tol,
+        tol=args.tol,
         dedup=args.dedup,
     )
     _write(text, args.out)
@@ -343,26 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DIAGNOSTIC_PREFIX = (
-    (DegenerateInputError, "degenerate input"),
-    (DomainError, "domain error"),
-    (PreconditionError, "precondition"),
-    (InvalidInputError, "invalid input"),
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except LatticeError as exc:
-        prefix = "error"
-        for klass, name in _DIAGNOSTIC_PREFIX:
-            if isinstance(exc, klass):
-                prefix = name
-                break
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -462,11 +462,9 @@ def partial_difference(f: SparseFunction, i: int) -> SparseFunction:
             acc[zm] = w
         else:
             del acc[zm]
-        w = acc.get(z, 0) - a
-        if w:
-            acc[z] = w
-        else:
-            del acc[z]
+        # acc has no z yet: only z + e_i also writes it, and it comes later
+        # in f's sorted order
+        acc[z] = -a
     return SparseFunction._from_clean(f.dim, acc, f._den)
 
 

@@ -4,22 +4,32 @@
 class LatticeError(ValueError):
     """Base class for all toolkit errors."""
 
+    prefix = "error"
+
 
 class InvalidInputError(LatticeError):
     """Malformed argument: bad axis, bad dimension, bad exponent, bad file."""
+
+    prefix = "invalid input"
 
 
 class DomainError(LatticeError):
     """Value outside the mathematical domain of the operation (e.g. negative
     entries passed to an operation defined for nonnegative functions)."""
 
+    prefix = "domain error"
+
 
 class DegenerateInputError(LatticeError):
     """Structurally valid but degenerate input (zero function, empty set)."""
 
+    prefix = "degenerate input"
+
 
 class PreconditionError(LatticeError):
     """A stated precondition does not hold (e.g. a norm constraint)."""
+
+    prefix = "precondition"
 
 
 class BudgetExceededError(LatticeError):

@@ -300,8 +300,6 @@ def ascend_function(
             current_f = build(values)
             current = gn_ratio(current_f)
 
-    if history[-1][0] != steps:
-        history.append((steps, best))
     return SearchTrace(
         seed=seed,
         objective=Objective.GN_RATIO,

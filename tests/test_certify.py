@@ -307,7 +307,7 @@ class TestLogSobolev:
         assert r.relation is not Relation.VIOLATED
 
     @pytest.mark.parametrize("nums,den,k,unit", [
-        ([3, 4], 5, 2, True),  # float estimate ~0: the exact sum decides
+        ([3, 4], 5, 2, True),  # the exact sum decides
         ([3, 4], 5, 3, False),
         ([5], 5, 10 ** 7, True),
         ([5, 1], 5, 10 ** 7, False),  # 5^k alone already fills den^k
@@ -315,7 +315,12 @@ class TestLogSobolev:
         ([3, 4], 6, 10 ** 7, False),
     ])
     def test_unit_norm_test_without_huge_powers(self, nums, den, k, unit):
-        assert (certify._log_norm_unless_unit(nums, den, k) is None) is unit
+        f = SparseFunction(2, {(i, 0): F(a, den) for i, a in enumerate(nums)})
+        if unit:
+            assert check_log_sobolev(f, k).relation is not Relation.VIOLATED
+        else:
+            with pytest.raises(PreconditionError, match="must be 1"):
+                check_log_sobolev(f, k)
 
     def test_unit_norm_message_at_small_and_huge_p(self):
         f = SparseFunction(2, {(0, 0): F(1, 2), (1, 0): F(2, 3)})
@@ -333,6 +338,18 @@ class TestLogSobolev:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             check_log_sobolev(SparseFunction(2, {(0, 0): -1}), 1, normalize=True)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_tol_refused(self, tol):
+        message = f"tol must be finite and positive, got {tol}"
+        with pytest.raises(InvalidInputError, match=message):
+            check_gn(indicator(RECT), tol)
+        for ineq in Inequality:
+            # a unit-norm point mass passes every precondition
+            with pytest.raises(InvalidInputError, match=message):
+                check(ineq, indicator(POINT), 2, tol)
 
 
 class TestLogBL:

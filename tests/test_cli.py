@@ -2,6 +2,7 @@ import json
 import shlex
 import time
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,9 +88,13 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tol_exit_2(self, tol, rect_file, capsys):
-        assert main(["check", "--input", rect_file, "--tol", tol]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid input: tol") and err.count("\n") == 1
+        for argv in (["check", "--input", rect_file],
+                     ["fuzz", "--count", "2", "--n", "2"],
+                     ["table", "--n", "2", "--max-side", "2"]):
+            assert main(argv + ["--tol", tol]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err == f"invalid input: tol must be finite and positive, got {tol}\n"
 
     def test_signed_function_default_selection(self, tmp_path, capsys):
         path = tmp_path / "signed.json"
@@ -644,6 +649,46 @@ class TestExitCodeContract:
         assert proc.stdout == ""
         assert proc.stderr == (f"precondition: ||f||_{p} must be 1 "
                                "(got 0.6666666666666666); pass normalize=True\n")
+
+    @staticmethod
+    def _logsob_at_huge_p(tmp_path, values):
+        import subprocess
+
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [
+            {"z": [i, 0], "v": v} for i, v in enumerate(values)]}))
+        return subprocess.run(
+            [sys.executable, "-m", "latticeineq.cli", "check", "--input",
+             str(path), "--ineq", "logsob", "--p", "1000000"],
+            capture_output=True, text=True, timeout=30,
+        )
+
+    def test_single_entry_below_one_at_huge_p_exit_2(self, tmp_path):
+        # one entry is unit only if it is 1: decided with no power of it
+        proc = self._logsob_at_huge_p(tmp_path, ["0." + "9" * 300])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == ("precondition: ||f||_1000000 must be 1 "
+                               "(got 1.0); pass normalize=True\n")
+
+    def test_norm_within_tol_of_one_at_huge_p_exit_0(self, tmp_path):
+        # two entries of 2^(-1/10^6), to 300 digits: the norm is 1 within tol
+        import decimal
+
+        context = decimal.Context(prec=300)
+        value = context.power(decimal.Decimal(2), context.divide(-1, 10 ** 6))
+        proc = self._logsob_at_huge_p(tmp_path, [str(value)] * 2)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["reports"][0]["relation"] == "STRICT"
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_emit_table_refuses_bad_tol(self, tol):
+        from latticeineq.certify import Inequality
+        from latticeineq.cli import emit_table
+        from latticeineq.errors import InvalidInputError
+
+        with pytest.raises(InvalidInputError, match="tol must be finite and positive"):
+            emit_table(2, 1, 2, [Inequality.GN], Fraction(2), tol)
 
     def test_violation_reports_exit_1(self, tmp_path, capsys, monkeypatch):
         # a VIOLATED relation cannot arise from valid inputs, so fake one to

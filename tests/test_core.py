@@ -224,6 +224,19 @@ class TestNorms:
         with pytest.raises(InvalidInputError):
             norm(TWO_POINT, -1)
 
+    def test_float_exponent_is_its_exact_value(self):
+        assert norm(TWO_POINT, 2.0) == norm(TWO_POINT, 2)
+        assert norm(TWO_POINT, 1.5) == norm(TWO_POINT, Fraction(3, 2))
+
+    @pytest.mark.parametrize("p,message", [
+        (math.inf, "must be finite"),
+        (math.nan, "must be finite"),
+        ("2", "must be a positive number"),
+    ])
+    def test_exponent_refused(self, p, message):
+        with pytest.raises(InvalidInputError, match=message):
+            norm(TWO_POINT, p)
+
     def test_p_whose_float_is_zero(self):
         with pytest.raises(InvalidInputError, match="underflows"):
             norm(TWO_POINT, Fraction(1, 10 ** 400))

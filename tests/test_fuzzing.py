@@ -1,11 +1,12 @@
 import json
+import math
 
 import pytest
 
 from latticeineq import fuzz
-from latticeineq.certify import Inequality, check
+from latticeineq.certify import DEFAULT_TOL, SET_INEQUALITIES, Inequality, check
 from latticeineq.fileio import load_input, summary_to_dict
-from latticeineq.fuzzing import P_CYCLE, resolve_threads
+from latticeineq.fuzzing import P_CYCLE, resolve_threads, run_instance
 from latticeineq.errors import InvalidInputError
 
 
@@ -66,6 +67,17 @@ class TestThreadResolution:
         assert summary_to_dict(fuzz(3000, 2, seed=5, threads=10_000)) == serial
         assert sizes == [2]
 
+    def test_ties_across_chunks(self, monkeypatch):
+        # every deficit ties at 0.0 on a point mass, so the earliest index
+        # must win in each chunk and in the merge of the 3 chunks
+        sizes = self._inline_pool(monkeypatch, 64)
+        serial = fuzz(600, 2, seed=5, window=1, q=1.0, threads=1)
+        pooled = fuzz(600, 2, seed=5, window=1, q=1.0, threads=2)
+        assert sizes == [2]
+        assert summary_to_dict(pooled) == summary_to_dict(serial)
+        for name in ("GN", "SOBOLEV", "ISOPERIMETRIC", "BL", "LW"):
+            assert serial.per_inequality[name].worst_index == 0, name
+
 
 class TestFuzz:
     def test_small_run_no_violations(self):
@@ -106,6 +118,16 @@ class TestFuzz:
             assert abs(stats.min_deficit) < 1e-12, name
             assert abs(stats.max_deficit) < 1e-12, name
 
+    def test_empty_draw_falls_back_to_one_point(self):
+        # at q = 1e-12 no window point is drawn, so each support is one
+        # random point
+        assert fuzz(5, 2, q=1e-12).violations == 0
+        for index in range(5):
+            inputs = run_instance(0, index, 2, 5, 1e-12, 64, DEFAULT_TOL)["inputs"]
+            for ineq, x in inputs.items():
+                size = len(x) if ineq in SET_INEQUALITIES else x.support_size()
+                assert size == 1, ineq
+
     def test_worst_input_retained(self):
         summary = fuzz(40, 2, seed=3)
         gn = summary.per_inequality["GN"]
@@ -133,3 +155,8 @@ class TestFuzz:
             fuzz(5, 1)
         with pytest.raises(InvalidInputError):
             fuzz(5, 2, q=0.0)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_tol_refused(self, tol):
+        with pytest.raises(InvalidInputError, match="tol must be finite and positive"):
+            fuzz(20, 2, seed=1, tol=tol)
