@@ -49,6 +49,10 @@ CASES = [
       "--seed", "5"], "search_anneal_n2_size7_iters3000_seed5.json"),
     (["search", "--mode", "anneal", "--n", "3", "--size", "10", "--iters", "3000",
       "--seed", "2"], "search_anneal_n3_size10_iters3000_seed2.json"),
+    (["search", "--mode", "anneal", "--n", "2", "--size", "40", "--iters", "10000",
+      "--seed", "11"], "search_anneal_n2_size40_iters10000_seed11.json"),
+    (["search", "--mode", "anneal", "--n", "3", "--size", "30", "--iters", "10000",
+      "--seed", "11"], "search_anneal_n3_size30_iters10000_seed11.json"),
     (["enumerate", "--n", "2", "--box", "3"], "enumerate_n2_box3.json"),
     (["enumerate", "--n", "2", "--box", "5", "--max-size", "2"],
      "enumerate_n2_box5_max2.json"),
