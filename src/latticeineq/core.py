@@ -478,20 +478,29 @@ def norm(f: SparseFunction, p) -> Union[Fraction, float]:
     """p-norm (sum of |f|^p) ** (1/p) under the counting measure.
 
     Exact (Fraction) for p = 1; float track otherwise, each |value| the
-    correctly rounded |numerator| / denominator.  The zero function has
-    norm 0.
+    correctly rounded |numerator| / denominator.  When a term |value|^p
+    overflows, or every term underflows to 0.0, the largest |numerator| top
+    is factored out: (top / D) * (sum (|a| / top)^p)^(1/p).  The zero
+    function has norm 0.
     """
     q = _check_exponent(p)
     if f.is_zero():
         return ZERO if q == 1 else 0.0
+    nums = f._nums.values()
     if q == 1:
-        return Fraction(sum(map(abs, f._nums.values())), f._den)
+        return Fraction(sum(map(abs, nums)), f._den)
     pf = float(q)
     den = f._den
     total = 0.0
-    for a in f._nums.values():
-        total += (abs(a) / den) ** pf
-    return total ** (1.0 / pf)
+    try:
+        for a in nums:
+            total += (abs(a) / den) ** pf
+    except OverflowError:
+        total = 0.0
+    if total:
+        return total ** (1.0 / pf)
+    top = max(map(abs, nums))
+    return top / den * sum((abs(a) / top) ** pf for a in nums) ** (1.0 / pf)
 
 
 def diff_norm(f: SparseFunction, p) -> Union[Fraction, float]:

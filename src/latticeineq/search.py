@@ -3,7 +3,9 @@
 Both optimizers maximize a normalized sharpness ratio whose supremum is 1;
 the rigidity theory predicts *where* the maximum sits (cubes; scaled cuboid
 indicators), not that a heuristic finds it, so convergence targets are soft.
-Runs are deterministic given the seed.
+Runs are deterministic given the seed; annealing draws its indices inline
+from `Random.getrandbits` exactly as `Random.randrange` would, so a seed
+reproduces its trace.
 """
 
 from __future__ import annotations
@@ -115,17 +117,6 @@ def anneal_sets(
     shell = [c for c in range(cells) if adjacent[c] and not is_member[c]]
     position = {c: i for i, c in enumerate(shell)}
 
-    def shell_add(c: int):
-        position[c] = len(shell)
-        shell.append(c)
-
-    def shell_drop(c: int):
-        i = position.pop(c)
-        last = shell.pop()
-        if last != c:
-            shell[i] = last
-            position[last] = i
-
     boundary = kernels.subset_stats(sum(1 << idx for idx in members), dims).boundary
     # with |A| and n fixed the ratio depends only on the boundary
     ratio_of = {boundary: iso_ratio_from_counts(size, boundary, n)}
@@ -136,17 +127,29 @@ def anneal_sets(
     sample_every = max(1, iters // 256)
     temperature = t0
     steps = 0
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    exp = math.exp
+    size_bits = size.bit_length()
 
     for k in range(1, iters + 1):
         if best == 1.0:
             break
-        if not shell:
+        width = len(shell)
+        if not width:
             break  # set fills the box
         steps = k
-        # swap proposal: drop a member, add a free neighbor of the set
-        out_pos = rng.randrange(size)
+        # swap proposal: drop a member, add a free neighbor of the set.  Each
+        # index is Random.randrange's rejection draw, taken inline.
+        out_pos = getrandbits(size_bits)
+        while out_pos >= size:
+            out_pos = getrandbits(size_bits)
+        bits = width.bit_length()
+        in_pos = getrandbits(bits)
+        while in_pos >= width:
+            in_pos = getrandbits(bits)
         out_idx = members[out_pos]
-        in_idx = shell[rng.randrange(len(shell))]
+        in_idx = shell[in_pos]
         out_nbs = neighbors[out_idx]
         in_adjacent = adjacent[in_idx] - (in_idx in out_nbs)
         new_boundary = boundary + 2 * (adjacent[out_idx] - in_adjacent)
@@ -155,7 +158,7 @@ def anneal_sets(
             proposal = ratio_of[new_boundary] = iso_ratio_from_counts(
                 size, new_boundary, n)
         delta = proposal - current
-        if delta >= 0 or rng.random() < math.exp(delta / temperature):
+        if delta >= 0 or uniform() < exp(delta / temperature):
             boundary = new_boundary
             current = proposal
             members[out_pos] = in_idx
@@ -163,20 +166,33 @@ def anneal_sets(
             for nb in out_nbs:
                 adjacent[nb] -= 1
                 if not adjacent[nb] and not is_member[nb]:
-                    shell_drop(nb)
+                    i = position.pop(nb)
+                    last = shell.pop()
+                    if last != nb:
+                        shell[i] = last
+                        position[last] = i
             if adjacent[out_idx]:
-                shell_add(out_idx)
-            if in_idx in position:  # not dropped above as out's last member neighbour
-                shell_drop(in_idx)
+                position[out_idx] = len(shell)
+                shell.append(out_idx)
+            # absent if dropped above as out's last member neighbour
+            i = position.pop(in_idx, None)
+            if i is not None:
+                last = shell.pop()
+                if last != in_idx:
+                    shell[i] = last
+                    position[last] = i
             is_member[in_idx] = 1
             for nb in neighbors[in_idx]:
                 adjacent[nb] += 1
                 if adjacent[nb] == 1 and not is_member[nb]:
-                    shell_add(nb)
+                    position[nb] = len(shell)
+                    shell.append(nb)
             if current > best:
                 best = current
                 best_members = list(members)
-        temperature = max(temperature * alpha, 1e-300)
+        temperature *= alpha
+        if temperature < 1e-300:
+            temperature = 1e-300
         if k % sample_every == 0:
             history.append((k, best))
 

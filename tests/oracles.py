@@ -71,6 +71,13 @@ def oracle_lex_norm(f, p):
     return total ** (1.0 / pf)
 
 
+def oracle_integer_p_norm(f, k):
+    """||f||_k for an integer k from the exact Fraction sum of |f(z)|^k,
+    read through logarithms, so no float over- or underflows."""
+    total = sum(abs(v) ** k for _, v in f.items())
+    return math.exp((math.log(total.numerator) - math.log(total.denominator)) / k)
+
+
 def oracle_line_bound(f, i):
     """(ok, lines, worst_line, worst_max, worst_half_variation) of the
     per-line bound, line by line on Fractions: max |f| on each line parallel

@@ -3,6 +3,7 @@ import gc
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,9 +44,10 @@ from latticeineq.certify import (
     check,
 )
 
-from oracles import oracle_boundary, oracle_shadow_size
+from oracles import oracle_boundary, oracle_integer_p_norm, oracle_shadow_size
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 
 POINT = LatticeSet(2, [(0, 0)])
 RECT = Cuboid(((0, 1), (0, 2)))
@@ -598,3 +600,12 @@ class TestFunctionCounts:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+@pytest.mark.parametrize("name", ["pair_2_1.json", "pair_1-2_1-4.json"])
+def test_p_norm_past_the_float_range_of_its_terms(name):
+    # {2, 1} overflows 2.0 ** 2000 and {1/2, 1/4} underflows both terms;
+    # the factored norm still matches the exact sum
+    f = fileio.load_input(str(GOLDEN / name))
+    assert math.isclose(certify._p_norm(f, F(2000)), oracle_integer_p_norm(f, 2000),
+                        rel_tol=1e-12)

@@ -601,6 +601,19 @@ class TestExitCodeContract:
         assert captured.out == ""
         assert captured.err.startswith("overflow: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("name", ["pair_2_1.json", "pair_1-2_1-4.json"])
+    def test_normalize_at_large_p_exit_0(self, name, fmt, capsys):
+        # ||f||_2000 is about 2 and 0.5, though 2.0 ** 2000 overflows and
+        # (1/2) ** 2000 underflows: the norm is factored, not refused
+        path = Path(__file__).parent / "golden" / name
+        code = main(["check", "--input", str(path), "--ineq", "logsob,logbl",
+                     "--p", "2000", "--normalize", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.err == ""
+        assert captured.out.count("STRICT") == 2 and "VIOLATED" not in captured.out
+
     @pytest.mark.parametrize("values,args", [
         (["1e-400"], ["--normalize"]),
         (["1e-400", "1"], ["--normalize"]),

@@ -241,6 +241,25 @@ class TestNorms:
         with pytest.raises(InvalidInputError, match="underflows"):
             norm(TWO_POINT, Fraction(1, 10 ** 400))
 
+    @pytest.mark.parametrize("p", [F(3, 2), 2, 3])
+    def test_plain_sum_untouched_by_fallback(self, p):
+        # the factored fallback runs only when the plain sum over- or
+        # underflows; every other norm keeps the plain loop's bits
+        f = SparseFunction(3, {(0, 1, 0): F(1, 64), (0, 1, 2): 2, (1, 2, 1): F(19, 7),
+                               (2, 2, 1): F(1, 7), (3, 2, 2): F(171, 64)})
+        pf, total = float(p), 0.0
+        for _, v in f.items():
+            total += float(abs(v)) ** pf
+        assert norm(f, p) == total ** (1.0 / pf)
+
+    @pytest.mark.parametrize("values,expected", [
+        ((2, 1), 2.0),            # 2.0 ** 2000 overflows
+        ((F(1, 2), F(1, 4)), 0.5),  # both terms underflow to 0.0
+    ])
+    def test_factored_when_plain_sum_leaves_float_range(self, values, expected):
+        f = SparseFunction(2, {(i, 0): v for i, v in enumerate(values)})
+        assert norm(f, 2000) == expected
+
 
 class TestDiffNorm:
     def test_point_crossings(self):
