@@ -23,7 +23,6 @@ from .certify import (
     classify_shape,
     is_scaled_indicator,
     jensen_gap,
-    projection_chain,
     set_counts,
 )
 from .core import (
@@ -33,14 +32,11 @@ from .core import (
     SparseFunction,
     axis_variation,
     boundary_count,
-    boundary_edges,
     coord_projection,
-    diff_norm,
     entropy,
     indicator,
     max_projection,
     norm,
-    partial_difference,
     pointwise_line_bound,
     shadow_projection,
 )
@@ -84,7 +80,6 @@ __all__ = [
     "axis_variation",
     "bl_ratio",
     "boundary_count",
-    "boundary_edges",
     "check_bl",
     "check_gn",
     "check_isoperimetric",
@@ -94,7 +89,6 @@ __all__ = [
     "check_sobolev",
     "classify_shape",
     "coord_projection",
-    "diff_norm",
     "entropy",
     "enumerate_rigidity",
     "fuzz",
@@ -105,9 +99,7 @@ __all__ = [
     "jensen_gap",
     "max_projection",
     "norm",
-    "partial_difference",
     "pointwise_line_bound",
-    "projection_chain",
     "set_counts",
     "shadow_projection",
 ]

@@ -91,8 +91,7 @@ class Reduction(str, Enum):
     BL_LW = "BL_LW"
 
 
-@dataclass(frozen=True)
-class ExactCertificate:
+class ExactCertificate(NamedTuple):
     """Integer comparison equivalent to the equality question.
 
     GN_CUBOID:   2^n |A|^(n-1)      vs  prod_i s_i   (s_i = axis-i crossings)
@@ -510,16 +509,6 @@ def check(
 # ---------------------------------------------------------------------------
 # cross-inequality helpers
 # ---------------------------------------------------------------------------
-
-
-def projection_chain(f: SparseFunction) -> tuple:
-    """(||f||_{n/(n-1)}, BL rhs of |f|, GN rhs of f) — ascending by theorem.
-
-    The middle term uses max projections of |f|; the last is the difference-
-    norm product bound.  Useful as a three-term soundness probe.
-    """
-    gn = check_gn(f)
-    return gn.lhs, check_bl(f.abs()).rhs, gn.rhs
 
 
 def jensen_gap(f: SparseFunction, p) -> float:

@@ -2,8 +2,8 @@
 
 Values are exact rationals, stored as int numerators over one canonical
 positive int denominator per function (the lcm of the reduced value
-denominators).  Differences, variations, max projections, 1-norms and the
-per-line bound run on those ints; `fractions.Fraction` appears only at the
+denominators).  Variations, max projections, 1-norms and the per-line
+bound run on those ints; `fractions.Fraction` appears only at the
 public boundary (parsing, `value`/`items` and the exact quantities returned).
 The constructors are the one validator of outside input: `_check_point`
 checks each point and `as_fraction` parses each value, a distinct value
@@ -20,12 +20,11 @@ per axis, with no sort and no difference function, since the entries of an
 axis-i line arrive in increasing order of coordinate i.  It keeps per line
 the 1-variation and the maximum of |f|, and per axis the runs and the
 coordinates (`LinePass`).  `axis_lines` caches the pass of a function per
-axis, and the calculus reads it: `axis_variation`, `diff_norm` at p = 1,
-`max_projection`, `pointwise_line_bound`, `coord_projection`,
-`shadow_projection`, `LatticeSet.bounding_intervals` and `boundary_count`,
-as do certify's variations, max-projection masses and support counts.
-`partial_difference` is the one other loop along an axis; it builds the
-difference function that `diff_norm` needs at p != 1, and keeps nothing.
+axis, and the calculus reads it: `axis_variation`, `max_projection`,
+`pointwise_line_bound`, `coord_projection`, `shadow_projection`,
+`LatticeSet.bounding_intervals` and `boundary_count`, as do certify's
+variations, max-projection masses and support counts.  It is the one loop
+along an axis.
 `SetCounts` is the one record of a finite set's statistics (size,
 crossings, projections, shadows); `line_stats` builds it from the passes
 over keys that rise along every line, which is how kernels.subset_stats
@@ -447,27 +446,6 @@ def indicator(region: Union[LatticeSet, Cuboid], scale: Rational = 1) -> SparseF
     return region._indicator if lam == 1 else region._indicator.scaled(lam)
 
 
-def partial_difference(f: SparseFunction, i: int) -> SparseFunction:
-    """Forward difference along axis i: g(z) = f(z + e_i) - f(z).
-
-    g has f's denominator: its values are differences of f's, and each
-    value of f is minus the sum of g along the line from that point on.
-    """
-    ax = _check_axis(f.dim, i)
-    acc: dict = {}
-    for z, a in f._nums.items():
-        zm = z[:ax] + (z[ax] - 1,) + z[ax + 1:]
-        w = acc.get(zm, 0) + a
-        if w:
-            acc[zm] = w
-        else:
-            del acc[zm]
-        # acc has no z yet: only z + e_i also writes it, and it comes later
-        # in f's sorted order
-        acc[z] = -a
-    return SparseFunction._from_clean(f.dim, acc, f._den)
-
-
 def axis_variation(f: SparseFunction, i: int) -> Fraction:
     """Exact 1-norm of the forward difference along axis i, read off the
     line pass."""
@@ -501,26 +479,6 @@ def norm(f: SparseFunction, p) -> Union[Fraction, float]:
         return total ** (1.0 / pf)
     top = max(map(abs, nums))
     return top / den * sum((abs(a) / top) ** pf for a in nums) ** (1.0 / pf)
-
-
-def diff_norm(f: SparseFunction, p) -> Union[Fraction, float]:
-    """(sum_i ||forward difference along axis i||_p^p) ** (1/p).
-
-    Exact for p = 1, where it equals the total variation over lattice edges,
-    the sum of the line passes' variations.  Other p build the differences,
-    since the pass keeps no per-edge values.
-    """
-    q = _check_exponent(p)
-    axes = range(1, f.dim + 1)
-    if q == 1:
-        return Fraction(sum(axis_lines(f, i).variation for i in axes), f._den)
-    pf = float(q)
-    den = f._den
-    total = 0.0
-    for i in axes:
-        for a in partial_difference(f, i)._nums.values():
-            total += (abs(a) / den) ** pf
-    return total ** (1.0 / pf) if total else 0.0
 
 
 def max_projection(f: SparseFunction, i: int) -> SparseFunction:
@@ -664,19 +622,6 @@ def line_stats(nums: dict, n: int) -> SetCounts:
     """The SetCounts of the keys of `nums`, n-tuples that rise along every
     axis line (see `_line_pass`): one line pass per axis."""
     return SetCounts.from_lines(len(nums), [_line_pass(nums, ax) for ax in range(n)])
-
-
-def boundary_edges(A: LatticeSet) -> list:
-    """Lattice edges with exactly one endpoint in A, as (inside, outside) pairs."""
-    edges = []
-    pts = A.points
-    for z in A.sorted_points():
-        for ax in range(A.dim):
-            for step in (-1, 1):
-                nb = z[:ax] + (z[ax] + step,) + z[ax + 1:]
-                if nb not in pts:
-                    edges.append((z, nb))
-    return edges
 
 
 def boundary_count(A: LatticeSet) -> int:

@@ -146,8 +146,9 @@ def run_instance(seed: int, index: int, n: int, window: int, q: float,
     line_ok = all(
         pointwise_line_bound(f_signed, i).ok for i in range(1, n + 1)
     )
-    # the three terms of certify.projection_chain(f_signed), read off the
-    # reports: GN was checked on f_signed and BL on its absolute value f
+    # the projection chain ||f||_{n/(n-1)} <= BL rhs of |f| <= GN rhs of f,
+    # read off the reports: GN was checked on f_signed and BL on its
+    # absolute value f
     gn, bl = reports[Inequality.GN], reports[Inequality.BL]
     lo, mid, hi = gn.lhs, bl.rhs, gn.rhs
     chain_ok = (_relation(lo, mid, tol, None) is not Relation.VIOLATED

@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 from latticeineq.core import as_fraction
+from latticeineq.kernels import strides
 from latticeineq.errors import InvalidInputError
 
 
@@ -280,3 +281,83 @@ def oracle_exhaustive_best_iso(n, size, box_side):
             best = ratio
             best_pts = combo
     return best, best_pts
+
+
+# the transfer-matrix scan with |A| and every counter in the dict key and
+# one count per state: the reference that kernels._scan, which packs |A| and
+# the last counter into a polynomial per key, is compared against
+def oracle_scan(dims, max_size, lines):
+    """{(size, counters): count} over the subsets A of the box with
+    1..max_size cells, scanning the cells z in packing order.  Per axis i a
+    register holds the marks of the last stride[i] cells, oldest first, so
+    the mark of z - e_i is its bit 0, and counter i goes up by one when z is
+    taken into A while z - e_i is unmarked or outside the box.  With lines
+    false a cell is marked when it is in A, and counter i counts the runs of
+    A along axis i, as in core.line_stats.  With lines true a cell is also
+    marked when z - e_i is: the axis-i line through z already meets A, and
+    counter i counts the axis-i lines that meet A, the shadow size.
+
+    A state packs, from the low bits: the registers, the n counters, and |A|
+    on top.  A cell's axis-i mark is read later exactly when the cell is not
+    on the high face of axis i (z_i < dims[i] - 1); the other register bits
+    are cleared, which merges states, so a cell on the low face of axis i,
+    whose z - e_i lies outside the box, reads a 0 there.  A state that
+    reaches max_size cells can take no more, so its counters are final: it
+    leaves the scan at once instead of being carried through the remaining
+    cells."""
+    st = strides(dims)
+    n = len(dims)
+    cells = st[-1] * dims[-1]
+    width = cells.bit_length()
+    regs = sum(st)
+    top = regs + n * width
+    full = max_size << top
+    all_regs = (1 << regs) - 1
+    # per axis: register offset, its ones, its newest bit, the register
+    # bits still read after this cell (keep), counter unit
+    step = [[sum(st[:i]), (1 << s) - 1, 1 << (s - 1), 0, 1 << (regs + i * width)]
+            for i, s in enumerate(st)]
+    states = {0: 1}
+    done = {}  # key without its registers -> count, of the finished states
+    for idx in range(cells):
+        for axis, d, s in zip(step, dims, st):
+            # the newest bit, the mark of cell idx, is read by cell idx + s
+            # unless cell idx is on the high face
+            axis[3] = axis[3] >> 1 | (axis[2] if idx // s % d < d - 1 else 0)
+        moves = {}  # registers -> (key step if z is left out, if z is taken)
+        nxt = {}
+        get = nxt.get
+        for key, count in states.items():
+            w = key & all_regs
+            move = moves.get(w)
+            if move is None:
+                left = taken = 0
+                grow = 1 << top
+                for off, ones, head, keep, unit in step:
+                    r = w >> off & ones
+                    seen = r & 1  # the mark of z - e_i
+                    if not seen:
+                        grow += unit
+                    r >>= 1
+                    left |= ((r | head if lines and seen else r) & keep) << off
+                    taken |= ((r | head) & keep) << off
+                move = moves[w] = (left - w, taken - w + grow)
+            k = key + move[0]
+            nxt[k] = get(k, 0) + count
+            k = key + move[1]
+            if k < full:
+                nxt[k] = get(k, 0) + count
+            else:
+                k >>= regs
+                done[k] = done.get(k, 0) + count
+        states = nxt
+    for key, count in states.items():
+        k = key >> regs
+        done[k] = done.get(k, 0) + count
+    low = (1 << width) - 1
+    out = {}
+    for key, count in done.items():
+        size = key >> (n * width)
+        if size:
+            out[size, tuple(key >> (i * width) & low for i in range(n))] = count
+    return out

@@ -33,6 +33,7 @@ from oracles import (
     oracle_cells,
     oracle_exhaustive_best_iso,
     oracle_masks,
+    oracle_scan,
     oracle_shape,
     oracle_subset_stats,
 )
@@ -270,6 +271,18 @@ class TestCountPath:
         assert rep.shape_counts["CUBE"] == 55
         assert rep.shape_counts["CUBE"] + rep.shape_counts["CUBOID"] == 225
 
+    def test_full_eight_by_eight_closed_forms(self):
+        # 2^64 - 1 subsets, the largest count the budget check quotes exactly
+        rep = enumerate_rigidity(2, 8, budget=(1 << 64) - 1)
+        assert rep.total_checked == (1 << 64) - 1
+        assert rep.mismatch_count == 0
+        # cuboids C(9,2)^2, squares sum k^2, product sets (2^8-1)^2
+        assert rep.equality_counts == {"gn": math.comb(9, 2) ** 2,
+                                       "iso": sum(k * k for k in range(1, 9)),
+                                       "lw": (2 ** 8 - 1) ** 2}
+        assert rep.shape_counts["CUBE"] == 204
+        assert rep.shape_counts["CUBE"] + rep.shape_counts["CUBOID"] == 1296
+
     def test_failing_certificate_gives_the_per_mask_mismatches(self, monkeypatch):
         monkeypatch.setattr(lab, "bl_certificate", _refuses_row_pairs)
         calls = _counted_subset_stats(monkeypatch)
@@ -420,7 +433,29 @@ def _histograms_by_mask(dims, max_size):
     return by_crossings, by_shadows
 
 
+def _oracle_histograms(dims, max_size):
+    """subset_histograms' counts from oracle_scan, the scan with one dict
+    entry per (registers, counters, size) state."""
+    starts = oracle_scan(dims, max_size, lines=False)
+    return ({(size, tuple(2 * c for c in counters)): count
+             for (size, counters), count in starts.items()},
+            oracle_scan(dims, max_size, lines=True))
+
+
+_ORACLE_SCAN_BOXES = [
+    *((dims, m) for dims in ((5, 5), (6, 6), (2, 3, 4), (3, 3, 3))
+      for m in (1, 2, 5, math.prod(dims))),
+    ((60, 60), 1), ((20, 20), 2),
+]
+
+
 class TestSubsetHistograms:
+    @pytest.mark.parametrize("dims,max_size", _ORACLE_SCAN_BOXES, ids=[
+        "x".join(map(str, dims)) + f"-{m}" for dims, m in _ORACLE_SCAN_BOXES])
+    def test_equal_the_dict_scan(self, dims, max_size):
+        assert kernels.subset_histograms(dims, max_size) == _oracle_histograms(
+            dims, max_size)
+
     @pytest.mark.parametrize("dims", [(3, 5), (2, 3, 2), (1, 4), (3, 1, 2), (2, 1, 1, 3)])
     def test_count_every_mask(self, dims):
         cells = math.prod(dims)
