@@ -12,11 +12,14 @@ the log inequalities' unit-norm precondition wherever the integers do not.
 
 The function checkers read f's `FunctionCounts`, built once from its line
 passes and kept on f: per-axis variations and max-projection masses as int
-numerators over f's one denominator D, the counts of its support and a memo
-of its float p-norms.  The record holds no reference to f, so checking
-makes no reference cycle.  Each float side divides ints once, correctly
-rounded, before any power or logarithm (prod_i v_i / D^n, sum_i v_i / D or
-v_i / D), which is the same double as the float of the exact rational.
+numerators over f's one denominator D, the counts of its support, a memo
+of its float p-norms and a memo of its entropy sums, one per exponent and
+norm factor, which the three log checkers share.  What is decided per call,
+the unit-norm precondition and the tolerance, is never kept.  The record
+holds no reference to f, so checking makes no reference cycle.  Each float
+side divides ints once, correctly rounded, before any power or logarithm
+(prod_i v_i / D^n, sum_i v_i / D or v_i / D), which is the same double as
+the float of the exact rational.
 
 All checkers require ambient dimension n >= 2 and reject the zero function /
 empty set.
@@ -25,9 +28,9 @@ empty set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -108,8 +111,7 @@ class ExactCertificate(NamedTuple):
         return self.lhs_integer == self.rhs_integer
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     inequality: Inequality
     n: int
     p: Optional[Fraction]
@@ -166,13 +168,16 @@ class FunctionCounts(NamedTuple):
     numerators over f's denominator D, one per axis.  `support` is the
     SetCounts of supp f, from the runs, coordinates and line counts;
     `indicator` is `support` when f is a scaled indicator, else None.
-    `norms` maps p to the float of ||f||_p, filled by `_p_norm`."""
+    `norms` maps p = a/b, keyed (a, b), to the float of ||f||_p, filled by
+    `_p_norm`; `entropies` maps (a, b, N) to the entropy sum of f/N at p,
+    filled by `_entropy_side`, so the three log checkers walk f once."""
 
     variations: tuple
     masses: tuple
     support: SetCounts
     indicator: Optional[SetCounts]
     norms: dict
+    entropies: dict
 
 
 def function_counts(f: SparseFunction) -> FunctionCounts:
@@ -180,21 +185,28 @@ def function_counts(f: SparseFunction) -> FunctionCounts:
     counts = f._counts
     if counts is None:
         passes = [axis_lines(f, i) for i in range(1, f.dim + 1)]
+        variations, masses = zip(*[p.totals for p in passes])
         support = SetCounts.from_lines(len(f._nums), passes)
         constant = len(set(f._nums.values())) == 1
         counts = f._counts = FunctionCounts(
-            tuple(p.variation for p in passes), tuple(p.mass for p in passes),
-            support, support if constant else None, {})
+            variations, masses, support, support if constant else None, {}, {})
     return counts
 
 
 def _p_norm(f: SparseFunction, p: Fraction) -> float:
     """float(||f||_p) from core.norm, once per f and p."""
     norms = function_counts(f).norms
-    value = norms.get(p)
+    key = (p.numerator, p.denominator)
+    value = norms.get(key)
     if value is None:
-        value = norms[p] = float(norm(f, p))
+        value = norms[key] = float(norm(f, p))
     return value
+
+
+@lru_cache(maxsize=None)  # n <= core.MAX_BOX_DIM
+def _gn_exponent(n: int) -> Fraction:
+    """n/(n-1), the exponent of the left side of GN, Sobolev and BL."""
+    return Fraction(n, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +242,8 @@ def _report(ineq, x, p, lhs, rhs, tol, cert, shape) -> InequalityReport:
         raise OverflowError(f"{ineq.value}: a side is not finite (lhs={lhs!r}, rhs={rhs!r})")
     relation = _relation(lhs, rhs, tol, cert)
     return InequalityReport(
-        inequality=ineq,
-        n=x.dim,
-        p=p,
-        lhs=lhs,
-        rhs=rhs,
-        deficit=rhs - lhs,
-        relation=relation,
-        extremal_class=shape,
-        exact_certificate=cert,
-        input_echo=input_to_dict(x) if relation is Relation.VIOLATED else None,
+        ineq, x.dim, p, lhs, rhs, rhs - lhs, relation, shape, cert,
+        input_to_dict(x) if relation is Relation.VIOLATED else None,
     )
 
 
@@ -323,7 +327,7 @@ def check_gn(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     _require_checkable(f)
     n = f.dim
     rhs = 0.5 * (math.prod(function_counts(f).variations) / f._den ** n) ** (1.0 / n)
-    lhs = _p_norm(f, Fraction(n, n - 1))
+    lhs = _p_norm(f, _gn_exponent(n))
     return _function_report(Inequality.GN, f, None, lhs, rhs, tol, gn_certificate)
 
 
@@ -333,7 +337,7 @@ def check_sobolev(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityRepo
     _require_checkable(f)
     n = f.dim
     rhs = sum(function_counts(f).variations) / f._den / (2 * n)
-    lhs = _p_norm(f, Fraction(n, n - 1))
+    lhs = _p_norm(f, _gn_exponent(n))
     return _function_report(Inequality.SOBOLEV, f, None, lhs, rhs, tol,
                             sobolev_certificate)
 
@@ -352,7 +356,7 @@ def check_bl(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     _require_nonnegative(f)
     n = f.dim
     rhs = (math.prod(function_counts(f).masses) / f._den ** n) ** (1.0 / n)
-    lhs = _p_norm(f, Fraction(n, n - 1))
+    lhs = _p_norm(f, _gn_exponent(n))
     return _function_report(Inequality.BL, f, None, lhs, rhs, tol, bl_certificate)
 
 
@@ -387,6 +391,10 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
             raise InvalidInputError(
                 f"||f||_{p} underflows the floating-point range; cannot normalize"
             )
+        if nf == math.inf:
+            raise OverflowError(
+                f"||f||_{p} overflows the floating-point range; cannot normalize"
+            )
         return nf
     nums = [abs(a) for a in f._nums.values()]
     den, top = f._den, max(nums)
@@ -416,15 +424,20 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
 
 def _entropy_side(f: SparseFunction, p, tol: float, normalize: bool) -> tuple:
     """(p, N, (1/n + 1/p - 1) * ent_p(f/N)): the checked exponent, the norm
-    factor of `_norm_factor` and the left side of the log inequalities."""
+    factor of `_norm_factor` and the left side of the log inequalities.
+    The norm factor is decided on every call; the entropy sum once per f,
+    p and N."""
     _require_checkable(f)
     _require_nonnegative(f)
     p = _check_exponent(p)
     scale = _norm_factor(f, p, tol, normalize)
-    # 1/n + 1/p - 1 with p = a/b is (a + n b - n a) / (n a)
     n, a, b = f.dim, p.numerator, p.denominator
-    coefficient = (a + n * b - n * a) / (n * a)
-    return p, scale, coefficient * _entropy_sum(f, float(p), scale)
+    entropies = function_counts(f).entropies
+    total = entropies.get((a, b, scale))
+    if total is None:
+        total = entropies[a, b, scale] = _entropy_sum(f, float(p), scale)
+    # 1/n + 1/p - 1 with p = a/b is (a + n b - n a) / (n a)
+    return p, scale, (a + n * b - n * a) / (n * a) * total
 
 
 def check_log_sobolev(
@@ -487,7 +500,8 @@ def check(
     on a set reads its indicator, rescaled to unit p-norm for the log
     inequalities.  `p` and `normalize` matter only to the log inequalities.
     """
-    ineq = Inequality(ineq)
+    if type(ineq) is not Inequality:
+        ineq = Inequality(ineq)
     if ineq is Inequality.ISOPERIMETRIC:
         return check_isoperimetric(x, tol)
     if ineq is Inequality.LW:
@@ -519,4 +533,4 @@ def jensen_gap(f: SparseFunction, p) -> float:
     """
     p, scale, entropy_side = _entropy_side(f, p, 0.0, normalize=True)
     n = f.dim
-    return math.log(_p_norm(f, Fraction(n, n - 1)) / scale) - entropy_side
+    return math.log(_p_norm(f, _gn_exponent(n)) / scale) - entropy_side

@@ -258,7 +258,8 @@ class SparseFunction:
         return not self._nums
 
     def is_nonnegative(self) -> bool:
-        return all(a > 0 for a in self._nums.values())
+        # entries are nonzero, so nonnegative means every one is positive
+        return not self._nums or min(self._nums.values()) > 0
 
     # -- derived functions ---------------------------------------------------
 
@@ -525,26 +526,36 @@ class LinePass(NamedTuple):
     lines: dict
 
     @property
+    def totals(self) -> tuple:
+        """(variation, mass) from one walk over the lines: the 1-variation
+        of the function along the axis, and the sum over the lines of
+        max |f|, the 1-norm of the max projection of |f| along the axis."""
+        variation = mass = 0
+        for _, a, v, top in self.lines.values():
+            variation += v + (a if a > 0 else -a)
+            mass += top
+        return variation, mass
+
+    @property
     def variation(self) -> int:
-        """The 1-variation of the function along the axis (sum over lines)."""
-        return sum(v + abs(a) for _, a, v, _ in self.lines.values())
+        return self.totals[0]
 
     @property
     def mass(self) -> int:
-        """The sum over the lines of max |f|: the 1-norm of the max
-        projection of |f| along the axis."""
-        return sum(line[3] for line in self.lines.values())
+        return self.totals[1]
 
 
-def _line_pass(nums: dict, ax: int) -> LinePass:
-    """The line pass of the entries `nums` (point -> nonzero numerator)
-    along the 0-based axis ax: the one statistics loop.
+def _line_pass(nums: dict, ax: int, n: int) -> LinePass:
+    """The line pass of the entries `nums` (point -> nonzero numerator in
+    Z^n) along the 0-based axis ax: the one statistics loop.
 
     Invariant: entries on each axis line arrive in increasing coordinate
     order.  Lexicographic key order, which every SparseFunction keeps, has
     it (the points of one line differ only in coordinate ax), and so has a
     box's bit order (kernels), so the pass needs no sort.
     """
+    # a line's key drops coordinate ax: one slice on the first and last axes
+    cut = slice(1, None) if ax == 0 else slice(ax) if ax == n - 1 else None
     lines: dict = {}
     get = lines.get
     coords = set()
@@ -553,7 +564,7 @@ def _line_pass(nums: dict, ax: int) -> LinePass:
     for z, a in nums.items():
         c = z[ax]
         add(c)
-        key = z[:ax] + z[ax + 1:]
+        key = z[cut] if cut else z[:ax] + z[ax + 1:]
         line = get(key)
         m = a if a > 0 else -a
         if line is None:
@@ -579,7 +590,7 @@ def axis_lines(f: SparseFunction, i: int) -> LinePass:
     ax = _check_axis(f.dim, i)
     lines = f._lines.get(ax)
     if lines is None:
-        lines = f._lines[ax] = _line_pass(f._nums, ax)
+        lines = f._lines[ax] = _line_pass(f._nums, ax, f.dim)
     return lines
 
 
@@ -621,7 +632,7 @@ class SetCounts(NamedTuple):
 def line_stats(nums: dict, n: int) -> SetCounts:
     """The SetCounts of the keys of `nums`, n-tuples that rise along every
     axis line (see `_line_pass`): one line pass per axis."""
-    return SetCounts.from_lines(len(nums), [_line_pass(nums, ax) for ax in range(n)])
+    return SetCounts.from_lines(len(nums), [_line_pass(nums, ax, n) for ax in range(n)])
 
 
 def boundary_count(A: LatticeSet) -> int:
@@ -660,8 +671,7 @@ def _entropy_sum(f: SparseFunction, pf: float, scale: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class LineBoundCheck:
+class LineBoundCheck(NamedTuple):
     """Outcome of the per-line bound max |f| <= (1/2) * variation along a line.
 
     `worst_line` is the (n-1)-tuple of untouched coordinates of the line with

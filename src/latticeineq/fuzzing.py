@@ -117,12 +117,16 @@ def _sample_support(rng: random.Random, n: int, window: int, q: float) -> list:
 def _sample_function(
     rng: random.Random, n: int, window: int, q: float, denominator: int, signed: bool
 ) -> SparseFunction:
+    # each value is rng.randint(1, denominator): Random.randrange's
+    # rejection draw, taken inline
+    getrandbits, uniform = rng.getrandbits, rng.random
+    bits = denominator.bit_length()
     nums = {}
     for z in _sample_support(rng, n, window, q):
-        a = rng.randint(1, denominator)
-        if signed and rng.random() < 0.5:
-            a = -a
-        nums[z] = a
+        a = getrandbits(bits)
+        while a >= denominator:
+            a = getrandbits(bits)
+        nums[z] = -a - 1 if signed and uniform() < 0.5 else a + 1
     return SparseFunction._from_clean(n, nums, denominator)
 
 

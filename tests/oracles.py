@@ -10,7 +10,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from latticeineq.core import as_fraction
+from latticeineq.core import SparseFunction, as_fraction
+from latticeineq.fuzzing import _sample_support
 from latticeineq.kernels import strides
 from latticeineq.errors import InvalidInputError
 
@@ -361,3 +362,18 @@ def oracle_scan(dims, max_size, lines):
         if size:
             out[size, tuple(key >> (i * width) & low for i in range(n))] = count
     return out
+
+
+# the fuzz sampler drawing each value with Random.randint: the reference
+# that fuzzing._sample_function, which takes the same draws inline from
+# getrandbits, is compared against
+def oracle_sample_function(
+    rng, n: int, window: int, q: float, denominator: int, signed: bool
+) -> SparseFunction:
+    nums = {}
+    for z in _sample_support(rng, n, window, q):
+        a = rng.randint(1, denominator)
+        if signed and rng.random() < 0.5:
+            a = -a
+        nums[z] = a
+    return SparseFunction._from_clean(n, nums, denominator)

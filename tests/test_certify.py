@@ -565,7 +565,8 @@ class TestFunctionCounts:
         # only norm(f, n/(n-1)) is counted: at p = 1/2 the normalizing norm
         # of the log checks is another norm, at p = 2 in 2-D it is the same;
         # every per-axis statistic comes from one line pass per axis, kept
-        # on the input, and the one-statistic routes are never taken
+        # on the input, and the one-statistic routes are never taken; the
+        # three log checks share one entropy sum
         n = x.dim
         calls = collections.Counter()
 
@@ -581,10 +582,27 @@ class TestFunctionCounts:
             monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
         monkeypatch.setattr(certify, "norm",
                             counted("norm", certify.norm, only_p=F(n, n - 1)))
+        monkeypatch.setattr(certify, "_entropy_sum",
+                            counted("_entropy_sum", certify._entropy_sum))
         for _ in range(2):
             for ineq in Inequality:
                 check(ineq, x, p, normalize=True)
-        assert calls == {"_line_pass": n, "norm": 1}
+        assert calls == {"_line_pass": n, "norm": 1, "_entropy_sum": 1}
+
+    def test_unit_norm_decided_on_every_call(self):
+        # the entropy sum is kept on f, the unit-norm test is not: it reads
+        # tol, so a plain check that fails it still raises after the same
+        # sum was taken for a wider tol or for the normalized f
+        def pair():
+            return SparseFunction(2, {(0, 0): 2, (1, 0): 1})  # ||f||_{3/2} ~ 2.45
+
+        f = pair()
+        for ineq in LOG_INEQUALITIES:
+            assert check(ineq, f, F(3, 2), tol=2.0) == check(ineq, pair(), F(3, 2), tol=2.0)
+            assert (check(ineq, f, F(3, 2), normalize=True)
+                    == check(ineq, pair(), F(3, 2), normalize=True))
+            with pytest.raises(PreconditionError):
+                check(ineq, f, F(3, 2))
 
     def test_checking_makes_no_reference_cycle(self):
         # the counts kept on an input are plain numbers with no way back to

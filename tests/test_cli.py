@@ -602,6 +602,21 @@ class TestExitCodeContract:
         assert captured.err.startswith("overflow: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("ineq", ["logsob", "logsob-dir", "logbl"])
+    def test_normalizing_norm_overflow_exit_2(self, ineq, fmt, tmp_path, capsys):
+        # the float sum of |f|^2 overflows, so the norm to divide by is inf:
+        # refused as an overflow, before any entropy is taken of f / inf
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(BIG_PAIR))
+        assert main(["check", "--input", str(path), "--normalize", "--p", "2",
+                     "--ineq", ineq, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("overflow: input out of floating-point range: "
+                                "||f||_2 overflows the floating-point range; "
+                                "cannot normalize\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("name", ["pair_2_1.json", "pair_1-2_1-4.json"])
     def test_normalize_at_large_p_exit_0(self, name, fmt, capsys):
         # ||f||_2000 is about 2 and 0.5, though 2.0 ** 2000 overflows and

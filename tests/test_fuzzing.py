@@ -1,13 +1,17 @@
 import json
 import math
+import random
 
 import pytest
 
 from latticeineq import fuzz
 from latticeineq.certify import DEFAULT_TOL, SET_INEQUALITIES, Inequality, check
 from latticeineq.fileio import load_input, summary_to_dict
-from latticeineq.fuzzing import P_CYCLE, resolve_threads, run_instance
+from latticeineq.fuzzing import (
+    P_CYCLE, _sample_function, resolve_threads, run_instance,
+)
 from latticeineq.errors import InvalidInputError
+from oracles import oracle_sample_function
 
 
 class TestThreadResolution:
@@ -160,3 +164,16 @@ class TestFuzz:
     def test_bad_tol_refused(self, tol):
         with pytest.raises(InvalidInputError, match="tol must be finite and positive"):
             fuzz(20, 2, seed=1, tol=tol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("denominator", [1, 2, 3, 63, 64, 65, 2 ** 70 + 1])
+def test_sampler_draws_the_randint_stream(denominator, n):
+    # the inline rejection draw takes Random.randint's values and leaves
+    # the generator where randint leaves it
+    for seed in range(50):
+        for signed in (False, True):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert (_sample_function(rng, n, 3, 0.4, denominator, signed)
+                    == oracle_sample_function(ref, n, 3, 0.4, denominator, signed))
+            assert rng.getstate() == ref.getstate()
