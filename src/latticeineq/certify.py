@@ -14,8 +14,11 @@ The function checkers read f's `FunctionCounts`, built once from its line
 passes and kept on f: per-axis variations and max-projection masses as int
 numerators over f's one denominator D, the counts of its support, a memo
 of its float p-norms and a memo of its entropy sums, one per exponent and
-norm factor, which the three log checkers share.  What is decided per call,
-the unit-norm precondition and the tolerance, is never kept.  The record
+norm factor, which the three log checkers share.  `_p_norm` is the one
+reader of a float p-norm, core.norm's: the left side of GN, Sobolev and BL,
+the float unit-norm test and norm factor of the log checkers, and
+`jensen_gap`.  What is decided per call, the unit-norm precondition and the
+tolerance, is never kept.  The record
 holds no reference to f, so checking makes no reference cycle.  Each float
 side divides ints once, correctly rounded, before any power or logarithm
 (prod_i v_i / D^n, sum_i v_i / D or v_i / D), which is the same double as
@@ -30,7 +33,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -193,20 +195,14 @@ def function_counts(f: SparseFunction) -> FunctionCounts:
     return counts
 
 
-def _p_norm(f: SparseFunction, p: Fraction) -> float:
-    """float(||f||_p) from core.norm, once per f and p."""
+def _p_norm(f: SparseFunction, a: int, b: int) -> float:
+    """float(||f||_p) at p = a/b from core.norm, once per f and p: the one
+    reader of a p-norm in the checkers."""
     norms = function_counts(f).norms
-    key = (p.numerator, p.denominator)
-    value = norms.get(key)
+    value = norms.get((a, b))
     if value is None:
-        value = norms[key] = float(norm(f, p))
+        value = norms[a, b] = float(norm(f, Fraction(a, b)))
     return value
-
-
-@lru_cache(maxsize=None)  # n <= core.MAX_BOX_DIM
-def _gn_exponent(n: int) -> Fraction:
-    """n/(n-1), the exponent of the left side of GN, Sobolev and BL."""
-    return Fraction(n, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +323,7 @@ def check_gn(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     _require_checkable(f)
     n = f.dim
     rhs = 0.5 * (math.prod(function_counts(f).variations) / f._den ** n) ** (1.0 / n)
-    lhs = _p_norm(f, _gn_exponent(n))
+    lhs = _p_norm(f, n, n - 1)
     return _function_report(Inequality.GN, f, None, lhs, rhs, tol, gn_certificate)
 
 
@@ -337,7 +333,7 @@ def check_sobolev(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityRepo
     _require_checkable(f)
     n = f.dim
     rhs = sum(function_counts(f).variations) / f._den / (2 * n)
-    lhs = _p_norm(f, _gn_exponent(n))
+    lhs = _p_norm(f, n, n - 1)
     return _function_report(Inequality.SOBOLEV, f, None, lhs, rhs, tol,
                             sobolev_certificate)
 
@@ -356,7 +352,7 @@ def check_bl(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     _require_nonnegative(f)
     n = f.dim
     rhs = (math.prod(function_counts(f).masses) / f._den ** n) ** (1.0 / n)
-    lhs = _p_norm(f, _gn_exponent(n))
+    lhs = _p_norm(f, n, n - 1)
     return _function_report(Inequality.BL, f, None, lhs, rhs, tol, bl_certificate)
 
 
@@ -381,12 +377,11 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
     powers stay under _EXACT_POWER_BITS.  Past that bound it is still exact
     in two cases: a single entry is unit only if |a| == D, and an |a| >= D
     only if it is the single entry.  Every other case, a non-integer p
-    included, takes log ||f||_p with the largest |a| factored out, so that
-    no power under- or overflows, and asks `_relation` whether the norm is 1
-    within tol; the message gives that float norm.
+    included, asks `_relation` whether the float norm, core.norm's through
+    `_p_norm`, is 1 within tol; the message gives that float norm.
     """
     if normalize:
-        nf = _p_norm(f, p)
+        nf = _p_norm(f, p.numerator, p.denominator)
         if not nf:
             raise InvalidInputError(
                 f"||f||_{p} underflows the floating-point range; cannot normalize"
@@ -407,14 +402,14 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
                 "pass normalize=True"
             )
         return 1.0
-    pf = float(p)
-    nf = math.exp(math.log(top) - math.log(den)
-                  + math.log(math.fsum((a / top) ** pf for a in nums)) / pf)
+    nf = _p_norm(f, p.numerator, p.denominator)
     if p.denominator == 1 and (len(nums) == 1 or top >= den):
         # one |a|^k >= D^k, and any other term is positive
         unit = len(nums) == 1 and top == den
     else:
-        unit = _relation(nf, 1.0, tol, None) is Relation.EQUAL_WITHIN_TOL
+        # an inf norm, a sum of |f|^p past the float range, is not 1
+        unit = (nf < math.inf
+                and _relation(nf, 1.0, tol, None) is Relation.EQUAL_WITHIN_TOL)
     if not unit:
         raise PreconditionError(
             f"||f||_{p} must be 1 (got {nf!r}); pass normalize=True"
@@ -533,4 +528,4 @@ def jensen_gap(f: SparseFunction, p) -> float:
     """
     p, scale, entropy_side = _entropy_side(f, p, 0.0, normalize=True)
     n = f.dim
-    return math.log(_p_norm(f, _gn_exponent(n)) / scale) - entropy_side
+    return math.log(_p_norm(f, n, n - 1) / scale) - entropy_side

@@ -179,7 +179,7 @@ class SparseFunction:
     a record of plain numbers read off those passes.
     """
 
-    __slots__ = ("dim", "_nums", "_den", "_lines", "_counts", "_hash")
+    __slots__ = ("dim", "_nums", "_den", "_lines", "_counts")
 
     def __init__(self, dim: int, entries: Union[Mapping, Iterable] = ()):
         dim = _check_dim(dim)
@@ -234,7 +234,6 @@ class SparseFunction:
         self._den = den
         self._lines: dict = {}
         self._counts = None
-        self._hash = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -300,9 +299,7 @@ class SparseFunction:
                 and self._nums == other._nums)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.dim, self._den, tuple(self._nums.items())))
-        return self._hash
+        return hash((self.dim, self._den, tuple(self._nums.items())))
 
     def __repr__(self):
         shown = ", ".join(
@@ -450,7 +447,7 @@ def indicator(region: Union[LatticeSet, Cuboid], scale: Rational = 1) -> SparseF
 def axis_variation(f: SparseFunction, i: int) -> Fraction:
     """Exact 1-norm of the forward difference along axis i, read off the
     line pass."""
-    return Fraction(axis_lines(f, i).variation, f._den)
+    return Fraction(axis_lines(f, i).totals[0], f._den)
 
 
 def norm(f: SparseFunction, p) -> Union[Fraction, float]:
@@ -519,6 +516,8 @@ class LinePass(NamedTuple):
     variation, max |numerator|], where the variation so far counts |a| at
     the line's first entry, |a - a_prev| between neighbours and
     |a_prev| + |a| across a gap, but not yet the |a| of its last entry.
+    `totals` sums the lines' variations and maxima over the axis, which is
+    all that axis_variation and certify's FunctionCounts read of them.
     """
 
     runs: int       # maximal runs of consecutive support points, all lines
@@ -535,14 +534,6 @@ class LinePass(NamedTuple):
             variation += v + (a if a > 0 else -a)
             mass += top
         return variation, mass
-
-    @property
-    def variation(self) -> int:
-        return self.totals[0]
-
-    @property
-    def mass(self) -> int:
-        return self.totals[1]
 
 
 def _line_pass(nums: dict, ax: int, n: int) -> LinePass:

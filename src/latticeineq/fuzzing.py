@@ -198,12 +198,6 @@ def _merged(parts) -> FuzzSummary:
     return total
 
 
-def resolve_threads(threads: int) -> int:
-    if threads < 1:
-        raise InvalidInputError(f"--threads must be >= 1, got {threads}")
-    return threads
-
-
 def fuzz(
     count: int,
     n: int,
@@ -226,9 +220,11 @@ def fuzz(
     if denominator < 1:
         raise InvalidInputError("denominator must be >= 1")
     check_box(window, n, "fuzz window")
+    if threads < 1:
+        raise InvalidInputError(f"--threads must be >= 1, got {threads}")
     # more workers than CPUs would only contend, and a huge --threads would
     # ask the OS for that many processes
-    threads = min(resolve_threads(threads), os.cpu_count() or 1)
+    threads = min(threads, os.cpu_count() or 1)
 
     chunk = max(256, -(-count // (threads * 4)))
     args = [(seed, n, window, q, denominator, tol, start, min(start + chunk, count))

@@ -62,7 +62,9 @@ def anneal_sets(
     Moves swap one member for a point adjacent to the set, so cardinality
     never changes and the set stays inside the box.  Geometric cooling
     T_k = t0 * alpha^k with Metropolis acceptance exp(delta/T); stops early
-    once the theorem maximum 1 is attained, or when the set fills the box.
+    once the theorem maximum 1 is attained.  A set that fills the box is
+    the whole cube, so its ratio is 1 and the loop makes no step; any other
+    set has a free neighbour in the box to swap in.
 
     The state is kept incrementally, so a proposal costs O(n) whatever |A|
     and the box size: `adjacent[c]` counts the members among the in-box
@@ -136,8 +138,6 @@ def anneal_sets(
         if best == 1.0:
             break
         width = len(shell)
-        if not width:
-            break  # set fills the box
         steps = k
         # swap proposal: drop a member, add a free neighbor of the set.  Each
         # index is Random.randrange's rejection draw, taken inline.

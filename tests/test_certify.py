@@ -37,6 +37,7 @@ from latticeineq import (
 
 from latticeineq import certify, core, fileio
 from latticeineq.certify import (
+    DEFAULT_TOL,
     LOG_INEQUALITIES,
     NONNEGATIVE_INEQUALITIES,
     SET_INEQUALITIES,
@@ -604,6 +605,40 @@ class TestFunctionCounts:
             with pytest.raises(PreconditionError):
                 check(ineq, f, F(3, 2))
 
+    def test_one_norm_per_exponent(self, monkeypatch):
+        # GN, Sobolev and BL read ||f||_2; the float unit-norm test at
+        # p = 3/2 (failing at the default tol, passing at a wide one) and
+        # the normalized checks at 3/2 read one ||f||_{3/2}
+        calls = collections.Counter()
+        taken = certify.norm
+
+        def counted(f, p):
+            calls[p] += 1
+            return taken(f, p)
+
+        monkeypatch.setattr(certify, "norm", counted)
+        f = SparseFunction(2, {(0, 0): 2, (1, 0): 1})  # ||f||_{3/2} ~ 2.45
+        for _ in range(2):
+            for checker in (check_gn, check_sobolev, check_bl):
+                checker(f)
+            with pytest.raises(PreconditionError, match="got 2.4"):
+                check_log_sobolev(f, F(3, 2))
+            assert calls[F(3, 2)] == 1  # the float test read core.norm
+            check_log_bl(f, F(3, 2), tol=2.0)
+            check_log_sobolev(f, F(3, 2), normalize=True)
+            check_log_bl(f, F(3, 2), normalize=True)
+        assert calls == {F(2): 1, F(3, 2): 1}
+
+    def test_norm_past_the_float_range_is_not_unit(self):
+        # each (10^205)^(3/2) is finite but the sum of six is not, so the
+        # float norm is inf: not 1 within any tol, and no rescaling factor
+        f = SparseFunction(2, {(i, 0): "1e205" for i in range(6)})
+        for tol in (DEFAULT_TOL, 1e300):
+            with pytest.raises(PreconditionError, match=r"\(got inf\)"):
+                check_log_sobolev(f, F(3, 2), tol=tol)
+        with pytest.raises(OverflowError, match="cannot normalize"):
+            check_log_sobolev(f, F(3, 2), normalize=True)
+
     def test_checking_makes_no_reference_cycle(self):
         # the counts kept on an input are plain numbers with no way back to
         # the input, so what was checked is freed by reference counting
@@ -630,5 +665,5 @@ def test_p_norm_past_the_float_range_of_its_terms(name):
     # {2, 1} overflows 2.0 ** 2000 and {1/2, 1/4} underflows both terms;
     # the factored norm still matches the exact sum
     f = fileio.load_input(str(GOLDEN / name))
-    assert math.isclose(certify._p_norm(f, F(2000)), oracle_integer_p_norm(f, 2000),
+    assert math.isclose(certify._p_norm(f, 2000, 1), oracle_integer_p_norm(f, 2000),
                         rel_tol=1e-12)

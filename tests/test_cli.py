@@ -195,6 +195,37 @@ class TestFuzzCommand:
         assert captured.out == ""
 
 
+class TestArgumentRejections:
+    @pytest.mark.parametrize("argv,err", [
+        ("fuzz --count 2 --n 2 --window 0", "invalid input: window side must be >= 1"),
+        ("fuzz --count 2 --n 2 --denominator 0", "invalid input: denominator must be >= 1"),
+        ("enumerate --n 1 --box 2",
+         "invalid input: enumeration needs ambient dimension >= 2"),
+        ("enumerate --n 2 --box 0", "invalid input: box side must be >= 1"),
+        ("enumerate --n 2 --box 2 --max-size 0", "invalid input: max size must be >= 1"),
+    ])
+    def test_exit_2_with_one_line(self, argv, err, capsys):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.err == err + "\n"
+        assert captured.out == ""
+
+    def test_empty_ineq_selection_exit_2(self, rect_file, capsys):
+        assert main(["check", "--input", rect_file, "--ineq", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "invalid input: empty --ineq selection\n"
+        assert captured.out == ""
+
+    def test_out_into_missing_directory_exit_2(self, rect_file, tmp_path, capsys):
+        dest = tmp_path / "missing" / "out.json"
+        assert main(["check", "--input", rect_file, "--out", str(dest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("io error: ") and str(dest) in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not dest.parent.exists()
+
+
 class TestSearchCommand:
     def test_anneal(self, capsys):
         code = main(["search", "--mode", "anneal", "--n", "2", "--size", "4",
@@ -214,16 +245,21 @@ class TestSearchCommand:
         ("--t0", "inf", "t0"), ("--alpha", "0", "alpha"),
         ("--alpha", "1.5", "alpha"), ("--alpha", "nan", "alpha"),
         ("--box-side", "-3", "box side"), ("--iters", "-5", "iters"),
-        # later options override the base command's, so this runs ascend
+        ("--n", "1", "annealing needs ambient dimension >= 2"),
+        ("--size", "0", "set size must be >= 1"),
+        ("--box-side 2 --size", "5", "box 2^2 cannot hold 5 points"),
+        # later options override the base command's, so these run ascend
         ("--mode ascend --window-side 2 --iters", "-5", "iters"),
+        ("--mode", "ascend", "--window-side is required for --mode ascend"),
     ])
     def test_anneal_rejects_bad_parameters(self, flag, value, message, capsys):
         code = main(["search", "--mode", "anneal", "--n", "2", "--size", "9",
                      "--iters", "3", "--seed", "0", *flag.split(), value])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid input: " + message)
-        assert err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid input: " + message)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_ascend(self, capsys):
         code = main(["search", "--mode", "ascend", "--n", "2",

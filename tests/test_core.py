@@ -106,6 +106,10 @@ class TestLatticeSet:
         assert list(A) == A.sorted_points() == list(A.points) == sorted(self.PTS)
         assert A.points == set(self.PTS)
 
+    def test_empty_set_has_no_bounding_box(self):
+        with pytest.raises(DegenerateInputError, match="^empty set has no bounding box$"):
+            LatticeSet(2, []).bounding_intervals()
+
     def test_indicator_is_the_stored_function(self):
         A = LatticeSet(2, self.PTS)
         assert indicator(A) is indicator(A)
@@ -418,6 +422,15 @@ class TestCuboid:
     def test_empty_interval_rejected(self):
         with pytest.raises(InvalidInputError):
             Cuboid(((1, 0),))
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Cuboid(()), r"^cuboid needs at least one interval$"),
+        (lambda: Cuboid(((0, 1, 2),)), r"^interval \(0, 1, 2\) must be an \(a, b\) pair$"),
+        (lambda: Cuboid.from_sides((0, 2)), r"^cuboid sides must be >= 1, got \(0, 2\)$"),
+    ])
+    def test_malformed_cuboid_rejected(self, make, message):
+        with pytest.raises(InvalidInputError, match=message):
+            make()
 
 
 class TestEntropy:

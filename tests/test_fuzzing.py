@@ -7,9 +7,7 @@ import pytest
 from latticeineq import fuzz
 from latticeineq.certify import DEFAULT_TOL, SET_INEQUALITIES, Inequality, check
 from latticeineq.fileio import load_input, summary_to_dict
-from latticeineq.fuzzing import (
-    P_CYCLE, _sample_function, resolve_threads, run_instance,
-)
+from latticeineq.fuzzing import P_CYCLE, _sample_function, run_instance
 from latticeineq.errors import InvalidInputError
 from oracles import oracle_sample_function
 
@@ -25,8 +23,9 @@ class TestThreadResolution:
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_argument_below_one_rejected(self, threads):
-        with pytest.raises(InvalidInputError, match="--threads"):
-            resolve_threads(threads)
+        with pytest.raises(InvalidInputError,
+                           match=f"^--threads must be >= 1, got {threads}$"):
+            fuzz(10, 2, threads=threads)
 
     @staticmethod
     def _inline_pool(monkeypatch, cpus):

@@ -15,6 +15,7 @@ from latticeineq import (
     BudgetExceededError,
     Cuboid,
     DegenerateInputError,
+    InvalidInputError,
     LatticeSet,
     SparseFunction,
     bl_ratio,
@@ -73,6 +74,12 @@ class TestRatios:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateInputError):
             gn_ratio(SparseFunction(2))
+
+    def test_iso_ratio_refuses_one_dimension_and_no_points(self):
+        with pytest.raises(InvalidInputError, match="^ratio needs ambient dimension >= 2$"):
+            iso_ratio(LatticeSet(1, [(0,), (1,)]))
+        with pytest.raises(DegenerateInputError, match="^empty set$"):
+            lab.iso_ratio_from_counts(0, 4, 2)
 
 
 class TestEnumerationSize:

@@ -2,6 +2,7 @@ import pytest
 
 from latticeineq import Cuboid, anneal_sets, ascend_function, classify_shape, lab, search
 from latticeineq.certify import ShapeClass
+from latticeineq.errors import InvalidInputError
 
 from oracles import oracle_exhaustive_best_iso
 
@@ -19,6 +20,14 @@ class TestAnnealSets:
         assert trace.best_value == 1.0
         assert trace.iterations == 0
         assert trace.history == [(0, 1.0)]
+
+    @pytest.mark.parametrize("n,size,box_side", [(2, 9, 3), (3, 8, 2)])
+    def test_set_filling_the_box_stops_at_once(self, n, size, box_side):
+        # the whole box is a cube: ratio exactly 1, so no step is taken
+        trace = anneal_sets(n, size, iters=10, seed=0, box_side=box_side)
+        assert trace.best_value == 1.0
+        assert trace.iterations == 0
+        assert classify_shape(trace.best_input) is ShapeClass.CUBE
 
     def test_nine_points_finds_cube(self):
         trace = anneal_sets(2, 9, iters=100_000, seed=1)
@@ -124,6 +133,14 @@ class TestAscendFunction:
         trace = ascend_function(2, 2, iters=400, seed=6)
         values = [v for _, v in trace.history]
         assert values == sorted(values)
+
+    def test_window_of_another_dimension_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^window dimension 3 != n=2$"):
+            ascend_function(2, Cuboid.from_sides((2, 2, 2)), iters=10)
+
+    def test_unknown_start_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^unknown start 'x'$"):
+            ascend_function(2, 2, iters=10, start="x")
 
     def test_values_stay_on_grid(self):
         trace = ascend_function(2, 2, iters=300, seed=7)
