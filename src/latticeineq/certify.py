@@ -15,14 +15,14 @@ passes and kept on f: per-axis variations and max-projection masses as int
 numerators over f's one denominator D, the counts of its support, a memo
 of its float p-norms and a memo of its entropy sums, one per exponent and
 norm factor, which the three log checkers share.  `_p_norm` is the one
-reader of a float p-norm, core.norm's: the left side of GN, Sobolev and BL,
-the float unit-norm test and norm factor of the log checkers, and
-`jensen_gap`.  What is decided per call, the unit-norm precondition and the
-tolerance, is never kept.  The record
-holds no reference to f, so checking makes no reference cycle.  Each float
-side divides ints once, correctly rounded, before any power or logarithm
-(prod_i v_i / D^n, sum_i v_i / D or v_i / D), which is the same double as
-the float of the exact rational.
+reader of a float p-norm, core's `_float_norm` taken on p's two ints, with
+no Fraction built: the left side of GN, Sobolev and BL, the float unit-norm
+test and norm factor of the log checkers, and `jensen_gap`.  What is
+decided per call, the unit-norm precondition and the tolerance, is never
+kept.  The record holds no reference to f, so checking makes no reference
+cycle.  Each float side divides ints once, correctly rounded, before any
+power or logarithm (prod_i v_i / D^n, sum_i v_i / D or v_i / D), which is
+the same double as the float of the exact rational.
 
 All checkers require ambient dimension n >= 2 and reject the zero function /
 empty set.
@@ -35,15 +35,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .core import (
-    LatticeSet,
-    SetCounts,
-    SparseFunction,
-    axis_lines,
-    indicator,
-    norm,
-)
-from .core import _check_exponent, _entropy_sum
+from . import core
+from .core import LatticeSet, SetCounts, SparseFunction, indicator
+# unused here, kept: perfbench's tracer test patches certify.norm
+from .core import norm  # noqa: F401
+from .core import _check_exponent, _entropy_sum, _float_norm
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -186,10 +182,13 @@ def function_counts(f: SparseFunction) -> FunctionCounts:
     """The FunctionCounts of f, made on first use and kept on f."""
     counts = f._counts
     if counts is None:
-        passes = [axis_lines(f, i) for i in range(1, f.dim + 1)]
+        # core.axis_lines without its axis check: the passes are kept on f
+        kept, nums, n = f._lines, f._nums, f.dim
+        passes = [kept.get(ax) or kept.setdefault(ax, core._line_pass(nums, ax, n))
+                  for ax in range(n)]
         variations, masses = zip(*[p.totals for p in passes])
-        support = SetCounts.from_lines(len(f._nums), passes)
-        constant = len(set(f._nums.values())) == 1
+        support = SetCounts.from_lines(len(nums), passes)
+        constant = len(set(nums.values())) == 1
         counts = f._counts = FunctionCounts(
             variations, masses, support, support if constant else None, {}, {})
     return counts
@@ -201,7 +200,7 @@ def _p_norm(f: SparseFunction, a: int, b: int) -> float:
     norms = function_counts(f).norms
     value = norms.get((a, b))
     if value is None:
-        value = norms[a, b] = float(norm(f, Fraction(a, b)))
+        value = norms[a, b] = _float_norm(f, a, b)
     return value
 
 
@@ -376,9 +375,11 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
     sum |a|^k == D^k on f's numerators a over its denominator D, while those
     powers stay under _EXACT_POWER_BITS.  Past that bound it is still exact
     in two cases: a single entry is unit only if |a| == D, and an |a| >= D
-    only if it is the single entry.  Every other case, a non-integer p
-    included, asks `_relation` whether the float norm, core.norm's through
-    `_p_norm`, is 1 within tol; the message gives that float norm.
+    only if it is the single entry; these are decided before any float is
+    taken.  Every other case, a non-integer p included, asks `_relation`
+    whether the float norm, read through `_p_norm`, is 1 within tol.  The
+    message gives that float norm, taken only to be printed in the exact
+    cases, where a norm past the float range reads inf.
     """
     if normalize:
         nf = _p_norm(f, p.numerator, p.denominator)
@@ -402,15 +403,19 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
                 "pass normalize=True"
             )
         return 1.0
-    nf = _p_norm(f, p.numerator, p.denominator)
     if p.denominator == 1 and (len(nums) == 1 or top >= den):
         # one |a|^k >= D^k, and any other term is positive
         unit = len(nums) == 1 and top == den
     else:
         # an inf norm, a sum of |f|^p past the float range, is not 1
+        nf = _p_norm(f, p.numerator, p.denominator)
         unit = (nf < math.inf
                 and _relation(nf, 1.0, tol, None) is Relation.EQUAL_WITHIN_TOL)
     if not unit:
+        try:
+            nf = _p_norm(f, p.numerator, p.denominator)
+        except OverflowError:  # a norm past the float range
+            nf = math.inf
         raise PreconditionError(
             f"||f||_{p} must be 1 (got {nf!r}); pass normalize=True"
         )

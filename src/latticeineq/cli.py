@@ -81,7 +81,7 @@ def _write(text: str, out: Optional[str]):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 

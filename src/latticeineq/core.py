@@ -10,7 +10,8 @@ checks each point and `as_fraction` parses each value, a distinct value
 string once per `SparseFunction` built.
 Fractional powers and logarithms live on the float track, where each value
 enters as the correctly rounded numerator / denominator, which is exactly
-float(Fraction).  Float-track sums always iterate entries in lexicographic
+float(Fraction); `_float_norm` is the one float p-norm sum, taking p as two
+ints, and `norm` its validating wrapper.  Float-track sums always iterate entries in lexicographic
 key order, which makes them deterministic and bit-stable under translation.
 A `LatticeSet` is held as its indicator, the one storage of its points.
 
@@ -48,8 +49,6 @@ from .errors import DegenerateInputError, DomainError, InvalidInputError
 
 Point = tuple  # tuple of ints, length = ambient dimension
 Rational = Union[int, Fraction]
-
-ZERO = Fraction(0)
 
 
 def as_fraction(value) -> Fraction:
@@ -436,7 +435,7 @@ def indicator(region: Union[LatticeSet, Cuboid], scale: Rational = 1) -> SparseF
     scale 1, a set's own stored indicator."""
     if isinstance(region, Cuboid):
         region = region.points()
-    lam = as_fraction(scale)
+    lam = 1 if type(scale) is int and scale == 1 else as_fraction(scale)
     if not lam:
         raise InvalidInputError("indicator scale must be nonzero")
     if not region:
@@ -453,30 +452,42 @@ def axis_variation(f: SparseFunction, i: int) -> Fraction:
 def norm(f: SparseFunction, p) -> Union[Fraction, float]:
     """p-norm (sum of |f|^p) ** (1/p) under the counting measure.
 
-    Exact (Fraction) for p = 1; float track otherwise, each |value| the
-    correctly rounded |numerator| / denominator.  When a term |value|^p
-    overflows, or every term underflows to 0.0, the largest |numerator| top
-    is factored out: (top / D) * (sum (|a| / top)^p)^(1/p).  The zero
-    function has norm 0.
+    Exact (Fraction) for p = 1; float track otherwise, `_float_norm`'s, of
+    which this is the validating public wrapper.  The zero function has
+    norm 0.
     """
     q = _check_exponent(p)
-    if f.is_zero():
-        return ZERO if q == 1 else 0.0
-    nums = f._nums.values()
     if q == 1:
-        return Fraction(sum(map(abs, nums)), f._den)
-    pf = float(q)
+        return Fraction(sum(map(abs, f._nums.values())), f._den)
+    return _float_norm(f, q.numerator, q.denominator)
+
+
+def _float_norm(f: SparseFunction, a: int, b: int) -> float:
+    """The float of ||f||_p at p = a/b, for ints a, b > 0 whose quotient is
+    a positive float: the one float sum of a p-norm.
+
+    At p = 1 it is sum |c| / D over the numerators c, one int division.
+    Otherwise each |value| is the correctly rounded |c| / D; when a term
+    |value|^p overflows, or every term underflows to 0.0, the largest |c|,
+    top, is factored out: (top / D) * (sum (|c| / top)^p)^(1/p).
+    """
+    nums = f._nums.values()
     den = f._den
+    if a == b:
+        return sum(map(abs, nums)) / den
+    if not nums:
+        return 0.0
+    pf = a / b
     total = 0.0
     try:
-        for a in nums:
-            total += (abs(a) / den) ** pf
+        for c in nums:
+            total += (abs(c) / den) ** pf
     except OverflowError:
         total = 0.0
     if total:
         return total ** (1.0 / pf)
     top = max(map(abs, nums))
-    return top / den * sum((abs(a) / top) ** pf for a in nums) ** (1.0 / pf)
+    return top / den * sum((abs(c) / top) ** pf for c in nums) ** (1.0 / pf)
 
 
 def max_projection(f: SparseFunction, i: int) -> SparseFunction:
@@ -666,19 +677,30 @@ class LineBoundCheck(NamedTuple):
     """Outcome of the per-line bound max |f| <= (1/2) * variation along a line.
 
     `worst_line` is the (n-1)-tuple of untouched coordinates of the line with
-    the smallest margin; all quantities are exact rationals.
+    the smallest margin, whose max |f| and variation are the int numerators
+    `top` and `variation` over f's denominator `den`; the exact rationals
+    `worst_max`, `worst_half_variation` and `margin` are built when read.
     """
 
     ok: bool
     axis: int
     lines_checked: int
     worst_line: Optional[Point]
-    worst_max: Fraction
-    worst_half_variation: Fraction
+    top: int
+    variation: int
+    den: int
+
+    @property
+    def worst_max(self) -> Fraction:
+        return Fraction(self.top, self.den)
+
+    @property
+    def worst_half_variation(self) -> Fraction:
+        return Fraction(self.variation, 2 * self.den)
 
     @property
     def margin(self) -> Fraction:
-        return self.worst_half_variation - self.worst_max
+        return Fraction(self.variation - 2 * self.top, 2 * self.den)
 
 
 def pointwise_line_bound(f: SparseFunction, i: int) -> LineBoundCheck:
@@ -690,24 +712,15 @@ def pointwise_line_bound(f: SparseFunction, i: int) -> LineBoundCheck:
     skipped.
     """
     lines = axis_lines(f, i).lines
-    # (margin, line, variation, max) of the line of least margin, the first
-    # in key order on a tie; the margin is 2 * denominator * (half
-    # variation - max)
+    # (margin, line) of the line of least margin, the least line on a tie;
+    # the margin is 2 * denominator * (half variation - max)
     worst = None
-    for key in sorted(lines):
-        _, last, variation, top = lines[key]
-        variation += abs(last)
-        margin = variation - 2 * top
-        if worst is None or margin < worst[0]:
-            worst = margin, key, variation, top
+    for key, (_, a, v, top) in lines.items():
+        here = (v + abs(a) - 2 * top, key)
+        if worst is None or here < worst:
+            worst = here
     if worst is None:
-        return LineBoundCheck(True, i, 0, None, ZERO, ZERO)
-    margin, key, variation, top = worst
-    return LineBoundCheck(
-        ok=margin >= 0,
-        axis=i,
-        lines_checked=len(lines),
-        worst_line=key,
-        worst_max=Fraction(top, f._den),
-        worst_half_variation=Fraction(variation, 2 * f._den),
-    )
+        return LineBoundCheck(True, i, 0, None, 0, 0, f._den)
+    margin, key = worst
+    _, a, v, top = lines[key]
+    return LineBoundCheck(margin >= 0, i, len(lines), key, top, v + abs(a), f._den)

@@ -7,14 +7,17 @@ A violation of any relation is a theorem counterexample, i.e. an
 implementation bug; either way the summary retains, per inequality, the
 input its checker saw at the smallest deficit.
 
-The random stream of instance k is derived from (seed << 32) + k, so
-summaries are bit-identical no matter how instances are scheduled; the
-optional process pool (`threads` workers, at most the CPU count and the
-number of chunks) reduces chunks in index order.
+The random stream of instance k is that of random.Random((seed << 32) + k),
+one generator re-seeded per instance, so summaries are bit-identical no
+matter how instances are scheduled; the optional process pool (`threads`
+workers, at most the CPU count and the number of chunks) reduces chunks in
+index order.  The window's cells are listed once, and each retained input
+is written out once, when its chunk ends.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -45,7 +48,7 @@ class IneqStats:
     min_deficit: Optional[float] = None
     max_deficit: Optional[float] = None
     worst_index: Optional[int] = None
-    worst_input: Optional[dict] = None
+    worst_input: Optional[dict] = None  # the input itself until its range ends
 
     def update(self, deficit: float, violated: bool, index: int, checked):
         self.count += 1
@@ -56,7 +59,7 @@ class IneqStats:
         if self.min_deficit is None or (deficit, index) < (self.min_deficit, self.worst_index):
             self.min_deficit = deficit
             self.worst_index = index
-            self.worst_input = input_to_dict(checked)
+            self.worst_input = checked
 
     def merge(self, other: "IneqStats"):
         self.count += other.count
@@ -103,12 +106,14 @@ class FuzzSummary:
         self.chain_failures += other.chain_failures
 
 
+@functools.lru_cache(maxsize=4)
+def _window_cells(n: int, window: int) -> tuple:
+    return tuple(itertools.product(range(window), repeat=n))
+
+
 def _sample_support(rng: random.Random, n: int, window: int, q: float) -> list:
-    picked = [
-        z
-        for z in itertools.product(range(window), repeat=n)
-        if rng.random() < q
-    ]
+    uniform = rng.random
+    picked = [z for z in _window_cells(n, window) if uniform() < q]
     if not picked:
         picked = [tuple(rng.randrange(window) for _ in range(n))]
     return picked
@@ -131,10 +136,11 @@ def _sample_function(
 
 
 def run_instance(seed: int, index: int, n: int, window: int, q: float,
-                 denominator: int, tol: float) -> dict:
+                 denominator: int, tol: float, rng: random.Random) -> dict:
     """All checks for one instance: each inequality's input and report, and
-    the failure flags."""
-    rng = random.Random((seed << 32) + index)
+    the failure flags.  `rng` is re-seeded for the instance, which leaves it
+    in the state of a fresh random.Random of that seed."""
+    rng.seed((seed << 32) + index)
     f_signed = _sample_function(rng, n, window, q, denominator, signed=True)
     f = f_signed.abs()
     A = LatticeSet._from_clean(n, _sample_support(rng, n, window, q))
@@ -172,8 +178,9 @@ def _fuzz_range(seed, n, window, q, denominator, tol, start, stop) -> FuzzSummar
     )
     for key in Inequality:
         summary.per_inequality[key.value] = IneqStats()
+    rng = random.Random()
     for index in range(start, stop):
-        outcome = run_instance(seed, index, n, window, q, denominator, tol)
+        outcome = run_instance(seed, index, n, window, q, denominator, tol, rng)
         for key, report in outcome["reports"].items():
             summary.per_inequality[key.value].update(
                 report.deficit,
@@ -183,6 +190,8 @@ def _fuzz_range(seed, n, window, q, denominator, tol, start, stop) -> FuzzSummar
             )
         summary.line_bound_failures += not outcome["line_ok"]
         summary.chain_failures += not outcome["chain_ok"]
+    for stats in summary.per_inequality.values():
+        stats.worst_input = input_to_dict(stats.worst_input)
     return summary
 
 

@@ -4,10 +4,12 @@ counts of all subsets of a box by statistics.
 A subset of the box prod_i [0, dims[i]-1] is packed as a bitmask: the cell
 with coordinates (c_0, .., c_{n-1}) sits at bit
 c_0 + dims[0]*(c_1 + dims[1]*...), axis 0 fastest.  Works for boxes of any
-size (Python integers).  `subset_stats` decodes the cells of one mask and
-hands them, in bit order, to `core.line_stats`: the one statistics loop,
-the line pass, needs each axis line's cells in increasing order, and bit
-order rises along every line.
+size (Python integers).  A mask is decoded in one pass over its binary
+digits against the box's `cell_table`, kept for the last few boxes.
+`subset_stats` decodes the cells of one mask and hands them, in bit order,
+to `core.line_stats`: the one statistics loop, the line pass, needs each
+axis line's cells in increasing order, and bit order rises along every
+line.
 
 `subset_histograms` counts the subsets of a box by (size, crossings) and by
 (size, shadow sizes) without visiting them: a transfer-matrix scan (Stanley,
@@ -23,6 +25,7 @@ all contain 0 (`product_sets`), one per translation class; no subset is
 decoded one by one, whether the theorems hold or not.
 """
 
+import functools
 import itertools
 import math
 
@@ -36,21 +39,16 @@ def strides(dims):
     return tuple(out)
 
 
-def cell(idx, dims):
-    """Coordinates of the cell at flat index idx."""
-    coords = []
-    for d in dims:
-        idx, c = divmod(idx, d)
-        coords.append(c)
-    return tuple(coords)
+@functools.lru_cache(maxsize=8)
+def cell_table(dims: tuple) -> tuple:
+    """The coordinates of every cell of the box, by flat index."""
+    return tuple(z[::-1] for z in itertools.product(*map(range, reversed(dims))))
 
 
 def _cells(mask, dims):
-    """Coordinates of the set bits of mask, lowest bit first."""
-    while mask:
-        low = mask & -mask
-        yield cell(low.bit_length() - 1, dims)
-        mask ^= low
+    """Coordinates of the set bits of mask, lowest bit first: one pass over
+    its binary digits against the box's cell table."""
+    return itertools.compress(cell_table(tuple(dims)), map("1".__eq__, bin(mask)[:1:-1]))
 
 
 def pack(points, dims):

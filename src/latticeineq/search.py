@@ -98,8 +98,7 @@ def anneal_sets(
     # neighbor table over flat cell indices
     strides = kernels.strides(dims)
     neighbors = []
-    for idx in range(cells):
-        coords = kernels.cell(idx, dims)
+    for idx, coords in enumerate(kernels.cell_table(dims)):
         nbs = []
         for ax in range(n):
             if coords[ax] > 0:

@@ -563,17 +563,17 @@ class TestFunctionCounts:
         (LatticeSet(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)]), F(1, 2)),
     ], ids=["nonnegative-2d", "scaled-cuboid-3d", "nonnegative-2d-p2", "set-3d"])
     def test_each_statistic_computed_once(self, x, p, monkeypatch):
-        # only norm(f, n/(n-1)) is counted: at p = 1/2 the normalizing norm
-        # of the log checks is another norm, at p = 2 in 2-D it is the same;
-        # every per-axis statistic comes from one line pass per axis, kept
-        # on the input, and the one-statistic routes are never taken; the
-        # three log checks share one entropy sum
+        # only the float norm at n/(n-1) is counted: at p = 1/2 the
+        # normalizing norm of the log checks is another norm, at p = 2 in
+        # 2-D it is the same; every per-axis statistic comes from one line
+        # pass per axis, kept on the input, and the one-statistic routes are
+        # never taken; the three log checks share one entropy sum
         n = x.dim
         calls = collections.Counter()
 
         def counted(name, fn, only_p=None):
             def wrapper(*args):
-                if only_p is None or args[1] == only_p:
+                if only_p is None or args[1:] == only_p:
                     calls[name] += 1
                 return fn(*args)
             return wrapper
@@ -581,14 +581,14 @@ class TestFunctionCounts:
         for name in ("_line_pass", "axis_variation", "max_projection"):
             assert not hasattr(certify, name), name
             monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
-        monkeypatch.setattr(certify, "norm",
-                            counted("norm", certify.norm, only_p=F(n, n - 1)))
+        monkeypatch.setattr(certify, "_float_norm",
+                            counted("_float_norm", certify._float_norm, only_p=(n, n - 1)))
         monkeypatch.setattr(certify, "_entropy_sum",
                             counted("_entropy_sum", certify._entropy_sum))
         for _ in range(2):
             for ineq in Inequality:
                 check(ineq, x, p, normalize=True)
-        assert calls == {"_line_pass": n, "norm": 1, "_entropy_sum": 1}
+        assert calls == {"_line_pass": n, "_float_norm": 1, "_entropy_sum": 1}
 
     def test_unit_norm_decided_on_every_call(self):
         # the entropy sum is kept on f, the unit-norm test is not: it reads
@@ -610,20 +610,20 @@ class TestFunctionCounts:
         # p = 3/2 (failing at the default tol, passing at a wide one) and
         # the normalized checks at 3/2 read one ||f||_{3/2}
         calls = collections.Counter()
-        taken = certify.norm
+        taken = certify._float_norm
 
-        def counted(f, p):
-            calls[p] += 1
-            return taken(f, p)
+        def counted(f, a, b):
+            calls[F(a, b)] += 1
+            return taken(f, a, b)
 
-        monkeypatch.setattr(certify, "norm", counted)
+        monkeypatch.setattr(certify, "_float_norm", counted)
         f = SparseFunction(2, {(0, 0): 2, (1, 0): 1})  # ||f||_{3/2} ~ 2.45
         for _ in range(2):
             for checker in (check_gn, check_sobolev, check_bl):
                 checker(f)
             with pytest.raises(PreconditionError, match="got 2.4"):
                 check_log_sobolev(f, F(3, 2))
-            assert calls[F(3, 2)] == 1  # the float test read core.norm
+            assert calls[F(3, 2)] == 1  # the float test read the float norm
             check_log_bl(f, F(3, 2), tol=2.0)
             check_log_sobolev(f, F(3, 2), normalize=True)
             check_log_bl(f, F(3, 2), normalize=True)

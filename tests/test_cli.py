@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import time
 import sys
@@ -172,9 +173,25 @@ class TestCheckCommand:
         dest = tmp_path / "report.json"
         code = main(["check", "--input", rect_file, "--out", str(dest)])
         assert code == 0
-        obj = json.loads(dest.read_text())
+        obj = json.loads(dest.read_text(encoding="utf-8"))
         assert obj["tol"] == 1e-9
         assert obj["reports"]
+
+    def test_out_file_opened_as_utf8(self, tmp_path):
+        # with the default-encoding warning raised as an error, an --out file
+        # opened in the locale's encoding would end in an internal error
+        import subprocess
+
+        dest = tmp_path / "t.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::EncodingWarning", "-m", "latticeineq.cli",
+             "table", "--n", "2", "--max-side", "3", "--out", str(dest)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONWARNDEFAULTENCODING": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "" and proc.stderr == ""
+        assert dest.read_text(encoding="utf-8").count("\n") > 2
 
 
 class TestFuzzCommand:
@@ -734,6 +751,15 @@ class TestExitCodeContract:
         assert proc.stdout == ""
         assert proc.stderr == ("precondition: ||f||_1000000 must be 1 "
                                "(got 1.0); pass normalize=True\n")
+
+    def test_single_entry_past_the_float_range_at_huge_p_exit_2(self, tmp_path):
+        # 10^400 != 1 decides the precondition on the ints; the norm the
+        # message prints is past the float range, so it reads inf
+        proc = self._logsob_at_huge_p(tmp_path, ["1e400"])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == ("precondition: ||f||_1000000 must be 1 "
+                               "(got inf); pass normalize=True\n")
 
     def test_norm_within_tol_of_one_at_huge_p_exit_0(self, tmp_path):
         # two entries of 2^(-1/10^6), to 300 digits: the norm is 1 within tol

@@ -484,6 +484,16 @@ class TestPointwiseLineBound:
         assert pointwise_line_bound(f, 1).ok
         assert pointwise_line_bound(f, 2).ok
 
+    def test_tie_goes_to_the_lower_line(self):
+        # the lines y = 3 and y = -2 both have margin 0, the line y = 0 has
+        # margin 1; of the two tied lines the lower key wins, in whichever
+        # order the entries arrive
+        f = SparseFunction(2, {(0, 3): 2, (0, 0): 1, (5, 0): 1, (4, -2): 1})
+        check = pointwise_line_bound(f, 1)
+        assert check.ok and check.lines_checked == 3
+        assert check.worst_line == (-2,) and check.margin == 0
+        assert check.worst_max == 1 and check.worst_half_variation == 1
+
 
 class TestEdgeCases:
     def test_line_bound_on_zero_function(self):

@@ -228,10 +228,12 @@ class TestProgramMadeSets:
         assert calls == [(2, (2, -1))]
 
     def test_fuzz_instance_and_anneal(self, calls):
+        import random
+
         from latticeineq import anneal_sets
         from latticeineq.fuzzing import run_instance
 
-        run_instance(1, 0, 2, 4, 0.4, 64, 1e-9)
+        run_instance(1, 0, 2, 4, 0.4, 64, 1e-9, random.Random())
         assert len(anneal_sets(2, 9, iters=200, seed=0).best_input) == 9
         assert calls == []
 

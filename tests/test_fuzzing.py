@@ -1,13 +1,14 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from latticeineq import fuzz
 from latticeineq.certify import DEFAULT_TOL, SET_INEQUALITIES, Inequality, check
 from latticeineq.fileio import load_input, summary_to_dict
-from latticeineq.fuzzing import P_CYCLE, _sample_function, run_instance
+from latticeineq.fuzzing import P_CYCLE, _sample_function, _sample_support, run_instance
 from latticeineq.errors import InvalidInputError
 from oracles import oracle_sample_function
 
@@ -126,7 +127,8 @@ class TestFuzz:
         # random point
         assert fuzz(5, 2, q=1e-12).violations == 0
         for index in range(5):
-            inputs = run_instance(0, index, 2, 5, 1e-12, 64, DEFAULT_TOL)["inputs"]
+            inputs = run_instance(0, index, 2, 5, 1e-12, 64, DEFAULT_TOL,
+                                  random.Random())["inputs"]
             for ineq, x in inputs.items():
                 size = len(x) if ineq in SET_INEQUALITIES else x.support_size()
                 assert size == 1, ineq
@@ -176,3 +178,45 @@ def test_sampler_draws_the_randint_stream(denominator, n):
             assert (_sample_function(rng, n, 3, 0.4, denominator, signed)
                     == oracle_sample_function(ref, n, 3, 0.4, denominator, signed))
             assert rng.getstate() == ref.getstate()
+
+
+def test_reseeded_generator_draws_the_fresh_generators_inputs():
+    # _fuzz_range re-seeds one generator per instance; each instance must
+    # see what random.Random((seed << 32) + index) draws
+    rng = random.Random()
+    for seed in range(10):
+        for index in range(100):
+            fresh = random.Random((seed << 32) + index)
+            f_signed = _sample_function(fresh, 2, 5, 0.4, 64, signed=True)
+            A = _sample_support(fresh, 2, 5, 0.4)
+            inputs = run_instance(seed, index, 2, 5, 0.4, 64, DEFAULT_TOL, rng)["inputs"]
+            assert inputs[Inequality.GN] == f_signed
+            assert inputs[Inequality.BL] == f_signed.abs()
+            assert list(inputs[Inequality.LW]) == sorted(A)
+            assert rng.getstate() == fresh.getstate()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_instance_builds_no_fraction(n, monkeypatch):
+    # the checks and the line bound run on ints and floats alone
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 on
+        from_ints = Fraction._from_coprime_ints.__func__
+
+        def counted_ints(cls, *args):
+            made.append(args)
+            return from_ints(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_ints))
+    rng = random.Random()
+    for index in range(50):
+        run_instance(7, index, n, 5 if n == 2 else 4, 0.4, 64, DEFAULT_TOL, rng)
+    assert made == []
+    assert Fraction(1, 2) and made == [(1, 2)]  # the counter does count

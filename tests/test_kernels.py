@@ -7,7 +7,7 @@ from latticeineq import kernels
 from latticeineq.certify import classify_counts, classify_shape, set_counts
 from latticeineq.core import LatticeSet
 
-from oracles import oracle_subset_stats
+from oracles import oracle_cells, oracle_subset_stats
 
 
 def random_cases(seed=7, count=300):
@@ -27,6 +27,19 @@ def random_cases(seed=7, count=300):
 def test_pure_matches_oracle():
     for mask, dims in random_cases():
         assert kernels.subset_stats(mask, dims) == oracle_subset_stats(mask, dims)
+
+
+def test_cells_decode_dense_and_random_masks():
+    # one pass over the binary digits, lowest bit first, as the oracle reads
+    # each cell index in turn
+    dense = (2,) * 12
+    for mask in ((1 << 4096) - 1, (1 << 4096) - 2, 1 << 4095):
+        assert list(kernels._cells(mask, dense)) == oracle_cells(mask, dense)
+    rng = random.Random(11)
+    for _ in range(200):
+        mask = rng.getrandbits(60)
+        assert list(kernels._cells(mask, (3, 4, 5))) == oracle_cells(mask, (3, 4, 5))
+    assert list(kernels._cells(0, (3, 4, 5))) == []
 
 
 def test_pack_unpack_roundtrip():
