@@ -5,9 +5,10 @@ positive int denominator per function (the lcm of the reduced value
 denominators).  Variations, max projections, 1-norms and the per-line
 bound run on those ints; `fractions.Fraction` appears only at the
 public boundary (parsing, `value`/`items` and the exact quantities returned).
-The constructors are the one validator of outside input: `_check_point`
-checks each point and `as_fraction` parses each value, a distinct value
-string once per `SparseFunction` built.
+The constructors are the one validator of outside input: `_bulk_points`
+tests a collection's points at once and `as_ratio`, the one parser, reads
+each distinct value once; where a bulk test fails, `_check_point` and
+`as_ratio` walk the entries to the first bad one.
 Fractional powers and logarithms live on the float track, where each value
 enters as the correctly rounded numerator / denominator, which is exactly
 float(Fraction); `_float_norm` is the one float p-norm sum, taking p as two
@@ -42,7 +43,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, islice, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import DegenerateInputError, DomainError, InvalidInputError
@@ -51,28 +53,40 @@ Point = tuple  # tuple of ints, length = ambient dimension
 Rational = Union[int, Fraction]
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce an exact value to Fraction; the one parser of outside values.
+def as_ratio(value) -> tuple:
+    """(numerator, denominator) of an exact value in lowest terms, the
+    denominator positive; the one parser of outside values.
 
     Accepts int, Fraction and strings ("3/4", "0.25", "-2"); decimal strings
-    parse exactly as scaled integers.  A decimal exponent past the
+    parse exactly as scaled integers.  A string of ASCII digits with an
+    optional leading "-" and "/digits" is read by int arithmetic; every
+    other spelling goes through `Fraction`.  A decimal exponent past the
     interpreter's int digit limit (4300 by default) is refused before
     10**e is expanded.  Floats are rejected: they would silently poison the
     exact track.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise InvalidInputError("boolean is not a lattice value")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if value.isascii() and num.lstrip("-").isdigit() and (den.isdigit() or not slash):
+            try:
+                a, d = int(num), int(den or 1)
+            except ValueError:  # "--1", or over the int digit limit
+                d = 0
+            if d:
+                g = math.gcd(a, d)
+                return a // g, d // g
         if "e" in value or "E" in value:
             _check_decimal_exponent(value)
         try:
-            return Fraction(value)
+            return Fraction(value).as_integer_ratio()
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"cannot parse rational value {value!r}") from exc
+    if isinstance(value, bool):
+        raise InvalidInputError("boolean is not a lattice value")
+    if isinstance(value, int):
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.as_integer_ratio()
     if isinstance(value, float):
         raise InvalidInputError(
             f"float value {value!r} is not exact; write it as a string (\"p/q\" or decimal)"
@@ -80,6 +94,11 @@ def as_fraction(value) -> Fraction:
     raise InvalidInputError(
         f"expected an exact rational (int, Fraction or string), got {type(value).__name__}"
     )
+
+
+def as_fraction(value) -> Fraction:
+    """An exact value as a Fraction, parsed by `as_ratio`."""
+    return value if isinstance(value, Fraction) else Fraction(*as_ratio(value))
 
 
 def _check_decimal_exponent(text: str):
@@ -116,6 +135,29 @@ def _check_point(dim: int, z) -> Point:
         if type(c) is not int and (not isinstance(c, int) or isinstance(c, bool)):
             raise InvalidInputError(f"point {z!r} has a non-integer coordinate")
     return tuple(z)
+
+
+def _bulk_points(dim: int, zs) -> bool:
+    """Whether every point of the collection zs is a tuple or list of `dim`
+    ints; it names no bad point, which `_check_point` does."""
+    return (set(map(type, zs)) <= {tuple, list} and set(map(len, zs)) <= {dim}
+            and set(map(type, chain.from_iterable(zs))) <= {int})
+
+
+def _bulk_entries(dim: int, entries):
+    """(points, values, {value: as_ratio(value)}) of a collection of (point,
+    value) pairs, or None if a pair, a point or a value fails a bulk test."""
+    if not (set(map(type, entries)) <= {tuple, list} and set(map(len, entries)) <= {2}):
+        return None
+    zs = list(map(itemgetter(0), entries))
+    vs = list(map(itemgetter(1), entries))
+    if not (_bulk_points(dim, zs) and set(map(type, vs)) <= {str, int, Fraction}):
+        return None
+    try:
+        memo = {v: as_ratio(v) for v in dict.fromkeys(vs)}
+    except InvalidInputError:
+        return None
+    return list(map(tuple, zs)), vs, memo
 
 
 def _check_exponent(p) -> Fraction:
@@ -184,28 +226,26 @@ class SparseFunction:
         dim = _check_dim(dim)
         if isinstance(entries, Mapping):
             entries = entries.items()
-        # each distinct value string is parsed once: `memo` maps it to its
-        # (numerator, denominator); it is keyed on strings only, since a key
-        # of 1 would also match True
-        parsed = []
-        memo: dict = {}
-        for z, v in entries:
-            z = _check_point(dim, z)
-            if type(v) is str:
-                q = memo.get(v)
-                if q is None:
-                    q = memo[v] = as_fraction(v).as_integer_ratio()
-            else:
-                q = as_fraction(v).as_integer_ratio()
-            parsed.append((z, q))
-        den = math.lcm(*{d for _, (_, d) in parsed})
-        nums: dict = {}
-        for z, (a, d) in parsed:
-            a = nums.get(z, 0) + a * (den // d)
-            if a:
-                nums[z] = a
-            else:
-                nums.pop(z, None)
+        # a collection of (point, value) pairs is tested column by column,
+        # parsing each distinct value once; an iterator, or a collection that
+        # fails a bulk test, is walked to its first bad entry
+        columns = None if iter(entries) is entries else _bulk_entries(dim, entries)
+        if columns is None:
+            points, keys = [], []
+            for z, v in entries:
+                points.append(_check_point(dim, z))
+                keys.append(as_ratio(v))
+            columns = points, keys, dict(zip(keys, keys))
+        points, keys, memo = columns
+        den = math.lcm(*{d for _, d in memo.values()})
+        scaled = {v: a * (den // d) for v, (a, d) in memo.items()}
+        nums = dict(zip(points, map(scaled.__getitem__, keys)))
+        if len(nums) < len(points):  # a point repeats: its values add up
+            nums = {}
+            for z, v in zip(points, keys):
+                nums[z] = nums.get(z, 0) + scaled[v]
+        if 0 in nums.values():
+            nums = {z: a for z, a in nums.items() if a}
         self._init(dim, nums, den)
 
     @classmethod
@@ -317,9 +357,11 @@ class LatticeSet:
 
     def __init__(self, dim: int, points: Iterable = ()):
         self.dim = dim = _check_dim(dim)
-        self._indicator = SparseFunction._from_clean(
-            dim, {_check_point(dim, z): 1 for z in points}
-        )
+        if iter(points) is not points and _bulk_points(dim, points):
+            points = map(tuple, points)
+        else:
+            points = [_check_point(dim, z) for z in points]
+        self._indicator = SparseFunction._from_clean(dim, dict.fromkeys(points, 1))
 
     @classmethod
     def _from_clean(cls, dim: int, points: Iterable) -> "LatticeSet":

@@ -7,17 +7,18 @@ Set files:       {"dim": n, "points": [[int, ...], ...]}
 Files are UTF-8 JSON.  This module checks only a file's shape (an object
 whose `entries` or `points` is a list, each entry an object with `z` and
 `v`) and hands the raw dim, points and values to the `SparseFunction` and
-`LatticeSet` constructors: core is the one validator of outside input, and
-parses each distinct value string once per load.  Values are exact:
-rational strings ("3/4"), decimal strings ("0.25", parsed as scaled
-integers) or JSON integers.  JSON floats are rejected — a binary float
-cannot round-trip the exact track.  Serialization is canonical (entries
-sorted by point), so equal objects produce identical bytes.
+`LatticeSet` constructors, core being the one validator of outside input.
+Both test a list at once and walk it in file order only to name a fault.
+Values are exact: rational strings ("3/4"), decimal strings ("0.25",
+parsed as scaled integers) or JSON integers.  JSON floats are rejected — a
+binary float cannot round-trip the exact track.  Serialization is canonical
+(entries sorted by point), so equal objects produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import TYPE_CHECKING, Union
 
 from .core import LatticeSet, SparseFunction
@@ -60,7 +61,13 @@ def _entry_pairs(obj: dict):
 
 
 def function_from_dict(obj: dict) -> SparseFunction:
-    return SparseFunction(obj.get("dim"), _entry_pairs(obj))
+    items, pairs = obj.get("entries"), None
+    if type(items) is list and set(map(type, items)) <= {dict}:
+        try:
+            pairs = list(map(itemgetter("z", "v"), items))
+        except KeyError:  # an entry lacks 'z' or 'v': the walk names it
+            pass
+    return SparseFunction(obj.get("dim"), _entry_pairs(obj) if pairs is None else pairs)
 
 
 def set_to_dict(A: LatticeSet) -> dict:
@@ -73,7 +80,8 @@ def input_to_dict(x: Union[SparseFunction, LatticeSet]) -> dict:
 
 
 def set_from_dict(obj: dict) -> LatticeSet:
-    return LatticeSet(obj.get("dim"), _listed(obj, "points"))
+    points = obj.get("points")
+    return LatticeSet(obj.get("dim"), points if type(points) is list else _listed(obj, "points"))
 
 
 def load_input(path: str) -> Union[SparseFunction, LatticeSet]:

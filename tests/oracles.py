@@ -166,6 +166,15 @@ def oracle_check_point(dim, z):
     return tuple(z)
 
 
+def oracle_entry_pairs(items):
+    """The (z, v) pairs of a function file's entries, refusing the first
+    that is not an object with both fields."""
+    for item in items:
+        if not isinstance(item, dict) or "z" not in item or "v" not in item:
+            raise InvalidInputError(f"entry {item!r} must have fields 'z' and 'v'")
+        yield item["z"], item["v"]
+
+
 def oracle_function_parts(dim, entries):
     """(dim, den, entries in key order) of a SparseFunction built from
     (point, value) pairs with one as_fraction call per entry and Fraction

@@ -35,7 +35,7 @@ def gn_over_its_bound(monkeypatch):
 @pytest.fixture
 def rect_file(tmp_path):
     path = tmp_path / "rect23.json"
-    path.write_text(json.dumps(RECT23))
+    path.write_text(json.dumps(RECT23), encoding="utf-8")
     return str(path)
 
 
@@ -59,7 +59,7 @@ class TestCheckCommand:
 
     def test_zero_function_exit_2(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
-        path.write_text(json.dumps({"dim": 2, "entries": []}))
+        path.write_text(json.dumps({"dim": 2, "entries": []}), encoding="utf-8")
         code = main(["check", "--input", str(path)])
         assert code == 2
         err = capsys.readouterr().err
@@ -67,19 +67,21 @@ class TestCheckCommand:
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{oops")
+        path.write_text("{oops", encoding="utf-8")
         assert main(["check", "--input", str(path)]) == 2
         assert "invalid input" in capsys.readouterr().err
 
     def test_dimension_mismatch_exit_2(self, tmp_path, capsys):
         path = tmp_path / "f.json"
-        path.write_text(json.dumps({"dim": 2, "entries": [{"z": [0], "v": "1"}]}))
+        path.write_text(json.dumps({"dim": 2, "entries": [{"z": [0], "v": "1"}]}),
+                        encoding="utf-8")
         assert main(["check", "--input", str(path)]) == 2
         assert "dimension" in capsys.readouterr().err
 
     def test_n1_rejected_with_hypothesis_message(self, tmp_path, capsys):
         path = tmp_path / "one.json"
-        path.write_text(json.dumps({"dim": 1, "entries": [{"z": [0], "v": "1"}]}))
+        path.write_text(json.dumps({"dim": 1, "entries": [{"z": [0], "v": "1"}]}),
+                        encoding="utf-8")
         assert main(["check", "--input", str(path)]) == 2
         assert ">= 2" in capsys.readouterr().err
 
@@ -102,7 +104,7 @@ class TestCheckCommand:
         path.write_text(json.dumps({
             "dim": 2,
             "entries": [{"z": [0, 0], "v": "1"}, {"z": [1, 0], "v": "-1"}],
-        }))
+        }), encoding="utf-8")
         code = main(["check", "--input", str(path)])
         assert code == 0
         obj = json.loads(capsys.readouterr().out)
@@ -123,7 +125,7 @@ class TestCheckCommand:
     ], ids=["set", "set-normalize", "nonnegative", "nonnegative-normalize"])
     def test_default_selection(self, payload, args, expected, tmp_path, capsys):
         path = tmp_path / "in.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["check", "--input", str(path)] + args) == 0
         obj = json.loads(capsys.readouterr().out)
         assert [r["inequality"] for r in obj["reports"]] == expected
@@ -133,13 +135,14 @@ class TestCheckCommand:
         path.write_text(json.dumps({
             "dim": 2,
             "entries": [{"z": [0, 0], "v": "1"}, {"z": [1, 0], "v": "-1"}],
-        }))
+        }), encoding="utf-8")
         assert main(["check", "--input", str(path), "--ineq", "bl"]) == 2
         assert "domain error" in capsys.readouterr().err
 
     def test_set_input_runs_all_checks_normalized(self, tmp_path, capsys):
         path = tmp_path / "set.json"
-        path.write_text(json.dumps({"dim": 2, "points": [[0, 0], [0, 1], [1, 0], [1, 1]]}))
+        path.write_text(json.dumps({"dim": 2, "points": [[0, 0], [0, 1], [1, 0], [1, 1]]}),
+                        encoding="utf-8")
         code = main(["check", "--input", str(path), "--ineq", "all"])
         assert code == 0
         obj = json.loads(capsys.readouterr().out)
@@ -152,7 +155,7 @@ class TestCheckCommand:
         path.write_text(json.dumps({
             "dim": 2,
             "entries": [{"z": [0, 0], "v": "2"}, {"z": [1, 0], "v": "1"}],
-        }))
+        }), encoding="utf-8")
         assert main(["check", "--input", str(path), "--ineq", "gn", "--exact"]) == 2
         assert "certificate" in capsys.readouterr().err
 
@@ -186,7 +189,7 @@ class TestCheckCommand:
         proc = subprocess.run(
             [sys.executable, "-W", "error::EncodingWarning", "-m", "latticeineq.cli",
              "table", "--n", "2", "--max-side", "3", "--out", str(dest)],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, encoding="utf-8", timeout=60,
             env={**os.environ, "PYTHONWARNDEFAULTENCODING": "1"},
         )
         assert proc.returncode == 0, proc.stderr
@@ -296,7 +299,7 @@ class TestEnumerateCommand:
         obj = json.loads(capsys.readouterr().out)
         assert obj["total_checked"] == 15
         assert obj["mismatches"] == 0
-        lines = dest.read_text().strip().splitlines()
+        lines = dest.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "group,key,size,count,shape_class,gn_equal,iso_equal,lw_equal"
         # 6 keys of each histogram, and the 4 classes S x T with 0 in S and T
         assert [line.split(",")[0] for line in lines[1:]] == (
@@ -312,7 +315,7 @@ class TestEnumerateCommand:
                      "--report", str(dest)])
         assert time.perf_counter() - start < 2
         assert code == 0, capsys.readouterr().err
-        assert dest.read_text() == (
+        assert dest.read_text(encoding="utf-8") == (
             "group,key,size,count,shape_class,gn_equal,iso_equal,lw_equal\n"
             "crossings,2 2,1,40000,,1,1,\n"
             "shadows,1 1,1,40000,,,,1\n"
@@ -368,7 +371,7 @@ class TestEnumerateCommand:
         proc = subprocess.run(
             [sys.executable, "-m", "latticeineq.cli", "enumerate", "--n", "2",
              "--box", "262144"],
-            capture_output=True, text=True, preexec_fn=limit_memory, timeout=60,
+            capture_output=True, encoding="utf-8", preexec_fn=limit_memory, timeout=60,
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
@@ -405,7 +408,7 @@ class TestHugeBoxes:
 
         proc = subprocess.run(
             [sys.executable, "-m", "latticeineq.cli", *args.split()],
-            capture_output=True, text=True, preexec_fn=limit_memory, timeout=30,
+            capture_output=True, encoding="utf-8", preexec_fn=limit_memory, timeout=30,
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
@@ -486,7 +489,7 @@ class TestMalformedInput:
             argv = ["check", "--input", str(path), *args.split()]
         proc = subprocess.run(
             [sys.executable, "-m", "latticeineq.cli", *argv],
-            capture_output=True, text=True, preexec_fn=limit_memory, timeout=10,
+            capture_output=True, encoding="utf-8", preexec_fn=limit_memory, timeout=10,
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
@@ -527,7 +530,7 @@ class TestParserReuse:
 class TestReadmeExamples:
     def test_cli_block_parses(self):
         # the code block of the README's CLI section, one command a line
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
         commands = [shlex.split(line, comments=True) for line in block.splitlines()]
         assert all(argv[0] == "latticeineq" for argv in commands)
@@ -606,7 +609,7 @@ class TestLogChecksFromCli:
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(
             {"dim": 2, "points": [[0, 0], [0, 2], [1, 0], [1, 2]]}
-        ))
+        ), encoding="utf-8")
         code = main(["check", "--input", str(path), "--ineq", "logbl", "--p", "1"])
         assert code == 0
         obj = json.loads(capsys.readouterr().out)
@@ -618,7 +621,7 @@ class TestLogChecksFromCli:
         path = tmp_path / "f.json"
         path.write_text(json.dumps(
             {"dim": 2, "entries": [{"z": [0, 0], "v": "2"}, {"z": [3, 1], "v": "1"}]}
-        ))
+        ), encoding="utf-8")
         code = main(["check", "--input", str(path), "--normalize"])
         assert code == 0
         obj = json.loads(capsys.readouterr().out)
@@ -632,7 +635,8 @@ BIG_PAIR = {"dim": 2, "entries": [{"z": [0, 0], "v": "1e154"}, {"z": [5, 5], "v"
 class TestExitCodeContract:
     def test_invalid_p_exit_2(self, tmp_path, capsys):
         path = tmp_path / "f.json"
-        path.write_text(json.dumps({"dim": 2, "entries": [{"z": [0, 0], "v": "1"}]}))
+        path.write_text(json.dumps({"dim": 2, "entries": [{"z": [0, 0], "v": "1"}]}),
+                        encoding="utf-8")
         assert main(["check", "--input", str(path), "--ineq", "logbl", "--p", "0"]) == 2
         assert "p must be positive" in capsys.readouterr().err
         assert main(["check", "--input", str(path), "--ineq", "logbl", "--p", "x"]) == 2
@@ -648,7 +652,7 @@ class TestExitCodeContract:
     ])
     def test_float_overflow_exit_2(self, payload, args, tmp_path, capsys):
         path = tmp_path / "in.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["check", "--input", str(path)] + args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -660,7 +664,7 @@ class TestExitCodeContract:
         # the float sum of |f|^2 overflows, so the norm to divide by is inf:
         # refused as an overflow, before any entropy is taken of f / inf
         path = tmp_path / "in.json"
-        path.write_text(json.dumps(BIG_PAIR))
+        path.write_text(json.dumps(BIG_PAIR), encoding="utf-8")
         assert main(["check", "--input", str(path), "--normalize", "--p", "2",
                      "--ineq", ineq, "--format", fmt]) == 2
         captured = capsys.readouterr()
@@ -691,7 +695,7 @@ class TestExitCodeContract:
         # "1e-400" is an exact rational whose float is 0.0
         entries = [{"z": [i, 0], "v": v} for i, v in enumerate(values)]
         path = tmp_path / "in.json"
-        path.write_text(json.dumps({"dim": 2, "entries": entries}))
+        path.write_text(json.dumps({"dim": 2, "entries": entries}), encoding="utf-8")
         assert main(["check", "--input", str(path)] + args) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ") and "underflows" in err
@@ -702,7 +706,7 @@ class TestExitCodeContract:
         # "1e-400" is a positive exact rational whose float is 0.0
         if command == "check":
             path = tmp_path / "in.json"
-            path.write_text(json.dumps(RECT23))
+            path.write_text(json.dumps(RECT23), encoding="utf-8")
             argv = ["check", "--input", str(path), "--ineq", "all", "--normalize"]
         else:
             argv = ["table", "--n", "2", "--max-side", "2", "--ineq", "all"]
@@ -720,11 +724,11 @@ class TestExitCodeContract:
 
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"dim": 2, "entries": [
-            {"z": [0, 0], "v": "1/2"}, {"z": [1, 0], "v": "2/3"}]}))
+            {"z": [0, 0], "v": "1/2"}, {"z": [1, 0], "v": "2/3"}]}), encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "latticeineq.cli", "check", "--input",
              str(path), "--ineq", "logsob", "--p", p],
-            capture_output=True, text=True, timeout=30,
+            capture_output=True, encoding="utf-8", timeout=30,
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
@@ -737,11 +741,11 @@ class TestExitCodeContract:
 
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"dim": 2, "entries": [
-            {"z": [i, 0], "v": v} for i, v in enumerate(values)]}))
+            {"z": [i, 0], "v": v} for i, v in enumerate(values)]}), encoding="utf-8")
         return subprocess.run(
             [sys.executable, "-m", "latticeineq.cli", "check", "--input",
              str(path), "--ineq", "logsob", "--p", "1000000"],
-            capture_output=True, text=True, timeout=30,
+            capture_output=True, encoding="utf-8", timeout=30,
         )
 
     def test_single_entry_below_one_at_huge_p_exit_2(self, tmp_path):
@@ -795,7 +799,8 @@ class TestExitCodeContract:
 
         monkeypatch.setattr(certify, "check_gn", fake_check)
         path = tmp_path / "f.json"
-        path.write_text(json.dumps({"dim": 2, "entries": [{"z": [0, 0], "v": "1"}]}))
+        path.write_text(json.dumps({"dim": 2, "entries": [{"z": [0, 0], "v": "1"}]}),
+                        encoding="utf-8")
         code = main(["check", "--input", str(path), "--ineq", "gn"])
         assert code == 1
         obj = json.loads(capsys.readouterr().out)
@@ -807,7 +812,8 @@ class TestExitCodeContract:
         # set's indicator, and echoes it
         gn_over_its_bound(monkeypatch)
         path = tmp_path / "rect.json"
-        path.write_text(json.dumps({"dim": 2, "points": [z["z"] for z in RECT23["entries"]]}))
+        path.write_text(json.dumps({"dim": 2, "points": [z["z"] for z in RECT23["entries"]]}),
+                        encoding="utf-8")
         assert main(["check", "--input", str(path), "--ineq", "gn"]) == 1
         report = json.loads(capsys.readouterr().out)["reports"][0]
         assert report["relation"] == "VIOLATED"
@@ -851,7 +857,7 @@ class TestCrossProcessByteStability:
         import sys
 
         path = tmp_path / "rect.json"
-        path.write_text(json.dumps(RECT23))
+        path.write_text(json.dumps(RECT23), encoding="utf-8")
 
         def run(args):
             return subprocess.run(

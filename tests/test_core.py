@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticeineq import (
     Cuboid,
@@ -114,6 +115,54 @@ class TestLatticeSet:
         A = LatticeSet(2, self.PTS)
         assert indicator(A) is indicator(A)
         assert indicator(A, 3) == indicator(A).scaled(3)
+
+
+class TestAsRatio:
+    """A string of ASCII digits, with an optional "-" and "/digits", is read
+    by int arithmetic; the pair and every refusal match Fraction's."""
+
+    SPELLINGS = ["-0", "0/5", "007/010", "3/0", "1/-2", "--1", "", "/", "1/", "+3",
+                 " 3", "1_0", "\u0663", "7" * 5000, "-37/64", "12", "-6/4"]
+
+    @staticmethod
+    def _fraction_calls(monkeypatch):
+        calls = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args):
+                calls.append(args)
+                return Fraction(*args)
+        monkeypatch.setattr(core, "Fraction", Counted)
+        return calls
+
+    @pytest.mark.parametrize("text", SPELLINGS,
+                             ids=lambda t: t if len(t) < 40 else f"{len(t)}-digits")
+    def test_agrees_with_fraction(self, text, monkeypatch):
+        try:
+            expected = Fraction(text).as_integer_ratio()
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        calls = self._fraction_calls(monkeypatch)
+        if expected is None:
+            with pytest.raises(InvalidInputError) as err:
+                core.as_ratio(text)
+            assert str(err.value) == f"cannot parse rational value {text!r}"
+        else:
+            assert core.as_ratio(text) == expected
+        # only the int path's own spellings skip Fraction
+        int_path = text in ("-0", "0/5", "007/010", "-37/64", "12", "-6/4")
+        assert calls == ([] if int_path else [(text,)])
+
+    @settings(max_examples=300)
+    @given(st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True))
+    def test_digit_spellings_agree_with_fraction(self, text):
+        try:
+            expected = Fraction(text).as_integer_ratio()
+        except ZeroDivisionError:
+            with pytest.raises(InvalidInputError, match="^cannot parse rational value"):
+                core.as_ratio(text)
+        else:
+            assert core.as_ratio(text) == expected
 
 
 class TestAsFraction:

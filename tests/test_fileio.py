@@ -65,28 +65,30 @@ class TestSetRoundTrip:
 class TestLoadInput(object):
     def test_detects_function(self, tmp_path):
         path = tmp_path / "f.json"
-        path.write_text(json.dumps({"dim": 2, "entries": [{"z": [0, 0], "v": "1"}]}))
+        path.write_text(json.dumps({"dim": 2, "entries": [{"z": [0, 0], "v": "1"}]}),
+                        encoding="utf-8")
         assert isinstance(fileio.load_input(str(path)), SparseFunction)
 
     def test_detects_set(self, tmp_path):
         path = tmp_path / "a.json"
-        path.write_text(json.dumps({"dim": 2, "points": [[0, 0]]}))
+        path.write_text(json.dumps({"dim": 2, "points": [[0, 0]]}), encoding="utf-8")
         assert isinstance(fileio.load_input(str(path)), LatticeSet)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         with pytest.raises(InvalidInputError):
             fileio.load_input(str(path))
 
     def test_duplicate_set_points_merge(self, tmp_path):
         path = tmp_path / "a.json"
-        path.write_text(json.dumps({"dim": 2, "points": [[0, 1], [0, 1], [2, 0]]}))
+        path.write_text(json.dumps({"dim": 2, "points": [[0, 1], [0, 1], [2, 0]]}),
+                        encoding="utf-8")
         assert fileio.load_input(str(path)) == LatticeSet(2, [(0, 1), (2, 0)])
 
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "odd.json"
-        path.write_text(json.dumps({"dim": 2}))
+        path.write_text(json.dumps({"dim": 2}), encoding="utf-8")
         with pytest.raises(InvalidInputError):
             fileio.load_input(str(path))
 
@@ -110,7 +112,7 @@ class TestOneValidator:
         if dim is not None:
             payload["dim"] = dim
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(InvalidInputError) as from_file:
             fileio.load_input(str(path))
         with pytest.raises(InvalidInputError) as from_api:
@@ -122,50 +124,66 @@ class TestOneValidator:
     ])
     def test_set_file_and_api_refuse_alike(self, dim, points, tmp_path):
         path = tmp_path / "a.json"
-        path.write_text(json.dumps({"dim": dim, "points": points}))
+        path.write_text(json.dumps({"dim": dim, "points": points}), encoding="utf-8")
         with pytest.raises(InvalidInputError) as from_file:
             fileio.load_input(str(path))
         with pytest.raises(InvalidInputError) as from_api:
             LatticeSet(dim, points)
         assert str(from_file.value) == str(from_api.value)
 
-    def test_each_entry_checked_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _count_validators(monkeypatch):
+        """Wrap every binding of the point checks and the value parser; a
+        bulk point test counts the points it covers."""
         import latticeineq.core as core
 
-        n = 25
-        path = tmp_path / "f.json"
-        path.write_text(json.dumps({"dim": 2, "entries": [
-            {"z": [k, -k], "v": f"{k + 1}/7"} for k in range(n)]}))
-        calls = {"as_fraction": 0, "_check_point": 0}
+        calls = {"as_ratio": 0, "_check_point": 0, "_bulk_points": []}
         for name in calls:
             def counted(*args, _original=getattr(core, name), _name=name):
-                calls[_name] += 1
+                if _name == "_bulk_points":
+                    calls[_name].append(len(args[1]))
+                else:
+                    calls[_name] += 1
                 return _original(*args)
-            # every binding of the name, so a second parser would be counted
+            # every binding of the name, so a second validator would be counted
             for module in (core, fileio):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_each_entry_checked_once(self, tmp_path, monkeypatch):
+        n = 25
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [
+            {"z": [k, -k], "v": f"{k + 1}/7"} for k in range(n)]}), encoding="utf-8")
+        calls = self._count_validators(monkeypatch)
         f = fileio.load_input(str(path))
         assert f.support_size() == n
-        assert calls == {"as_fraction": n, "_check_point": n}
+        # one bulk test covers every point, and no point is walked
+        assert calls == {"as_ratio": n, "_check_point": 0, "_bulk_points": [n]}
 
     def test_each_distinct_value_string_parsed_once(self, tmp_path, monkeypatch):
-        import latticeineq.core as core
-
         n, values = 25, ["1/2", "-3", "0.25"]
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"dim": 2, "entries": [
-            {"z": [k, k % 4], "v": values[k % 3]} for k in range(n)]}))
-        calls = {"as_fraction": 0, "_check_point": 0}
-        for name in calls:
-            def counted(*args, _original=getattr(core, name), _name=name):
-                calls[_name] += 1
-                return _original(*args)
-            monkeypatch.setattr(core, name, counted)
+            {"z": [k, k % 4], "v": values[k % 3]} for k in range(n)]}), encoding="utf-8")
+        calls = self._count_validators(monkeypatch)
         f = fileio.load_input(str(path))
         assert f.support_size() == n
-        assert calls == {"as_fraction": 3, "_check_point": n}
+        assert calls == {"as_ratio": 3, "_check_point": 0, "_bulk_points": [n]}
         assert f.value((3, 3)) == F(1, 2) and f.value((4, 0)) == -3
+
+    def test_a_failed_bulk_test_walks_to_the_first_fault(self, tmp_path, monkeypatch):
+        n = 25
+        entries = [{"z": [k, -k], "v": "1/2"} for k in range(n)]
+        entries[7]["v"] = "x"
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"dim": 2, "entries": entries}), encoding="utf-8")
+        calls = self._count_validators(monkeypatch)
+        with pytest.raises(InvalidInputError, match="^cannot parse rational value 'x'$"):
+            fileio.load_input(str(path))
+        # the bulk parse of "1/2" and "x", then the walk over entries 0..7
+        assert calls == {"as_ratio": 10, "_check_point": 8, "_bulk_points": [n]}
 
 
 class TestTypeConfusion:
@@ -194,26 +212,26 @@ class TestTypeConfusion:
         from latticeineq.cli import main
 
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["check", "--input", str(path)]) == 2
         assert capsys.readouterr().err == f"invalid input: {message}\n"
 
 
 class TestProgramMadeSets:
-    """Only outside input goes through core._check_point: a set the program
-    builds from its own cells is not checked again, while a loaded file
-    keeps one check per point."""
+    """Only outside input goes through the point checks (core._bulk_points
+    and core._check_point): a set the program builds from its own cells is
+    not checked again, while a loaded file has its points tested once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         import latticeineq.core as core
 
         seen = []
-
-        def counted(*args, _original=core._check_point):
-            seen.append(args)
-            return _original(*args)
-        monkeypatch.setattr(core, "_check_point", counted)
+        for name in ("_bulk_points", "_check_point"):
+            def counted(*args, _original=getattr(core, name), _name=name):
+                seen.append((_name, args))
+                return _original(*args)
+            monkeypatch.setattr(core, name, counted)
         return seen
 
     def test_cuboid_points_and_indicator(self, calls):
@@ -225,7 +243,7 @@ class TestProgramMadeSets:
     def test_translate_checks_only_the_shift(self, calls):
         A = Cuboid(((0, 3), (-1, 4))).points()
         assert len(A.translate([2, -1])) == 24
-        assert calls == [(2, (2, -1))]
+        assert calls == [("_check_point", (2, (2, -1)))]
 
     def test_fuzz_instance_and_anneal(self, calls):
         import random
@@ -239,9 +257,10 @@ class TestProgramMadeSets:
 
     def test_set_file_checks_each_point_once(self, calls, tmp_path):
         path = tmp_path / "a.json"
-        path.write_text(json.dumps({"dim": 2, "points": [[k, -k] for k in range(7)]}))
+        points = [[k, -k] for k in range(7)]
+        path.write_text(json.dumps({"dim": 2, "points": points}), encoding="utf-8")
         assert len(fileio.load_input(str(path))) == 7
-        assert len(calls) == 7
+        assert calls == [("_bulk_points", (2, points))]
 
 
 class TestReportSerialization:

@@ -147,7 +147,7 @@ class TestFuzz:
         summary = fuzz(count, n, seed=seed, window=window)
         for name, stats in summary.per_inequality.items():
             path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(stats.worst_input))
+            path.write_text(json.dumps(stats.worst_input), encoding="utf-8")
             p = P_CYCLE[stats.worst_index % len(P_CYCLE)]
             report = check(Inequality(name), load_input(str(path)), p, summary.tol,
                            normalize=True)

@@ -420,7 +420,7 @@ class TestRowsFromProof:
         # cells of one row, and the class rows of those pairs, {0, k} x {0}
         faulty = {"shadows,1 2,2,24,,,,1", "class,0 1/0,2,12,CUBOID,1,0,1",
                   "class,0 2/0,2,8,PRODUCT_SET,0,0,1", "class,0 3/0,2,4,PRODUCT_SET,0,0,1"}
-        rows = dest.read_text().splitlines()
+        rows = dest.read_text(encoding="utf-8").splitlines()
         expected = proved.splitlines()
         assert len(rows) == len(expected)
         for row, want in zip(rows, expected):

@@ -1,5 +1,6 @@
 """Property tests for the calculus identities and checker invariants."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -36,8 +37,10 @@ from latticeineq.core import SetCounts, axis_lines
 from oracles import (
     oracle_axis_variation,
     oracle_boundary,
+    oracle_check_point,
     oracle_coord_projection,
     oracle_diff_norm_1,
+    oracle_entry_pairs,
     oracle_float_prod,
     oracle_float_sum,
     oracle_function_parts,
@@ -579,3 +582,71 @@ def test_first_bad_entry_refused_alike(entries, bad):
     for index, entry in bad:
         entries.insert(index, entry)
     assert _refusal(SparseFunction, entries) == _refusal(oracle_function_parts, entries)
+
+
+# entries as a function file holds them: objects with 'z' and 'v', and the
+# faults a file can add to the constructor's (a non-object entry, a missing
+# field)
+file_faults = (
+    st.sampled_from([[0, 0], "z", None, 5, [], {}, {"z": [0, 0]}, {"v": "1"},
+                     {"Z": [0, 0], "v": "1"}])
+    | bad_entries.map(lambda zv: {"z": zv[0], "v": zv[1]})
+)
+
+
+def _loaded(directory, payload):
+    """What load_input makes of the payload as a file: the object, or the
+    message it refuses it with."""
+    path = directory / "in.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        return fileio.load_input(str(path))
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+def _walked(oracle):
+    """What the per-entry oracle walk makes of the file: its result, or the
+    message of the first bad entry."""
+    try:
+        return oracle()
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def file_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
+
+
+@settings(max_examples=200)
+@given(spelled_entries, st.lists(st.tuples(st.integers(0, 30), file_faults), max_size=3))
+def test_function_file_refused_or_built_as_the_entry_walk(file_dir, entries, faults):
+    items = [{"z": z, "v": v} for z, v in entries]
+    for index, item in faults:
+        items.insert(index, item)
+    payload = {"dim": 2, "entries": items}
+    got = _loaded(file_dir, payload)
+    # the oracle reads the file as JSON gives it back: tuples become lists
+    decoded = json.loads(json.dumps(payload))["entries"]
+    want = _walked(lambda: oracle_function_parts(2, oracle_entry_pairs(decoded)))
+    if isinstance(got, SparseFunction):
+        got = (got.dim, got._den, list(got._nums.items()))
+    assert got == want
+    assert isinstance(want, str) == bool(faults)
+
+
+@settings(max_examples=200)
+@given(st.lists(entry_points, max_size=30),
+       st.lists(st.tuples(st.integers(0, 30), bad_points), max_size=3))
+def test_set_file_refused_or_built_as_the_point_walk(file_dir, points, faults):
+    for index, z in faults:
+        points.insert(index, z)
+    payload = {"dim": 2, "points": points}
+    got = _loaded(file_dir, payload)
+    decoded = json.loads(json.dumps(payload))["points"]
+    want = _walked(lambda: sorted({oracle_check_point(2, z) for z in decoded}))
+    if isinstance(got, LatticeSet):
+        got = got.sorted_points()
+    assert got == want
+    assert isinstance(want, str) == bool(faults)
