@@ -20,7 +20,6 @@ from .certify import (
     check_log_sobolev,
     check_loomis_whitney,
     check_sobolev,
-    classify_shape,
     is_scaled_indicator,
     jensen_gap,
     set_counts,
@@ -32,13 +31,9 @@ from .core import (
     SparseFunction,
     axis_variation,
     boundary_count,
-    coord_projection,
-    entropy,
     indicator,
-    max_projection,
     norm,
     pointwise_line_bound,
-    shadow_projection,
 )
 from .errors import (
     BudgetExceededError,
@@ -49,7 +44,7 @@ from .errors import (
     PreconditionError,
 )
 from .fuzzing import FuzzSummary, fuzz
-from .lab import RigidityReport, bl_ratio, enumerate_rigidity, gn_ratio, iso_ratio
+from .lab import RigidityReport, enumerate_rigidity, gn_ratio, iso_ratio
 from .search import Objective, SearchTrace, anneal_sets, ascend_function
 
 __version__ = "0.1.0"
@@ -78,7 +73,6 @@ __all__ = [
     "anneal_sets",
     "ascend_function",
     "axis_variation",
-    "bl_ratio",
     "boundary_count",
     "check_bl",
     "check_gn",
@@ -87,9 +81,6 @@ __all__ = [
     "check_log_sobolev",
     "check_loomis_whitney",
     "check_sobolev",
-    "classify_shape",
-    "coord_projection",
-    "entropy",
     "enumerate_rigidity",
     "fuzz",
     "gn_ratio",
@@ -97,9 +88,7 @@ __all__ = [
     "is_scaled_indicator",
     "iso_ratio",
     "jensen_gap",
-    "max_projection",
     "norm",
     "pointwise_line_bound",
     "set_counts",
-    "shadow_projection",
 ]

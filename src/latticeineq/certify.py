@@ -14,7 +14,8 @@ The function checkers read f's `FunctionCounts`, built once from its line
 passes and kept on f: per-axis variations and max-projection masses as int
 numerators over f's one denominator D, the counts of its support, a memo
 of its float p-norms and a memo of its entropy sums, one per exponent and
-norm factor, which the three log checkers share.  `_p_norm` is the one
+norm factor, which the three log checkers share; `absolute(f)` is |f| with
+its record read off f's.  `_p_norm` is the one
 reader of a float p-norm, core's `_float_norm` taken on p's two ints, with
 no Fraction built: the left side of GN, Sobolev and BL, the float unit-norm
 test and norm factor of the log checkers, and `jensen_gap`.  What is
@@ -138,16 +139,6 @@ def classify_counts(counts) -> ShapeClass:
     return ShapeClass.CUBOID
 
 
-def classify_shape(A: LatticeSet) -> ShapeClass:
-    """CUBE < CUBOID < PRODUCT_SET < NONE, most specific class returned.
-
-    A is a product set iff |A| equals the product of its 1-D coordinate
-    projection sizes; a cuboid additionally has interval projections; a cube
-    additionally has equal side lengths.
-    """
-    return classify_counts(set_counts(A))
-
-
 def is_scaled_indicator(f: SparseFunction) -> Optional[tuple]:
     """(value, support) when f is a nonzero constant on its support."""
     if function_counts(f).indicator is None:
@@ -194,9 +185,23 @@ def function_counts(f: SparseFunction) -> FunctionCounts:
     return counts
 
 
+def absolute(f: SparseFunction) -> SparseFunction:
+    """|f| with its FunctionCounts read off f's passes and no pass of its
+    own: f's masses, support counts and float p-norm memo (each float norm
+    reads |a|), and each axis variation less 2 * flips (see core.LinePass)."""
+    g = f.abs()
+    counts = function_counts(f)
+    g._counts = counts._replace(
+        variations=tuple(v - 2 * f._lines[ax].flips
+                         for ax, v in enumerate(counts.variations)),
+        indicator=counts.support if len(set(g._nums.values())) == 1 else None,
+        entropies={})
+    return g
+
+
 def _p_norm(f: SparseFunction, a: int, b: int) -> float:
-    """float(||f||_p) at p = a/b from core.norm, once per f and p: the one
-    reader of a p-norm in the checkers."""
+    """float(||f||_p) at p = a/b from core._float_norm, once per f and p:
+    the one reader of a p-norm in the checkers."""
     norms = function_counts(f).norms
     value = norms.get((a, b))
     if value is None:

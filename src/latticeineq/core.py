@@ -20,13 +20,11 @@ Every statistic of the calculus is a sum over the lines of one axis, and
 `_line_pass` is the one loop that gathers them: one walk over the entries
 per axis, with no sort and no difference function, since the entries of an
 axis-i line arrive in increasing order of coordinate i.  It keeps per line
-the 1-variation and the maximum of |f|, and per axis the runs and the
-coordinates (`LinePass`).  `axis_lines` caches the pass of a function per
-axis, and the calculus reads it: `axis_variation`, `max_projection`,
-`pointwise_line_bound`, `coord_projection`, `shadow_projection`,
-`LatticeSet.bounding_intervals` and `boundary_count`, as do certify's
-variations, max-projection masses and support counts.  It is the one loop
-along an axis.
+the 1-variation and the maximum of |f|, and per axis the runs, the
+coordinates and the sign flips (`LinePass`).  `axis_lines` caches the pass
+of a function per axis, and `axis_variation`, `pointwise_line_bound`,
+`boundary_count` and certify's counts of f and of |f| read it.  It is the
+one loop along an axis.
 `SetCounts` is the one record of a finite set's statistics (size,
 crossings, projections, shadows); `line_stats` builds it from the passes
 over keys that rise along every line, which is how kernels.subset_stats
@@ -256,6 +254,17 @@ class SparseFunction:
         f._init(dim, nums, den)
         return f
 
+    @classmethod
+    def _from_reduced(cls, dim: int, nums: dict, den: int) -> "SparseFunction":
+        """`_from_clean` for `nums` in key order and coprime to `den`."""
+        f = object.__new__(cls)
+        f.dim = dim
+        f._nums = nums
+        f._den = den
+        f._lines = {}
+        f._counts = None
+        return f
+
     def _init(self, dim: int, nums: dict, den: int):
         # pairwise with an early exit: most numerators reach gcd 1 within a
         # few entries, and math.gcd(den, *nums.values()) measured a higher
@@ -302,8 +311,10 @@ class SparseFunction:
     # -- derived functions ---------------------------------------------------
 
     def abs(self) -> "SparseFunction":
-        return SparseFunction._from_clean(
-            self.dim, {z: abs(a) for z, a in self._nums.items()}, self._den
+        # |f| keeps f's keys, in order, and its denominator and gcd
+        nums = self._nums
+        return SparseFunction._from_reduced(
+            self.dim, dict(zip(nums, map(abs, nums.values()))), self._den
         )
 
     def __neg__(self) -> "SparseFunction":
@@ -401,14 +412,6 @@ class LatticeSet:
         return LatticeSet._from_clean(
             self.dim, (tuple(a + b for a, b in zip(z, shift)) for z in self.points)
         )
-
-    def bounding_intervals(self) -> list:
-        """Per-axis (min, max) over the points, read off the indicator's
-        line passes; empty set -> error."""
-        if not self.points:
-            raise DegenerateInputError("empty set has no bounding box")
-        coords = [axis_lines(self._indicator, i).coords for i in range(1, self.dim + 1)]
-        return [(min(c), max(c)) for c in coords]
 
     def __repr__(self):
         return f"LatticeSet(dim={self.dim}, {len(self.points)} points)"
@@ -532,34 +535,6 @@ def _float_norm(f: SparseFunction, a: int, b: int) -> float:
     return top / den * sum((abs(c) / top) ** pf for c in nums) ** (1.0 / pf)
 
 
-def max_projection(f: SparseFunction, i: int) -> SparseFunction:
-    """Drop coordinate i and take the maximum of f over the dropped axis.
-
-    Defined for nonnegative f on Z^n with n >= 2; the result lives on
-    Z^(n-1) and is supported on the drop-axis image of supp f.  Its values
-    are the line pass's per-line maxima.
-    """
-    if f.dim < 2:
-        raise InvalidInputError("max projection needs ambient dimension >= 2")
-    _check_axis(f.dim, i)
-    if not f.is_nonnegative():
-        raise DomainError("max projection requires a nonnegative function")
-    lines = axis_lines(f, i).lines
-    return SparseFunction._from_clean(
-        f.dim - 1, {key: line[3] for key, line in lines.items()}, f._den
-    )
-
-
-def coord_projection(A: LatticeSet, i: int) -> frozenset:
-    """The set of i-th coordinates of points of A."""
-    return frozenset(axis_lines(A._indicator, i).coords)
-
-
-def shadow_projection(A: LatticeSet, i: int) -> frozenset:
-    """Image of A under dropping coordinate i (a set of (n-1)-tuples)."""
-    return frozenset(axis_lines(A._indicator, i).lines)
-
-
 class LinePass(NamedTuple):
     """What one walk over a function's entries finds on the lines parallel
     to one axis, in numerators over the function's denominator.
@@ -571,11 +546,15 @@ class LinePass(NamedTuple):
     |a_prev| + |a| across a gap, but not yet the |a| of its last entry.
     `totals` sums the lines' variations and maxima over the axis, which is
     all that axis_variation and certify's FunctionCounts read of them.
+    `flips` sums min(|a_prev|, |a|) over the neighbours of opposite sign,
+    the only terms where |a - a_prev| exceeds ||a| - |a_prev||, by twice
+    that: the axis variation of |f| is the variation of f less 2 * flips.
     """
 
     runs: int       # maximal runs of consecutive support points, all lines
     coords: set     # the axis coordinates of the support
     lines: dict
+    flips: int
 
     @property
     def totals(self) -> tuple:
@@ -604,7 +583,7 @@ def _line_pass(nums: dict, ax: int, n: int) -> LinePass:
     get = lines.get
     coords = set()
     add = coords.add
-    runs = 0
+    runs = flips = 0
     for z, a in nums.items():
         c = z[ax]
         add(c)
@@ -617,8 +596,13 @@ def _line_pass(nums: dict, ax: int, n: int) -> LinePass:
             continue
         b = line[1]
         if c == line[0] + 1:
-            d = a - b
-            line[2] += d if d > 0 else -d
+            if (a ^ b) < 0:  # opposite signs: |a - b| = |a| + |b|
+                mb = b if b > 0 else -b
+                line[2] += m + mb
+                flips += m if m < mb else mb
+            else:
+                d = a - b
+                line[2] += d if d > 0 else -d
         else:
             line[2] += m + (b if b > 0 else -b)
             runs += 1
@@ -626,7 +610,7 @@ def _line_pass(nums: dict, ax: int, n: int) -> LinePass:
             line[3] = m
         line[0] = c
         line[1] = a
-    return LinePass(runs, coords, lines)
+    return LinePass(runs, coords, lines, flips)
 
 
 def axis_lines(f: SparseFunction, i: int) -> LinePass:
@@ -663,7 +647,7 @@ class SetCounts(NamedTuple):
             zeros = (0,) * len(passes)
             return cls(0, zeros, zeros, zeros, zeros, zeros)
         crossings, sizes, lows, highs, shadows = [], [], [], [], []
-        for runs, coords, lines in passes:
+        for runs, coords, lines, _ in passes:
             crossings.append(2 * runs)
             sizes.append(len(coords))
             lows.append(min(coords))
@@ -687,15 +671,6 @@ def boundary_count(A: LatticeSet) -> int:
     """
     chi = A._indicator
     return 2 * sum(axis_lines(chi, i).runs for i in range(1, A.dim + 1))
-
-
-def entropy(f: SparseFunction, p) -> float:
-    """sum over supp f of f^p * log(f^p), float track.
-
-    The sum runs over the support only, so 0·log 0 never arises.  Requires a
-    nonnegative function.
-    """
-    return _entropy_sum(f, float(_check_exponent(p)), 1.0)
 
 
 def _entropy_sum(f: SparseFunction, pf: float, scale: float) -> float:

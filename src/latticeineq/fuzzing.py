@@ -1,11 +1,14 @@
 """Seeded random soundness sweep over all eight inequality checkers.
 
-Each instance draws a signed sparse function, its nonnegative twin and an
-independent random set inside a window, runs every checker plus the exact
-per-line bound and the three-term projection chain, and accumulates deficits.
-A violation of any relation is a theorem counterexample, i.e. an
-implementation bug; either way the summary retains, per inequality, the
-input its checker saw at the smallest deficit.
+Each instance draws a signed sparse function f and an independent random
+set inside a window: GN, Sobolev and the per-line bound read f, BL and the
+log inequalities |f|, whose counts are read off f's line passes, and the
+set inequalities the set, 2n line passes in all; the chain
+||f||_{n/(n-1)} <= BL bound of |f| <= GN bound of f is read off the
+reports.  Deficits accumulate, and a violation of any relation is a
+theorem counterexample, i.e. an implementation bug; either way the summary
+retains, per inequality, the input its checker saw at the smallest
+deficit.
 
 The random stream of instance k is that of random.Random((seed << 32) + k),
 one generator re-seeded per instance, so summaries are bit-identical no
@@ -31,6 +34,7 @@ from .certify import (
     SET_INEQUALITIES,
     Inequality,
     Relation,
+    absolute,
     check,
 )
 from .certify import _relation
@@ -142,7 +146,7 @@ def run_instance(seed: int, index: int, n: int, window: int, q: float,
     in the state of a fresh random.Random of that seed."""
     rng.seed((seed << 32) + index)
     f_signed = _sample_function(rng, n, window, q, denominator, signed=True)
-    f = f_signed.abs()
+    f = absolute(f_signed)
     A = LatticeSet._from_clean(n, _sample_support(rng, n, window, q))
     p = P_CYCLE[index % len(P_CYCLE)]
 

@@ -51,20 +51,6 @@ def _cells(mask, dims):
     return itertools.compress(cell_table(tuple(dims)), map("1".__eq__, bin(mask)[:1:-1]))
 
 
-def pack(points, dims):
-    """Bitmask of a set of coordinate tuples inside the box."""
-    st = strides(dims)
-    mask = 0
-    for z in points:
-        idx = 0
-        for c, d, s in zip(z, dims, st):
-            if not 0 <= c < d:
-                raise ValueError(f"point {z} outside box {dims}")
-            idx += c * s
-        mask |= 1 << idx
-    return mask
-
-
 def unpack(mask, dims):
     """Sorted list of coordinate tuples of the set bits."""
     return sorted(_cells(mask, dims))

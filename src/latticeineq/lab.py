@@ -1,6 +1,6 @@
 """Normalized sharpness ratios and exhaustive small-grid rigidity checks.
 
-The three ratio objectives rescale an inequality so the theorem bound is 1;
+The ratio objectives rescale an inequality so the theorem bound is 1;
 they return exactly 1.0 on the rigidity class (decided by the integer
 certificate, never by float rounding) and a value in (0, 1) otherwise.
 
@@ -24,12 +24,10 @@ from typing import NamedTuple, Optional
 from . import kernels
 from .certify import (
     EQUALITY_CLASSES,
-    InequalityReport,
     Reduction,
     Relation,
     ShapeClass,
     bl_certificate,
-    check_bl,
     check_gn,
     classify_counts,
     gn_certificate,
@@ -45,16 +43,11 @@ from .errors import BudgetExceededError, DegenerateInputError, InvalidInputError
 DEFAULT_ENUM_BUDGET = 1 << 20
 
 
-def _ratio(report: InequalityReport) -> float:
-    """lhs / rhs of a report, exactly 1.0 when the certificate says equal."""
-    if report.relation is Relation.EXACT_EQUAL:
-        return 1.0
-    return report.lhs / report.rhs
-
-
 def gn_ratio(f: SparseFunction) -> float:
-    """||f||_{n/(n-1)} divided by the difference-norm product bound."""
-    return _ratio(check_gn(f))
+    """||f||_{n/(n-1)} divided by the difference-norm product bound, exactly
+    1.0 when the certificate says equal."""
+    report = check_gn(f)
+    return 1.0 if report.relation is Relation.EXACT_EQUAL else report.lhs / report.rhs
 
 
 def iso_ratio(A: LatticeSet) -> float:
@@ -73,10 +66,6 @@ def iso_ratio_from_counts(size: int, boundary: int, n: int) -> float:
         return 1.0
     return 2 * n * float(size ** (n - 1)) ** (1.0 / n) / boundary
 
-
-def bl_ratio(f: SparseFunction) -> float:
-    """||f||_{n/(n-1)} divided by the max-projection product bound."""
-    return _ratio(check_bl(f))
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,16 @@ def oracle_cells(mask, dims):
     return pts
 
 
+def oracle_pack(points, dims):
+    """Bitmask of a set of coordinate tuples inside the box, bit
+    c_0 + dims[0]*(c_1 + dims[1]*...) per cell: the kernels' layout."""
+    mask = 0
+    for z in points:
+        assert all(0 <= c < d for c, d in zip(z, dims)), (z, dims)
+        mask |= 1 << sum(c * s for c, s in zip(z, strides(dims)))
+    return mask
+
+
 def oracle_shape(points, dim):
     """The shape class name of a point set, from its coordinate sets."""
     if not oracle_is_product(points, dim):

@@ -14,17 +14,14 @@ from latticeineq import (
     SparseFunction,
     axis_variation,
     boundary_count,
-    coord_projection,
-    entropy,
+    check_bl,
     indicator,
-    max_projection,
     norm,
     pointwise_line_bound,
-    shadow_projection,
 )
 from latticeineq import core
-from latticeineq.certify import set_counts
-from latticeineq.core import as_fraction
+from latticeineq.certify import function_counts, set_counts
+from latticeineq.core import as_fraction, axis_lines
 
 from oracles import (
     oracle_axis_variation,
@@ -45,6 +42,17 @@ TWO_POINT = SparseFunction(2, {(0, 0): 2, (1, 0): 1})
 
 def chi(region, scale=1):
     return indicator(region, scale)
+
+
+def line_maxima(f, i):
+    """The max |f| of each axis-i line, keyed by the line: the max
+    projection of |f|, read off the line pass."""
+    return {key: F(line[3], f._den) for key, line in axis_lines(f, i).lines.items()}
+
+
+def entropy(f, p):
+    """The entropy sum of f at p, as the log checkers take it."""
+    return core._entropy_sum(f, float(p), 1.0)
 
 
 class TestSparseFunction:
@@ -108,8 +116,8 @@ class TestLatticeSet:
         assert A.points == set(self.PTS)
 
     def test_empty_set_has_no_bounding_box(self):
-        with pytest.raises(DegenerateInputError, match="^empty set has no bounding box$"):
-            LatticeSet(2, []).bounding_intervals()
+        with pytest.raises(DegenerateInputError, match="^indicator of the empty set$"):
+            set_counts(LatticeSet(2, []))
 
     def test_indicator_is_the_stored_function(self):
         A = LatticeSet(2, self.PTS)
@@ -336,50 +344,54 @@ class TestDiffNorm:
 
 
 class TestMaxProjection:
+    """The max projection of |f| is the line pass's per-line maxima; BL
+    reads their sums, the masses."""
+
     def test_singleton(self):
         f = chi(LatticeSet(2, [(0, 0)]))
-        g = max_projection(f, 1)
-        assert g.dim == 1 and dict(g.items()) == {(0,): 1}
-        assert norm(g, 1) == 1
+        assert line_maxima(f, 1) == {(0,): 1}
+        assert function_counts(f).masses == (1, 1)
 
     def test_max_over_dropped_axis(self):
         f = SparseFunction(2, {(0, 0): 2, (0, 1): 1})
-        g = max_projection(f, 1)
-        assert dict(g.items()) == {(0,): 2, (1,): 1}
-        assert dict(g.items()) == oracle_max_projection(f, 1)
+        assert line_maxima(f, 1) == {(0,): 2, (1,): 1}
+        assert line_maxima(f, 1) == oracle_max_projection(f, 1)
 
     def test_two_point_axis2(self):
-        g = max_projection(TWO_POINT, 2)
-        assert dict(g.items()) == {(0,): 2, (1,): 1}
-        assert norm(g, 1) == 3
+        assert line_maxima(TWO_POINT, 2) == {(0,): 2, (1,): 1}
+        assert function_counts(TWO_POINT).masses[1] == 3
 
     # refused in this order: dimension, axis, sign
     def test_negative_rejected(self):
         f = SparseFunction(2, {(0, 0): 1, (1, 0): -1})
         with pytest.raises(DomainError):
-            max_projection(f, 1)
+            check_bl(f)
         with pytest.raises(InvalidInputError):
-            max_projection(f, 0)
+            axis_lines(f, 0)
 
     def test_dim1_rejected(self):
         for value in (1, -1):
             f = SparseFunction(1, {(0,): value})
             with pytest.raises(InvalidInputError):
-                max_projection(f, 1)
+                check_bl(f)
 
 
 class TestSetOperations:
+    # a set's coordinate projections and shadows are its indicator's
+    # line-pass coordinates and line keys
+
     def test_coord_projection(self):
-        A = RECT.points()
-        assert coord_projection(A, 2) == {0, 1, 2}
-        assert coord_projection(L_SHAPE, 1) == {0, 1}
+        assert axis_lines(chi(RECT), 2).coords == {0, 1, 2}
+        assert axis_lines(chi(L_SHAPE), 1).coords == {0, 1}
         B = LatticeSet(2, [(0, 0), (0, 2), (1, 0), (1, 2)])
-        assert coord_projection(B, 2) == {0, 2}
+        assert axis_lines(chi(B), 2).coords == {0, 2}
+        assert set_counts(B).proj_size == (2, 2)
 
     def test_shadow_projection(self):
         A = LatticeSet(3, [(0, 0, 0), (1, 1, 0), (0, 1, 0)])
-        assert shadow_projection(A, 3) == {(0, 0), (1, 1), (0, 1)}
-        assert shadow_projection(A, 1) == {(0, 0), (1, 0)}
+        assert axis_lines(chi(A), 3).lines.keys() == {(0, 0), (1, 1), (0, 1)}
+        assert axis_lines(chi(A), 1).lines.keys() == {(0, 0), (1, 0)}
+        assert set_counts(A).shadow_size == (2, 2, 3)
 
     def test_boundary_counts(self):
         assert boundary_count(LatticeSet(2, [(0, 0)])) == 4
@@ -430,8 +442,9 @@ class TestOneLinePassPerAxis:
             (1, 0, 2): F(5, 4),
         }), (
             on_each_axis(axis_variation),
-            on_each_axis(max_projection),
+            on_each_axis(axis_lines),
             on_each_axis(pointwise_line_bound),
+            function_counts,
         ))
 
     def test_set_calculus(self, calls):
@@ -439,11 +452,9 @@ class TestOneLinePassPerAxis:
         self._pin(calls, lambda: LatticeSet(3, [
             (0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 2, 3), (4, 1, 1),
         ]), (
-            LatticeSet.bounding_intervals,
             boundary_count,
             set_counts,
-            on_each_axis(coord_projection),
-            on_each_axis(shadow_projection),
+            lambda A: on_each_axis(axis_lines)(chi(A)),
         ))
 
 

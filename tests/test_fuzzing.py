@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from latticeineq import fuzz
+from latticeineq import certify, core, fuzz
 from latticeineq.certify import DEFAULT_TOL, SET_INEQUALITIES, Inequality, check
 from latticeineq.fileio import load_input, summary_to_dict
 from latticeineq.fuzzing import P_CYCLE, _sample_function, _sample_support, run_instance
@@ -114,6 +115,12 @@ class TestFuzz:
         parallel = summary_to_dict(fuzz(400, 2, seed=5, threads=2))
         assert serial == parallel
 
+    def test_worker_count_does_not_change_summary_in_4d(self):
+        # 400 instances make two chunks of the pool
+        serial = summary_to_dict(fuzz(400, 4, seed=5, window=3, threads=1))
+        parallel = summary_to_dict(fuzz(400, 4, seed=5, window=3, threads=2))
+        assert serial == parallel
+
     def test_degenerate_singleton_generator(self):
         # window 1, q = 1: every instance is a positive multiple of a point mass
         summary = fuzz(1, 2, seed=0, window=1, q=1.0)
@@ -220,3 +227,28 @@ def test_instance_builds_no_fraction(n, monkeypatch):
         run_instance(7, index, n, 5 if n == 2 else 4, 0.4, 64, DEFAULT_TOL, rng)
     assert made == []
     assert Fraction(1, 2) and made == [(1, 2)]  # the counter does count
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_instance_makes_2n_line_passes_and_one_float_norm(n, monkeypatch):
+    # n passes for f and n for the set; |f| reads its counts off f's passes
+    # and shares f's float norm at n/(n-1), the left side of GN, Sobolev
+    # and BL (at n = 2 also the log checks' norm factor at p = 2)
+    calls = collections.Counter()
+
+    def passes(*args, _fn=core._line_pass):
+        calls["_line_pass"] += 1
+        return _fn(*args)
+
+    def norms(f, a, b, _fn=certify._float_norm):
+        if (a, b) == (n, n - 1):
+            calls["_float_norm"] += 1
+        return _fn(f, a, b)
+
+    monkeypatch.setattr(core, "_line_pass", passes)
+    monkeypatch.setattr(certify, "_float_norm", norms)
+    rng = random.Random()
+    for index in range(12):
+        calls.clear()
+        run_instance(3, index, n, 5 if n == 2 else 3, 0.5, 12, DEFAULT_TOL, rng)
+        assert calls == {"_line_pass": 2 * n, "_float_norm": 1}

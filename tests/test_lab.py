@@ -18,7 +18,6 @@ from latticeineq import (
     InvalidInputError,
     LatticeSet,
     SparseFunction,
-    bl_ratio,
     enumerate_rigidity,
     gn_ratio,
     indicator,
@@ -63,12 +62,13 @@ class TestRatios:
 
     def test_bl_ratio_product_exactly_one(self):
         grid = LatticeSet(2, [(0, 0), (0, 2), (1, 0), (1, 2)])
-        assert bl_ratio(indicator(grid)) == 1.0
+        assert certify.check_bl(indicator(grid)).relation is certify.Relation.EXACT_EQUAL
 
     def test_ratios_bounded_by_one(self):
         f = SparseFunction(2, {(0, 0): 2, (1, 0): 1, (5, 5): 3})
         assert 0 < gn_ratio(f) <= 1 + 1e-9
-        assert 0 < bl_ratio(f) <= 1 + 1e-9
+        bl = certify.check_bl(f)
+        assert 0 < bl.lhs / bl.rhs <= 1 + 1e-9
         assert 0 < iso_ratio(LatticeSet(2, f.support())) <= 1 + 1e-9
 
     def test_degenerate_rejected(self):

@@ -1,5 +1,6 @@
 """Property tests for the calculus identities and checker invariants."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -22,16 +23,23 @@ from latticeineq import (
     check_log_sobolev,
     check_loomis_whitney,
     check_sobolev,
-    coord_projection,
     indicator,
     jensen_gap,
-    max_projection,
     norm,
     pointwise_line_bound,
-    shadow_projection,
 )
 from latticeineq import fileio, kernels
-from latticeineq.certify import _p_norm, function_counts, is_scaled_indicator, set_counts
+from latticeineq.certify import (
+    SET_INEQUALITIES,
+    Inequality,
+    _p_norm,
+    absolute,
+    check,
+    classify_counts,
+    function_counts,
+    is_scaled_indicator,
+    set_counts,
+)
 from latticeineq.core import SetCounts, axis_lines
 
 from oracles import (
@@ -48,6 +56,7 @@ from oracles import (
     oracle_line_bound,
     oracle_max_projection,
     oracle_norm,
+    oracle_pack,
     oracle_partial_difference,
     oracle_set_counts,
     oracle_subset_stats,
@@ -65,6 +74,12 @@ positive_rationals = st.builds(
     F, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=8)
 )
 exponents = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(3)])
+
+
+def line_maxima(f, i):
+    """The max |f| of each axis-i line, keyed by the line: the max
+    projection of |f|, read off the line pass."""
+    return {key: F(line[3], f._den) for key, line in axis_lines(f, i).lines.items()}
 
 
 def points(dim):
@@ -152,22 +167,23 @@ def boxed_subsets(dims):
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple).flatmap(boxed_subsets))
 def test_packed_stats_match_point_set_pass(case):
     dims, A = case
-    assert kernels.subset_stats(kernels.pack(A, dims), dims) == oracle_set_counts(A, len(dims))
+    assert kernels.subset_stats(oracle_pack(A, dims), dims) == oracle_set_counts(A, len(dims))
 
 
 @given(nonneg_function_2d3d, positive_rationals, st.data())
 def test_max_projection_commutes_with_scaling(f, lam, data):
     i = data.draw(st.integers(1, f.dim))
-    assert max_projection(f.scaled(lam), i) == max_projection(f, i).scaled(lam)
+    assert line_maxima(f.scaled(lam), i) == {
+        key: lam * top for key, top in line_maxima(f, i).items()}
 
 
 @given(nonneg_function_2d3d, st.data())
 def test_max_projection_mass_and_support(f, data):
     i = data.draw(st.integers(1, f.dim))
-    g = max_projection(f, i)
-    assert norm(g, 1) <= norm(f, 1)
+    maxima = line_maxima(f, i)
+    assert F(function_counts(f).masses[i - 1], f._den) == sum(maxima.values()) <= norm(f, 1)
     ax = i - 1
-    assert g.support() == {z[:ax] + z[ax + 1:] for z in f.support()}
+    assert maxima.keys() == {z[:ax] + z[ax + 1:] for z in f.support()}
 
 
 @given(any_function, st.data())
@@ -180,7 +196,7 @@ def test_line_bound_always_holds(f, data):
 def test_cuboid_projection_is_interval(c, data):
     j = data.draw(st.integers(1, c.dim))
     a, b = c.intervals[j - 1]
-    assert coord_projection(c.points(), j) == set(range(a, b + 1))
+    assert axis_lines(indicator(c), j).coords == set(range(a, b + 1))
 
 
 # -- the line pass ------------------------------------------------------------
@@ -240,13 +256,13 @@ def test_calculus_matches_dense_oracles(f):
     A = LatticeSet(n, f.support())
     for i in range(1, n + 1):
         assert axis_variation(f, i) == oracle_axis_variation(f, i)
-        if n > 1:
-            expected = sorted(oracle_max_projection(f.abs(), i).items())
-            assert max_projection(f.abs(), i).items() == expected
-        assert coord_projection(A, i) == oracle_coord_projection(A.points, i)
+        assert line_maxima(f, i) == oracle_max_projection(f.abs(), i)
+        lines = axis_lines(indicator(A), i)
+        assert lines.coords == oracle_coord_projection(A.points, i)
         ax = i - 1
-        assert shadow_projection(A, i) == {z[:ax] + z[ax + 1:] for z in A.points}
-    assert A.bounding_intervals() == [
+        assert lines.lines.keys() == {z[:ax] + z[ax + 1:] for z in A.points}
+    counts = set_counts(A)
+    assert list(zip(counts.proj_min, counts.proj_max)) == [
         (min(z[ax] for z in A.points), max(z[ax] for z in A.points))
         for ax in range(n)
     ]
@@ -307,6 +323,45 @@ def test_soundness_no_violations(f, p):
         check_loomis_whitney(A),
     ]
     assert all(r.relation is not Relation.VIOLATED for r in reports)
+
+
+def dense_signed_functions(dim):
+    """Signed functions filling most of a small window, so that neighbours
+    of opposite sign are common; values in -1..1 make |f| an indicator."""
+    cells = list(itertools.product(range({2: 4, 3: 3, 4: 2}[dim]), repeat=dim))
+
+    def build(case):
+        nums, den = case
+        return SparseFunction(dim, {z: F(a, den) for z, a in zip(cells, nums) if a})
+
+    def values(top):
+        return st.lists(st.integers(-top, top), min_size=len(cells), max_size=len(cells))
+
+    cases = st.tuples(st.sampled_from([1, 6]).flatmap(values), st.integers(1, 6))
+    return cases.map(build).filter(lambda f: not f.is_zero())
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3, 4]).flatmap(dense_signed_functions),
+       st.sampled_from([F(1, 2), F(1), F(2)]))
+def test_absolute_counts_match_a_fresh_abs(f, p):
+    # as fuzz does: f's checks come first and fill the shared norm memo
+    for ineq in (Inequality.GN, Inequality.SOBOLEV):
+        check(ineq, f, p)
+    g, fresh = absolute(f), f.abs()
+    assert g == fresh and g._lines == {}
+    got, want = function_counts(g), function_counts(fresh)
+    assert got.variations == want.variations
+    assert got.masses == want.masses
+    assert got.support == want.support
+    assert got.indicator == want.indicator
+    assert all(F(v, f._den) == oracle_axis_variation(fresh, i)
+               for i, v in enumerate(got.variations, 1))
+    for ineq in Inequality:
+        if ineq not in SET_INEQUALITIES:
+            assert (check(ineq, g, p, normalize=True)
+                    == check(ineq, fresh, p, normalize=True)), ineq
+    assert g._lines == {}
 
 
 @given(any_function_2d3d)
@@ -432,12 +487,11 @@ def test_rigidity_equivalences_on_indicator_inputs(A):
         ShapeClass,
         check_isoperimetric,
         check_loomis_whitney,
-        classify_shape,
     )
     from latticeineq import check_bl, check_gn, check_sobolev
 
     f = indicator(A)
-    shape = classify_shape(A)
+    shape = classify_counts(set_counts(A))
     gn_equal = check_gn(f).relation is Relation.EXACT_EQUAL
     sobolev_equal = check_sobolev(f).relation is Relation.EXACT_EQUAL
     iso_equal = check_isoperimetric(A).relation is Relation.EXACT_EQUAL
@@ -453,7 +507,8 @@ def test_rigidity_equivalences_on_indicator_inputs(A):
 
 @given(any_set_2d3d)
 def test_bounding_intervals_cover_the_set(A):
-    intervals = A.bounding_intervals()
+    counts = set_counts(A)
+    intervals = list(zip(counts.proj_min, counts.proj_max))
     for z in A:
         for c, (lo, hi) in zip(z, intervals):
             assert lo <= c <= hi
@@ -500,18 +555,16 @@ def test_numerators_match_fraction_oracles(case, data):
     assert all(f.value(z) == v for z, v in expected.items())
     assert f.value((99,) * f.dim) == 0
     g = f.abs()
-    assert dict(g.items()) == {z: abs(v) for z, v in expected.items()}
+    assert g.items() == sorted((z, abs(v)) for z, v in expected.items())
     assert norm(f, 1) == sum(abs(v) for v in expected.values())
     for p in (F(2), F(3, 2)):
         assert norm(f, p) == oracle_lex_norm(f, p)
     for i in range(1, f.dim + 1):
         assert axis_variation(f, i) == oracle_axis_variation(f, i)
-        m = max_projection(g, i)
-        assert dict(m.items()) == oracle_max_projection(g, i)
+        assert line_maxima(g, i) == oracle_max_projection(g, i)
         bound = pointwise_line_bound(f, i)
         assert (bound.ok, bound.lines_checked, bound.worst_line, bound.worst_max,
                 bound.worst_half_variation) == oracle_line_bound(f, i)
-        assert_canonical(m)
     c = data.draw(mixed_rationals)
     for h in (f, g, -f, f.scaled(c)):
         assert_canonical(h)

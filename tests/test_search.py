@@ -1,10 +1,9 @@
 import pytest
 
-from latticeineq import Cuboid, anneal_sets, ascend_function, classify_shape, lab, search
-from latticeineq.certify import ShapeClass
+from latticeineq import Cuboid, anneal_sets, ascend_function, lab, search
 from latticeineq.errors import InvalidInputError
 
-from oracles import oracle_exhaustive_best_iso
+from oracles import oracle_exhaustive_best_iso, oracle_shape
 
 
 class TestAnnealSets:
@@ -27,12 +26,12 @@ class TestAnnealSets:
         trace = anneal_sets(n, size, iters=10, seed=0, box_side=box_side)
         assert trace.best_value == 1.0
         assert trace.iterations == 0
-        assert classify_shape(trace.best_input) is ShapeClass.CUBE
+        assert oracle_shape(trace.best_input.points, n) == "CUBE"
 
     def test_nine_points_finds_cube(self):
         trace = anneal_sets(2, 9, iters=100_000, seed=1)
         assert trace.best_value == 1.0
-        assert classify_shape(trace.best_input) is ShapeClass.CUBE
+        assert oracle_shape(trace.best_input.points, 2) == "CUBE"
 
     def test_five_points_bounded_by_exhaustive_maximum(self):
         best, _ = oracle_exhaustive_best_iso(2, 5, 4)
