@@ -20,7 +20,6 @@ from .certify import (
     check_log_sobolev,
     check_loomis_whitney,
     check_sobolev,
-    is_scaled_indicator,
     jensen_gap,
     set_counts,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "fuzz",
     "gn_ratio",
     "indicator",
-    "is_scaled_indicator",
     "iso_ratio",
     "jensen_gap",
     "norm",

@@ -10,20 +10,20 @@ echoes the offending input.  `_relation` is the one reader of that
 tolerance: it refuses a tol that is not finite and positive, and it decides
 the log inequalities' unit-norm precondition wherever the integers do not.
 
-The function checkers read f's `FunctionCounts`, built once from its line
-passes and kept on f: per-axis variations and max-projection masses as int
-numerators over f's one denominator D, the counts of its support, a memo
-of its float p-norms and a memo of its entropy sums, one per exponent and
-norm factor, which the three log checkers share; `absolute(f)` is |f| with
-its record read off f's.  `_p_norm` is the one
-reader of a float p-norm, core's `_float_norm` taken on p's two ints, with
-no Fraction built: the left side of GN, Sobolev and BL, the float unit-norm
-test and norm factor of the log checkers, and `jensen_gap`.  What is
-decided per call, the unit-norm precondition and the tolerance, is never
-kept.  The record holds no reference to f, so checking makes no reference
-cycle.  Each float side divides ints once, correctly rounded, before any
-power or logarithm (prod_i v_i / D^n, sum_i v_i / D or v_i / D), which is
-the same double as the float of the exact rational.
+The function checkers read f's `FunctionCounts` (`core.function_counts`),
+built once from its line passes and kept on f: per-axis variations and
+max-projection masses as int numerators over f's one denominator D, the
+counts of its support, a memo of its float p-norms and a memo of its
+entropy sums, one per exponent and norm factor, which the three log
+checkers share; `f.abs()` is |f| with its record read off f's.  `_p_norm`
+is the one reader of a float p-norm, core's `_float_norm` taken on p's two
+ints, with no Fraction built: the left side of GN, Sobolev and BL, the
+float unit-norm test and norm factor of the log checkers, and `jensen_gap`.
+What is decided per call, the unit-norm precondition and the tolerance, is
+never kept.  The record holds no reference to f, so checking makes no
+reference cycle.  Each float side divides ints once, correctly rounded,
+before any power or logarithm (prod_i v_i / D^n, sum_i v_i / D or v_i / D),
+which is the same double as the float of the exact rational.
 
 All checkers require ambient dimension n >= 2 and reject the zero function /
 empty set.
@@ -36,8 +36,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from . import core
-from .core import LatticeSet, SetCounts, SparseFunction, indicator
+from .core import LatticeSet, SetCounts, SparseFunction, function_counts, indicator
 # unused here, kept: perfbench's tracer test patches certify.norm
 from .core import norm  # noqa: F401
 from .core import _check_exponent, _entropy_sum, _float_norm
@@ -137,66 +136,6 @@ def classify_counts(counts) -> ShapeClass:
     if all(s == proj_size[0] for s in proj_size):
         return ShapeClass.CUBE
     return ShapeClass.CUBOID
-
-
-def is_scaled_indicator(f: SparseFunction) -> Optional[tuple]:
-    """(value, support) when f is a nonzero constant on its support."""
-    if function_counts(f).indicator is None:
-        return None
-    return (Fraction(next(iter(f._nums.values())), f._den),
-            LatticeSet._from_clean(f.dim, f._nums))
-
-
-class FunctionCounts(NamedTuple):
-    """What the function checkers read of f, built once from f's line
-    passes (one core.axis_lines per axis) and holding no reference to f.
-
-    `variations` (||d_i f||_1, the sum of the lines' variations) and
-    `masses` (the 1-norm of the max projection of |f|, the sum of the
-    lines' maxima, read only once f is known to be nonnegative) are int
-    numerators over f's denominator D, one per axis.  `support` is the
-    SetCounts of supp f, from the runs, coordinates and line counts;
-    `indicator` is `support` when f is a scaled indicator, else None.
-    `norms` maps p = a/b, keyed (a, b), to the float of ||f||_p, filled by
-    `_p_norm`; `entropies` maps (a, b, N) to the entropy sum of f/N at p,
-    filled by `_entropy_side`, so the three log checkers walk f once."""
-
-    variations: tuple
-    masses: tuple
-    support: SetCounts
-    indicator: Optional[SetCounts]
-    norms: dict
-    entropies: dict
-
-
-def function_counts(f: SparseFunction) -> FunctionCounts:
-    """The FunctionCounts of f, made on first use and kept on f."""
-    counts = f._counts
-    if counts is None:
-        # core.axis_lines without its axis check: the passes are kept on f
-        kept, nums, n = f._lines, f._nums, f.dim
-        passes = [kept.get(ax) or kept.setdefault(ax, core._line_pass(nums, ax, n))
-                  for ax in range(n)]
-        variations, masses = zip(*[p.totals for p in passes])
-        support = SetCounts.from_lines(len(nums), passes)
-        constant = len(set(nums.values())) == 1
-        counts = f._counts = FunctionCounts(
-            variations, masses, support, support if constant else None, {}, {})
-    return counts
-
-
-def absolute(f: SparseFunction) -> SparseFunction:
-    """|f| with its FunctionCounts read off f's passes and no pass of its
-    own: f's masses, support counts and float p-norm memo (each float norm
-    reads |a|), and each axis variation less 2 * flips (see core.LinePass)."""
-    g = f.abs()
-    counts = function_counts(f)
-    g._counts = counts._replace(
-        variations=tuple(v - 2 * f._lines[ax].flips
-                         for ax, v in enumerate(counts.variations)),
-        indicator=counts.support if len(set(g._nums.values())) == 1 else None,
-        entropies={})
-    return g
 
 
 def _p_norm(f: SparseFunction, a: int, b: int) -> float:

@@ -23,14 +23,16 @@ axis-i line arrive in increasing order of coordinate i.  It keeps per line
 the 1-variation and the maximum of |f|, and per axis the runs, the
 coordinates and the sign flips (`LinePass`).  `axis_lines` caches the pass
 of a function per axis, and `axis_variation`, `pointwise_line_bound`,
-`boundary_count` and certify's counts of f and of |f| read it.  It is the
-one loop along an axis.
+`boundary_count` and `function_counts` read it.  It is the one loop along
+an axis.
 `SetCounts` is the one record of a finite set's statistics (size,
 crossings, projections, shadows); `line_stats` builds it from the passes
 over keys that rise along every line, which is how kernels.subset_stats
-reads a bit-packed mask.  The line passes are a function's only cache;
-certify keeps beside them the integers it reads off them, in a record that
-does not refer back to the function.
+reads a bit-packed mask.  A function caches its line passes and, beside
+them, its `FunctionCounts`: the integers the checkers read off those
+passes, in a record that does not refer back to the function.
+`SparseFunction.abs` reads |f|'s record off f's passes, with no pass of
+its own.
 
 Axis indices are 1-based throughout: ``i`` ranges over ``1..dim``.
 """
@@ -213,9 +215,9 @@ class SparseFunction:
     numerator) = 1, so it is the lcm of the reduced value denominators and
     equal functions have equal (dim, _den, _nums).  Zero entries are pruned,
     so the stored keys *are* the support, kept in lexicographic order.
-    Instances are immutable by convention.  Only the line passes are
-    cached, per axis; the `_counts` slot keeps certify's `FunctionCounts`,
-    a record of plain numbers read off those passes.
+    Instances are immutable by convention.  The line passes are cached,
+    per axis, and the `_counts` slot keeps the `FunctionCounts`, a record
+    of plain numbers read off those passes (see `function_counts`).
     """
 
     __slots__ = ("dim", "_nums", "_den", "_lines", "_counts")
@@ -295,9 +297,6 @@ class SparseFunction:
         den = self._den
         return [(z, Fraction(a, den)) for z, a in self._nums.items()]
 
-    def support(self) -> frozenset:
-        return frozenset(self._nums)
-
     def support_size(self) -> int:
         return len(self._nums)
 
@@ -311,11 +310,22 @@ class SparseFunction:
     # -- derived functions ---------------------------------------------------
 
     def abs(self) -> "SparseFunction":
+        """|f|, its FunctionCounts read off f's line passes, with no pass
+        of its own: each axis variation less 2 * flips (see LinePass),
+        f's masses, support counts and float p-norm memo (each float norm
+        reads |a|), and a fresh entropy memo."""
         # |f| keeps f's keys, in order, and its denominator and gcd
         nums = self._nums
-        return SparseFunction._from_reduced(
+        g = SparseFunction._from_reduced(
             self.dim, dict(zip(nums, map(abs, nums.values()))), self._den
         )
+        counts = function_counts(self)
+        g._counts = counts._replace(
+            variations=tuple(v - 2 * self._lines[ax].flips
+                             for ax, v in enumerate(counts.variations)),
+            indicator=counts.support if len(set(g._nums.values())) == 1 else None,
+            entropies={})
+        return g
 
     def __neg__(self) -> "SparseFunction":
         return SparseFunction._from_clean(
@@ -545,7 +555,7 @@ class LinePass(NamedTuple):
     the line's first entry, |a - a_prev| between neighbours and
     |a_prev| + |a| across a gap, but not yet the |a| of its last entry.
     `totals` sums the lines' variations and maxima over the axis, which is
-    all that axis_variation and certify's FunctionCounts read of them.
+    all that axis_variation and FunctionCounts read of them.
     `flips` sums min(|a_prev|, |a|) over the neighbours of opposite sign,
     the only terms where |a - a_prev| exceeds ||a| - |a_prev||, by twice
     that: the axis variation of |f| is the variation of f less 2 * flips.
@@ -661,6 +671,43 @@ def line_stats(nums: dict, n: int) -> SetCounts:
     """The SetCounts of the keys of `nums`, n-tuples that rise along every
     axis line (see `_line_pass`): one line pass per axis."""
     return SetCounts.from_lines(len(nums), [_line_pass(nums, ax, n) for ax in range(n)])
+
+
+class FunctionCounts(NamedTuple):
+    """What the function checkers read of f, built once from f's line
+    passes (one axis_lines per axis) and holding no reference to f.
+
+    `variations` (||d_i f||_1, the sum of the lines' variations) and
+    `masses` (the 1-norm of the max projection of |f|, the sum of the
+    lines' maxima, read only once f is known to be nonnegative) are int
+    numerators over f's denominator D, one per axis.  `support` is the
+    SetCounts of supp f, from the runs, coordinates and line counts;
+    `indicator` is `support` when f is a scaled indicator, else None.
+    `norms` maps p = a/b, keyed (a, b), to the float of ||f||_p, filled by
+    certify's `_p_norm`; `entropies` maps (a, b, N) to the entropy sum of
+    f/N at p, filled by certify's `_entropy_side`, so the three log
+    checkers walk f once."""
+
+    variations: tuple
+    masses: tuple
+    support: SetCounts
+    indicator: Optional[SetCounts]
+    norms: dict
+    entropies: dict
+
+
+def function_counts(f: SparseFunction) -> FunctionCounts:
+    """The FunctionCounts of f, made on first use and kept on f."""
+    counts = f._counts
+    if counts is None:
+        passes = [axis_lines(f, i) for i in range(1, f.dim + 1)]
+        variations, masses = zip(*[p.totals for p in passes])
+        nums = f._nums
+        support = SetCounts.from_lines(len(nums), passes)
+        constant = len(set(nums.values())) == 1
+        counts = f._counts = FunctionCounts(
+            variations, masses, support, support if constant else None, {}, {})
+    return counts
 
 
 def boundary_count(A: LatticeSet) -> int:

@@ -34,7 +34,6 @@ from .certify import (
     SET_INEQUALITIES,
     Inequality,
     Relation,
-    absolute,
     check,
 )
 from .certify import _relation
@@ -146,7 +145,7 @@ def run_instance(seed: int, index: int, n: int, window: int, q: float,
     in the state of a fresh random.Random of that seed."""
     rng.seed((seed << 32) + index)
     f_signed = _sample_function(rng, n, window, q, denominator, signed=True)
-    f = absolute(f_signed)
+    f = f_signed.abs()
     A = LatticeSet._from_clean(n, _sample_support(rng, n, window, q))
     p = P_CYCLE[index % len(P_CYCLE)]
 
@@ -199,10 +198,6 @@ def _fuzz_range(seed, n, window, q, denominator, tol, start, stop) -> FuzzSummar
     return summary
 
 
-def _worker(args):
-    return _fuzz_range(*args)
-
-
 def _merged(parts) -> FuzzSummary:
     """The chunk summaries, in chunk order, folded into the first."""
     total = next(parts)
@@ -243,9 +238,9 @@ def fuzz(
     args = [(seed, n, window, q, denominator, tol, start, min(start + chunk, count))
             for start in range(0, count, chunk)]
     if threads == 1:
-        return _merged(map(_worker, args))
+        return _merged(map(_fuzz_range, *zip(*args)))
 
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(threads, len(args))) as pool:
-        return _merged(pool.map(_worker, args))  # map preserves chunk order
+        return _merged(pool.map(_fuzz_range, *zip(*args)))  # in chunk order

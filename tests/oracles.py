@@ -26,12 +26,12 @@ def oracle_partial_difference(f, i):
         return z[:ax] + (z[ax] + d,) + z[ax + 1:]
 
     values = {}
-    for z in f.support():
+    for z, _ in f.items():
         for c in (step(z, -1), z, step(z, 1)):
             if c not in values:
                 values[c] = f.value(c)
     out = {}
-    for z in f.support():
+    for z, _ in f.items():
         for c in (step(z, -1), z):
             v = values[step(c, 1)] - values[c]
             if v:
@@ -68,7 +68,7 @@ def oracle_lex_norm(f, p):
     over the support in lexicographic order, values read as Fractions."""
     pf = float(p)
     total = 0.0
-    for z in sorted(f.support()):
+    for z in sorted(z for z, _ in f.items()):
         total += float(abs(f.value(z))) ** pf
     return total ** (1.0 / pf)
 
@@ -88,7 +88,7 @@ def oracle_line_bound(f, i):
     first in sorted order on a tie."""
     ax = i - 1
     lines = {}
-    for z in f.support():
+    for z, _ in f.items():
         lines.setdefault(z[:ax] + z[ax + 1:], []).append(z[ax])
     ok, worst = True, None
     for key in sorted(lines):

@@ -27,7 +27,6 @@ from latticeineq import (
     check_loomis_whitney,
     check_sobolev,
     indicator,
-    is_scaled_indicator,
     jensen_gap,
     norm,
     pointwise_line_bound,
@@ -42,6 +41,7 @@ from latticeineq.certify import (
     SET_INEQUALITIES,
     check,
     classify_counts,
+    function_counts,
 )
 
 from oracles import oracle_boundary, oracle_integer_p_norm, oracle_shadow_size
@@ -100,22 +100,24 @@ class TestClassifyShape:
 
 
 class TestIsScaledIndicator:
+    """`FunctionCounts.indicator`: the support's counts exactly when f is a
+    nonzero constant on its support."""
+
     def test_positive_scale(self):
-        f = indicator(Cuboid(((0, 2), (0, 0))), 3)
-        lam, A = is_scaled_indicator(f)
-        assert lam == 3 and len(A) == 3
+        box = Cuboid(((0, 2), (0, 0)))
+        counts = function_counts(indicator(box, 3)).indicator
+        assert counts == set_counts(box.points()) and counts.size == 3
 
     def test_mixed_values(self):
-        assert is_scaled_indicator(TWO_POINT) is None
+        assert function_counts(TWO_POINT).indicator is None
 
     def test_negative_scale(self):
         f = indicator(POINT, -2)
-        lam, A = is_scaled_indicator(f)
-        assert lam == -2 and A == POINT
+        assert function_counts(f).indicator == set_counts(POINT)
 
     def test_mixed_signs_not_indicator(self):
         f = SparseFunction(2, {(0, 0): 2, (1, 0): -2})
-        assert is_scaled_indicator(f) is None
+        assert function_counts(f).indicator is None
 
 
 class TestCheckGN:
@@ -472,7 +474,7 @@ class TestReportShape:
     def test_violated_report_echoes_its_input(self, monkeypatch):
         # no valid input violates a theorem, so force the verdict
         monkeypatch.setattr(certify, "_relation", lambda *args: Relation.VIOLATED)
-        A = LatticeSet(2, TWO_POINT.support())
+        A = LatticeSet(2, [z for z, _ in TWO_POINT.items()])
         assert check_gn(TWO_POINT).input_echo == fileio.function_to_dict(TWO_POINT)
         assert check_log_bl(TWO_POINT, 2, normalize=True).input_echo == (
             fileio.function_to_dict(TWO_POINT))
@@ -521,7 +523,7 @@ class TestReportShape:
 class TestCheckDispatcher:
     def test_matches_direct_calls(self):
         f = SparseFunction(2, {(0, 0): 2, (1, 0): 1, (0, 1): F(2, 3)})
-        A = LatticeSet(2, f.support())
+        A = LatticeSet(2, [z for z, _ in f.items()])
         p = F(1, 2)
         direct = {
             Inequality.GN: check_gn(f),

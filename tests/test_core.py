@@ -20,8 +20,8 @@ from latticeineq import (
     pointwise_line_bound,
 )
 from latticeineq import core
-from latticeineq.certify import function_counts, set_counts
-from latticeineq.core import as_fraction, axis_lines
+from latticeineq.certify import set_counts
+from latticeineq.core import as_fraction, axis_lines, function_counts
 
 from oracles import (
     oracle_axis_variation,
@@ -58,7 +58,7 @@ def entropy(f, p):
 class TestSparseFunction:
     def test_zero_entries_pruned(self):
         f = SparseFunction(2, {(0, 0): 1, (1, 1): 0})
-        assert f.support() == {(0, 0)}
+        assert [z for z, _ in f.items()] == [(0, 0)]
 
     def test_duplicate_keys_accumulate(self):
         f = SparseFunction(1, [((0,), 1), ((0,), -1)])
@@ -90,6 +90,29 @@ class TestSparseFunction:
         assert g.value((3, -1)) == -2
         assert (-f).value((0, 0)) == 2
         assert f.abs().value((0, 0)) == 2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_abs_makes_a_pass_only_where_f_has_none(self, n, monkeypatch):
+        # |f| reads its counts off f's passes: n passes when f has none,
+        # none once it has them, and |f| never makes its own
+        calls = []
+
+        def counted(nums, ax, dim, _fn=core._line_pass):
+            calls.append(ax)
+            return _fn(nums, ax, dim)
+
+        monkeypatch.setattr(core, "_line_pass", counted)
+        o, e = (0,) * n, (1,) + (0,) * (n - 1)
+        f = SparseFunction(n, {o: -2, e: 1, (1,) * n: 3})
+        g = f.abs()
+        assert sorted(calls) == list(range(n))
+        calls.clear()
+        assert f.abs() == g and calls == []
+        check_bl(g)
+        assert function_counts(g).variations == tuple(
+            oracle_axis_variation(g, i) * g._den for i in range(1, n + 1))
+        assert calls == []
+        assert SparseFunction(n).abs().is_zero()
 
 
 class TestLatticeSet:

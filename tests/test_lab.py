@@ -69,7 +69,7 @@ class TestRatios:
         assert 0 < gn_ratio(f) <= 1 + 1e-9
         bl = certify.check_bl(f)
         assert 0 < bl.lhs / bl.rhs <= 1 + 1e-9
-        assert 0 < iso_ratio(LatticeSet(2, f.support())) <= 1 + 1e-9
+        assert 0 < iso_ratio(LatticeSet(2, [z for z, _ in f.items()])) <= 1 + 1e-9
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateInputError):

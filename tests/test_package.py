@@ -1,5 +1,8 @@
 """The package's public surface: every name it exports resolves."""
 
+import re
+from pathlib import Path
+
 import latticeineq
 
 
@@ -13,3 +16,13 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from latticeineq import *", namespace)
     assert set(latticeineq.__all__) <= namespace.keys()
+
+
+def test_only_core_touches_a_functions_caches():
+    # the line passes and the counts kept on a SparseFunction have one
+    # owner: no other module reads or fills them, or runs a pass itself
+    cache = re.compile(r"\._lines|\._counts|_line_pass")
+    package = Path(latticeineq.__file__).parent
+    touching = [path.name for path in sorted(package.glob("*.py"))
+                if cache.search(path.read_text(encoding="utf-8"))]
+    assert touching == ["core.py"]
