@@ -13,9 +13,9 @@ the log inequalities' unit-norm precondition wherever the integers do not.
 The function checkers read f's `FunctionCounts` (`core.function_counts`),
 built once from its line passes and kept on f: per-axis variations and
 max-projection masses as int numerators over f's one denominator D, the
-counts of its support, a memo of its float p-norms and a memo of its
-entropy sums, one per exponent and norm factor, which the three log
-checkers share; `f.abs()` is |f| with its record read off f's.  `_p_norm`
+counts of its support, and memos of its float p-norms and entropy sums
+(core's `kept_norm` and `kept_entropy`), the latter shared by the three log
+checkers; `f.abs()` is |f| with its record read off f's.  `_p_norm`
 is the one reader of a float p-norm, core's `_float_norm` taken on p's two
 ints, with no Fraction built: the left side of GN, Sobolev and BL, the
 float unit-norm test and norm factor of the log checkers, and `jensen_gap`.
@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional
 from .core import LatticeSet, SetCounts, SparseFunction, function_counts, indicator
 # unused here, kept: perfbench's tracer test patches certify.norm
 from .core import norm  # noqa: F401
-from .core import _check_exponent, _entropy_sum, _float_norm
+from .core import _check_exponent, _entropy_sum, _float_norm, kept_entropy, kept_norm
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -139,13 +139,8 @@ def classify_counts(counts) -> ShapeClass:
 
 
 def _p_norm(f: SparseFunction, a: int, b: int) -> float:
-    """float(||f||_p) at p = a/b from core._float_norm, once per f and p:
-    the one reader of a p-norm in the checkers."""
-    norms = function_counts(f).norms
-    value = norms.get((a, b))
-    if value is None:
-        value = norms[a, b] = _float_norm(f, a, b)
-    return value
+    """float(||f||_p) at p = a/b, kept on f: the checkers' one p-norm."""
+    return kept_norm(f, a, b, _float_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +371,7 @@ def _entropy_side(f: SparseFunction, p, tol: float, normalize: bool) -> tuple:
     p = _check_exponent(p)
     scale = _norm_factor(f, p, tol, normalize)
     n, a, b = f.dim, p.numerator, p.denominator
-    entropies = function_counts(f).entropies
-    total = entropies.get((a, b, scale))
-    if total is None:
-        total = entropies[a, b, scale] = _entropy_sum(f, float(p), scale)
+    total = kept_entropy(f, a, b, scale, _entropy_sum)
     # 1/n + 1/p - 1 with p = a/b is (a + n b - n a) / (n a)
     return p, scale, (a + n * b - n * a) / (n * a) * total
 

@@ -30,9 +30,9 @@ crossings, projections, shadows); `line_stats` builds it from the passes
 over keys that rise along every line, which is how kernels.subset_stats
 reads a bit-packed mask.  A function caches its line passes and, beside
 them, its `FunctionCounts`: the integers the checkers read off those
-passes, in a record that does not refer back to the function.
-`SparseFunction.abs` reads |f|'s record off f's passes, with no pass of
-its own.
+passes and the memos of `kept_norm` and `kept_entropy`, in a record that
+does not refer back to the function.  `SparseFunction.abs` reads |f|'s
+record off f's passes, with no pass of its own.
 
 Axis indices are 1-based throughout: ``i`` ranges over ``1..dim``.
 """
@@ -321,8 +321,8 @@ class SparseFunction:
         )
         counts = function_counts(self)
         g._counts = counts._replace(
-            variations=tuple(v - 2 * self._lines[ax].flips
-                             for ax, v in enumerate(counts.variations)),
+            variations=tuple(v - 2 * axis_lines(self, i).flips
+                             for i, v in enumerate(counts.variations, 1)),
             indicator=counts.support if len(set(g._nums.values())) == 1 else None,
             entropies={})
         return g
@@ -683,10 +683,8 @@ class FunctionCounts(NamedTuple):
     numerators over f's denominator D, one per axis.  `support` is the
     SetCounts of supp f, from the runs, coordinates and line counts;
     `indicator` is `support` when f is a scaled indicator, else None.
-    `norms` maps p = a/b, keyed (a, b), to the float of ||f||_p, filled by
-    certify's `_p_norm`; `entropies` maps (a, b, N) to the entropy sum of
-    f/N at p, filled by certify's `_entropy_side`, so the three log
-    checkers walk f once."""
+    `norms` and `entropies` are the memos of `kept_norm` and
+    `kept_entropy`, so the three log checkers walk f once."""
 
     variations: tuple
     masses: tuple
@@ -708,6 +706,22 @@ def function_counts(f: SparseFunction) -> FunctionCounts:
         counts = f._counts = FunctionCounts(
             variations, masses, support, support if constant else None, {}, {})
     return counts
+
+
+def kept_norm(f: SparseFunction, a: int, b: int, make) -> float:
+    """float(||f||_p) at p = a/b: make(f, a, b), once per f and p."""
+    norms = function_counts(f).norms
+    if (a, b) not in norms:
+        norms[a, b] = make(f, a, b)
+    return norms[a, b]
+
+
+def kept_entropy(f: SparseFunction, a: int, b: int, scale: float, make) -> float:
+    """The entropy sum of f/scale at p = a/b: make(f, a / b, scale), once each."""
+    entropies = function_counts(f).entropies
+    if (a, b, scale) not in entropies:
+        entropies[a, b, scale] = make(f, a / b, scale)
+    return entropies[a, b, scale]
 
 
 def boundary_count(A: LatticeSet) -> int:

@@ -112,6 +112,8 @@ class TestSparseFunction:
         assert function_counts(g).variations == tuple(
             oracle_axis_variation(g, i) * g._den for i in range(1, n + 1))
         assert calls == []
+        # |f| has counts but no passes of its own: its abs makes them
+        assert g.abs() == g and sorted(calls) == list(range(n))
         assert SparseFunction(n).abs().is_zero()
 
 

@@ -19,9 +19,10 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_only_core_touches_a_functions_caches():
-    # the line passes and the counts kept on a SparseFunction have one
-    # owner: no other module reads or fills them, or runs a pass itself
-    cache = re.compile(r"\._lines|\._counts|_line_pass")
+    # the line passes and the counts kept on a SparseFunction, with the
+    # counts' norm and entropy memos, have one owner: no other module reads
+    # or fills them, or runs a pass itself
+    cache = re.compile(r"\._lines|\._counts|_line_pass|\.norms\b|\.entropies\b")
     package = Path(latticeineq.__file__).parent
     touching = [path.name for path in sorted(package.glob("*.py"))
                 if cache.search(path.read_text(encoding="utf-8"))]

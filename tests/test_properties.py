@@ -361,6 +361,8 @@ def test_absolute_counts_match_a_fresh_abs(f, p):
             assert (check(ineq, g, p, normalize=True)
                     == check(ineq, fresh, p, normalize=True)), ineq
     assert g._lines == {}
+    h = g.abs()
+    assert h == fresh and function_counts(h).variations == want.variations
 
 
 @given(any_function_2d3d)
