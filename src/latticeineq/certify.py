@@ -9,16 +9,19 @@ relative tolerance; a `VIOLATED` verdict on valid input signals a bug and
 echoes the offending input.  `_relation` is the one reader of that
 tolerance: it refuses a tol that is not finite and positive, and it decides
 the log inequalities' unit-norm precondition wherever the integers do not.
+GN, Sobolev and BL are homogeneous of degree 1 in f, so they are decided
+on lhs / rhs against 1, and a side, or the product under GN's or BL's
+root, below the normal float range is refused rather than decided.
 
-The function checkers read f's `FunctionCounts` (`core.function_counts`),
-built once from its line passes and kept on f: per-axis variations and
-max-projection masses as int numerators over f's one denominator D, the
-counts of its support, and memos of its float p-norms and entropy sums
-(core's `kept_norm` and `kept_entropy`), the latter shared by the three log
-checkers; `f.abs()` is |f| with its record read off f's.  `_p_norm`
-is the one reader of a float p-norm, core's `_float_norm` taken on p's two
-ints, with no Fraction built: the left side of GN, Sobolev and BL, the
-float unit-norm test and norm factor of the log checkers, and `jensen_gap`.
+The function checkers read only f's `FunctionCounts`
+(`core.function_counts`), which core alone fills from f's line passes and
+keeps on f: per-axis variations and max-projection masses as int
+numerators over f's one denominator D, the counts of its support, and the
+memos of core's `kept_norm` and `kept_entropy`, the latter shared by the
+three log checkers; `f.abs()` is |f| with its record read off f's.
+`kept_norm` is the checkers' one float p-norm, taken on p's two ints with
+no Fraction built: the left side of GN, Sobolev and BL, the float unit-norm
+test and norm factor of the log checkers, and `jensen_gap`.
 What is decided per call, the unit-norm precondition and the tolerance, is
 never kept.  The record holds no reference to f, so checking makes no
 reference cycle.  Each float side divides ints once, correctly rounded,
@@ -32,6 +35,7 @@ empty set.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -39,7 +43,7 @@ from typing import NamedTuple, Optional
 from .core import LatticeSet, SetCounts, SparseFunction, function_counts, indicator
 # unused here, kept: perfbench's tracer test patches certify.norm
 from .core import norm  # noqa: F401
-from .core import _check_exponent, _entropy_sum, _float_norm, kept_entropy, kept_norm
+from .core import _check_exponent, kept_entropy, kept_norm
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -70,6 +74,8 @@ LOG_INEQUALITIES = frozenset(
     {Inequality.LOG_SOBOLEV_DIR, Inequality.LOG_SOBOLEV, Inequality.LOG_BL}
 )
 NONNEGATIVE_INEQUALITIES = LOG_INEQUALITIES | {Inequality.BL}
+# Homogeneous of degree 1 in f: the verdict reads lhs / rhs against 1.
+HOMOGENEOUS_INEQUALITIES = frozenset({Inequality.GN, Inequality.SOBOLEV, Inequality.BL})
 
 
 class Relation(str, Enum):
@@ -138,11 +144,6 @@ def classify_counts(counts) -> ShapeClass:
     return ShapeClass.CUBOID
 
 
-def _p_norm(f: SparseFunction, a: int, b: int) -> float:
-    """float(||f||_p) at p = a/b, kept on f: the checkers' one p-norm."""
-    return kept_norm(f, a, b, _float_norm)
-
-
 # ---------------------------------------------------------------------------
 # relation / report plumbing
 # ---------------------------------------------------------------------------
@@ -152,7 +153,13 @@ def _relation(lhs: float, rhs: float, tol: float,
               cert: Optional[ExactCertificate]) -> Relation:
     """The one tolerance rule: validates tol, then lets the certificate's
     integers decide when there is one, else compares rhs - lhs with tol
-    relative to max(1, |lhs|, |rhs|)."""
+    relative to max(1, |lhs|, |rhs|).
+
+    GN, Sobolev and BL, and the two links of fuzz's chain, pass lhs / rhs
+    and 1, so their verdict does not change with the scale of f.  The log
+    inequalities and the unit-norm test pass their sides: the floor of 1
+    keeps a left side that is exactly 0.0 (n = 2, p = 2) from reading
+    rounding error as VIOLATED."""
     if not (tol > 0 and math.isfinite(tol)):
         raise InvalidInputError(f"tol must be finite and positive, got {tol}")
     if cert is not None:
@@ -174,11 +181,22 @@ def _report(ineq, x, p, lhs, rhs, tol, cert, shape) -> InequalityReport:
     # has no verdict, and a JSON report cannot hold it
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise OverflowError(f"{ineq.value}: a side is not finite (lhs={lhs!r}, rhs={rhs!r})")
-    relation = _relation(lhs, rhs, tol, cert)
+    if ineq in HOMOGENEOUS_INEQUALITIES:  # both sides are normal floats
+        relation = _relation(lhs / rhs, 1.0, tol, cert)
+    else:
+        relation = _relation(lhs, rhs, tol, cert)
     return InequalityReport(
         ineq, x.dim, p, lhs, rhs, rhs - lhs, relation, shape, cert,
         input_to_dict(x) if relation is Relation.VIOLATED else None,
     )
+
+
+def _normal(x: float, what: str) -> float:
+    """x, refused where it is below the normal float range and so has lost
+    its relative precision."""
+    if x < sys.float_info.min:
+        raise InvalidInputError(f"{what} underflows the floating-point range")
+    return x
 
 
 def _require_checkable(f: SparseFunction):
@@ -260,8 +278,9 @@ def check_gn(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     scaled cuboid indicators."""
     _require_checkable(f)
     n = f.dim
-    rhs = 0.5 * (math.prod(function_counts(f).variations) / f._den ** n) ** (1.0 / n)
-    lhs = _p_norm(f, n, n - 1)
+    q = math.prod(function_counts(f).variations) / f._den ** n
+    rhs = 0.5 * _normal(q, "GN: prod_i ||d_i f||_1") ** (1.0 / n)
+    lhs = _normal(kept_norm(f, n, n - 1), "GN: ||f||_{n/(n-1)}")
     return _function_report(Inequality.GN, f, None, lhs, rhs, tol, gn_certificate)
 
 
@@ -270,8 +289,9 @@ def check_sobolev(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityRepo
     indicators."""
     _require_checkable(f)
     n = f.dim
-    rhs = sum(function_counts(f).variations) / f._den / (2 * n)
-    lhs = _p_norm(f, n, n - 1)
+    rhs = _normal(sum(function_counts(f).variations) / f._den / (2 * n),
+                  "SOBOLEV: ||df||_1 / 2n")
+    lhs = _normal(kept_norm(f, n, n - 1), "SOBOLEV: ||f||_{n/(n-1)}")
     return _function_report(Inequality.SOBOLEV, f, None, lhs, rhs, tol,
                             sobolev_certificate)
 
@@ -289,8 +309,9 @@ def check_bl(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     _require_checkable(f)
     _require_nonnegative(f)
     n = f.dim
-    rhs = (math.prod(function_counts(f).masses) / f._den ** n) ** (1.0 / n)
-    lhs = _p_norm(f, n, n - 1)
+    q = math.prod(function_counts(f).masses) / f._den ** n
+    rhs = _normal(q, "BL: prod_i ||f_i||_1") ** (1.0 / n)
+    lhs = _normal(kept_norm(f, n, n - 1), "BL: ||f||_{n/(n-1)}")
     return _function_report(Inequality.BL, f, None, lhs, rhs, tol, bl_certificate)
 
 
@@ -316,12 +337,12 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
     in two cases: a single entry is unit only if |a| == D, and an |a| >= D
     only if it is the single entry; these are decided before any float is
     taken.  Every other case, a non-integer p included, asks `_relation`
-    whether the float norm, read through `_p_norm`, is 1 within tol.  The
+    whether the float norm, read through `kept_norm`, is 1 within tol.  The
     message gives that float norm, taken only to be printed in the exact
     cases, where a norm past the float range reads inf.
     """
     if normalize:
-        nf = _p_norm(f, p.numerator, p.denominator)
+        nf = kept_norm(f, p.numerator, p.denominator)
         if not nf:
             raise InvalidInputError(
                 f"||f||_{p} underflows the floating-point range; cannot normalize"
@@ -347,12 +368,12 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
         unit = len(nums) == 1 and top == den
     else:
         # an inf norm, a sum of |f|^p past the float range, is not 1
-        nf = _p_norm(f, p.numerator, p.denominator)
+        nf = kept_norm(f, p.numerator, p.denominator)
         unit = (nf < math.inf
                 and _relation(nf, 1.0, tol, None) is Relation.EQUAL_WITHIN_TOL)
     if not unit:
         try:
-            nf = _p_norm(f, p.numerator, p.denominator)
+            nf = kept_norm(f, p.numerator, p.denominator)
         except OverflowError:  # a norm past the float range
             nf = math.inf
         raise PreconditionError(
@@ -371,7 +392,7 @@ def _entropy_side(f: SparseFunction, p, tol: float, normalize: bool) -> tuple:
     p = _check_exponent(p)
     scale = _norm_factor(f, p, tol, normalize)
     n, a, b = f.dim, p.numerator, p.denominator
-    total = kept_entropy(f, a, b, scale, _entropy_sum)
+    total = kept_entropy(f, a, b, scale)
     # 1/n + 1/p - 1 with p = a/b is (a + n b - n a) / (n a)
     return p, scale, (a + n * b - n * a) / (n * a) * total
 
@@ -469,4 +490,4 @@ def jensen_gap(f: SparseFunction, p) -> float:
     """
     p, scale, entropy_side = _entropy_side(f, p, 0.0, normalize=True)
     n = f.dim
-    return math.log(_p_norm(f, n, n - 1) / scale) - entropy_side
+    return math.log(kept_norm(f, n, n - 1) / scale) - entropy_side

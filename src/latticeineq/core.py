@@ -21,18 +21,20 @@ Every statistic of the calculus is a sum over the lines of one axis, and
 per axis, with no sort and no difference function, since the entries of an
 axis-i line arrive in increasing order of coordinate i.  It keeps per line
 the 1-variation and the maximum of |f|, and per axis the runs, the
-coordinates and the sign flips (`LinePass`).  `axis_lines` caches the pass
-of a function per axis, and `axis_variation`, `pointwise_line_bound`,
-`boundary_count` and `function_counts` read it.  It is the one loop along
-an axis.
+coordinates and the sign flips (`LinePass`).  It is the one loop along
+an axis.  `axis_lines` caches the pass of a function per axis, and only
+`function_counts` and `pointwise_line_bound`, which needs each line, read
+it.
 `SetCounts` is the one record of a finite set's statistics (size,
 crossings, projections, shadows); `line_stats` builds it from the passes
 over keys that rise along every line, which is how kernels.subset_stats
 reads a bit-packed mask.  A function caches its line passes and, beside
-them, its `FunctionCounts`: the integers the checkers read off those
-passes and the memos of `kept_norm` and `kept_entropy`, in a record that
-does not refer back to the function.  `SparseFunction.abs` reads |f|'s
-record off f's passes, with no pass of its own.
+them, its `FunctionCounts`: the integers read off those passes and the
+memos of `kept_norm` and `kept_entropy` (the checkers' one way to
+`_float_norm` and `_entropy_sum`), in a record that does not refer back
+to the function.  Core alone fills that record, and `axis_variation`,
+`boundary_count`, `SparseFunction.abs` and the checkers read it: `abs`
+builds |f|'s record from f's, with no line pass.
 
 Axis indices are 1-based throughout: ``i`` ranges over ``1..dim``.
 """
@@ -310,8 +312,8 @@ class SparseFunction:
     # -- derived functions ---------------------------------------------------
 
     def abs(self) -> "SparseFunction":
-        """|f|, its FunctionCounts read off f's line passes, with no pass
-        of its own: each axis variation less 2 * flips (see LinePass),
+        """|f|, its FunctionCounts read off f's, with no line pass of its
+        own: each axis variation less 2 * flips (see LinePass), no flips,
         f's masses, support counts and float p-norm memo (each float norm
         reads |a|), and a fresh entropy memo."""
         # |f| keeps f's keys, in order, and its denominator and gcd
@@ -321,8 +323,8 @@ class SparseFunction:
         )
         counts = function_counts(self)
         g._counts = counts._replace(
-            variations=tuple(v - 2 * axis_lines(self, i).flips
-                             for i, v in enumerate(counts.variations, 1)),
+            variations=tuple(v - 2 * k for v, k in zip(counts.variations, counts.flips)),
+            flips=(0,) * self.dim,
             indicator=counts.support if len(set(g._nums.values())) == 1 else None,
             entropies={})
         return g
@@ -499,9 +501,9 @@ def indicator(region: Union[LatticeSet, Cuboid], scale: Rational = 1) -> SparseF
 
 
 def axis_variation(f: SparseFunction, i: int) -> Fraction:
-    """Exact 1-norm of the forward difference along axis i, read off the
-    line pass."""
-    return Fraction(axis_lines(f, i).totals[0], f._den)
+    """Exact 1-norm of the forward difference along axis i, read off f's
+    FunctionCounts."""
+    return Fraction(function_counts(f).variations[_check_axis(f.dim, i)], f._den)
 
 
 def norm(f: SparseFunction, p) -> Union[Fraction, float]:
@@ -523,8 +525,9 @@ def _float_norm(f: SparseFunction, a: int, b: int) -> float:
 
     At p = 1 it is sum |c| / D over the numerators c, one int division.
     Otherwise each |value| is the correctly rounded |c| / D; when a term
-    |value|^p overflows, or every term underflows to 0.0, the largest |c|,
-    top, is factored out: (top / D) * (sum (|c| / top)^p)^(1/p).
+    |value|^p overflows, or the sum of the terms falls below the normal
+    float range, the largest |c|, top, is factored out:
+    (top / D) * (sum (|c| / top)^p)^(1/p).
     """
     nums = f._nums.values()
     den = f._den
@@ -539,7 +542,7 @@ def _float_norm(f: SparseFunction, a: int, b: int) -> float:
             total += (abs(c) / den) ** pf
     except OverflowError:
         total = 0.0
-    if total:
+    if total >= sys.float_info.min:
         return total ** (1.0 / pf)
     top = max(map(abs, nums))
     return top / den * sum((abs(c) / top) ** pf for c in nums) ** (1.0 / pf)
@@ -554,8 +557,8 @@ class LinePass(NamedTuple):
     variation, max |numerator|], where the variation so far counts |a| at
     the line's first entry, |a - a_prev| between neighbours and
     |a_prev| + |a| across a gap, but not yet the |a| of its last entry.
-    `totals` sums the lines' variations and maxima over the axis, which is
-    all that axis_variation and FunctionCounts read of them.
+    `function_counts` sums the lines' variations and maxima over each axis,
+    and `pointwise_line_bound` reads them line by line.
     `flips` sums min(|a_prev|, |a|) over the neighbours of opposite sign,
     the only terms where |a - a_prev| exceeds ||a| - |a_prev||, by twice
     that: the axis variation of |f| is the variation of f less 2 * flips.
@@ -565,17 +568,6 @@ class LinePass(NamedTuple):
     coords: set     # the axis coordinates of the support
     lines: dict
     flips: int
-
-    @property
-    def totals(self) -> tuple:
-        """(variation, mass) from one walk over the lines: the 1-variation
-        of the function along the axis, and the sum over the lines of
-        max |f|, the 1-norm of the max projection of |f| along the axis."""
-        variation = mass = 0
-        for _, a, v, top in self.lines.values():
-            variation += v + (a if a > 0 else -a)
-            mass += top
-        return variation, mass
 
 
 def _line_pass(nums: dict, ax: int, n: int) -> LinePass:
@@ -680,14 +672,18 @@ class FunctionCounts(NamedTuple):
     `variations` (||d_i f||_1, the sum of the lines' variations) and
     `masses` (the 1-norm of the max projection of |f|, the sum of the
     lines' maxima, read only once f is known to be nonnegative) are int
-    numerators over f's denominator D, one per axis.  `support` is the
-    SetCounts of supp f, from the runs, coordinates and line counts;
-    `indicator` is `support` when f is a scaled indicator, else None.
-    `norms` and `entropies` are the memos of `kept_norm` and
-    `kept_entropy`, so the three log checkers walk f once."""
+    numerators over f's denominator D, one per axis, and so are `flips`,
+    the passes' flips, which `SparseFunction.abs` subtracts twice from the
+    variations (0 for |f| itself).  `support` is the SetCounts of supp f,
+    from the runs, coordinates and line counts; `indicator` is `support`
+    when f is a scaled indicator, else None.  `norms` and `entropies` are
+    the memos of `kept_norm` and `kept_entropy`, so the three log checkers
+    walk f once.  Only core fills the record; every other reader of f's
+    statistics reads it."""
 
     variations: tuple
     masses: tuple
+    flips: tuple
     support: SetCounts
     indicator: Optional[SetCounts]
     norms: dict
@@ -699,28 +695,37 @@ def function_counts(f: SparseFunction) -> FunctionCounts:
     counts = f._counts
     if counts is None:
         passes = [axis_lines(f, i) for i in range(1, f.dim + 1)]
-        variations, masses = zip(*[p.totals for p in passes])
+        variations, masses = [], []
+        for p in passes:
+            variation = mass = 0
+            for _, a, v, top in p.lines.values():
+                variation += v + (a if a > 0 else -a)
+                mass += top
+            variations.append(variation)
+            masses.append(mass)
         nums = f._nums
         support = SetCounts.from_lines(len(nums), passes)
         constant = len(set(nums.values())) == 1
         counts = f._counts = FunctionCounts(
-            variations, masses, support, support if constant else None, {}, {})
+            tuple(variations), tuple(masses), tuple(p.flips for p in passes),
+            support, support if constant else None, {}, {})
     return counts
 
 
-def kept_norm(f: SparseFunction, a: int, b: int, make) -> float:
-    """float(||f||_p) at p = a/b: make(f, a, b), once per f and p."""
+def kept_norm(f: SparseFunction, a: int, b: int) -> float:
+    """float(||f||_p) at p = a/b, `_float_norm`'s, once per f and p: the
+    checkers' one p-norm."""
     norms = function_counts(f).norms
     if (a, b) not in norms:
-        norms[a, b] = make(f, a, b)
+        norms[a, b] = _float_norm(f, a, b)
     return norms[a, b]
 
 
-def kept_entropy(f: SparseFunction, a: int, b: int, scale: float, make) -> float:
-    """The entropy sum of f/scale at p = a/b: make(f, a / b, scale), once each."""
+def kept_entropy(f: SparseFunction, a: int, b: int, scale: float) -> float:
+    """The entropy sum of f/scale at p = a/b, `_entropy_sum`'s, once each."""
     entropies = function_counts(f).entropies
     if (a, b, scale) not in entropies:
-        entropies[a, b, scale] = make(f, a / b, scale)
+        entropies[a, b, scale] = _entropy_sum(f, a / b, scale)
     return entropies[a, b, scale]
 
 
@@ -728,10 +733,9 @@ def boundary_count(A: LatticeSet) -> int:
     """Number of lattice edges with exactly one endpoint in A.
 
     Equals the exact 1-norm of the differential of the indicator of A:
-    2 per run, read off the indicator's line passes.
+    2 per run, read off the indicator's FunctionCounts.
     """
-    chi = A._indicator
-    return 2 * sum(axis_lines(chi, i).runs for i in range(1, A.dim + 1))
+    return function_counts(A._indicator).support.boundary
 
 
 def _entropy_sum(f: SparseFunction, pf: float, scale: float) -> float:

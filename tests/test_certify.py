@@ -586,13 +586,11 @@ class TestFunctionCounts:
                 return fn(*args)
             return wrapper
 
-        for name in ("_line_pass", "axis_variation"):
+        for name in ("_line_pass", "axis_variation", "_entropy_sum"):
             assert not hasattr(certify, name), name
             monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
-        monkeypatch.setattr(certify, "_float_norm",
-                            counted("_float_norm", certify._float_norm, only_p=(n, n - 1)))
-        monkeypatch.setattr(certify, "_entropy_sum",
-                            counted("_entropy_sum", certify._entropy_sum))
+        monkeypatch.setattr(core, "_float_norm",
+                            counted("_float_norm", core._float_norm, only_p=(n, n - 1)))
         for _ in range(2):
             for ineq in Inequality:
                 check(ineq, x, p, normalize=True)
@@ -618,13 +616,13 @@ class TestFunctionCounts:
         # p = 3/2 (failing at the default tol, passing at a wide one) and
         # the normalized checks at 3/2 read one ||f||_{3/2}
         calls = collections.Counter()
-        taken = certify._float_norm
+        taken = core._float_norm
 
         def counted(f, a, b):
             calls[F(a, b)] += 1
             return taken(f, a, b)
 
-        monkeypatch.setattr(certify, "_float_norm", counted)
+        monkeypatch.setattr(core, "_float_norm", counted)
         f = SparseFunction(2, {(0, 0): 2, (1, 0): 1})  # ||f||_{3/2} ~ 2.45
         for _ in range(2):
             for checker in (check_gn, check_sobolev, check_bl):
@@ -673,5 +671,5 @@ def test_p_norm_past_the_float_range_of_its_terms(name):
     # {2, 1} overflows 2.0 ** 2000 and {1/2, 1/4} underflows both terms;
     # the factored norm still matches the exact sum
     f = fileio.load_input(str(GOLDEN / name))
-    assert math.isclose(certify._p_norm(f, 2000, 1), oracle_integer_p_norm(f, 2000),
+    assert math.isclose(core.kept_norm(f, 2000, 1), oracle_integer_p_norm(f, 2000),
                         rel_tol=1e-12)

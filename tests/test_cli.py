@@ -686,7 +686,26 @@ class TestExitCodeContract:
         assert captured.err == ""
         assert captured.out.count("STRICT") == 2 and "VIOLATED" not in captured.out
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_tiny_function_decided_on_its_ratio(self, fmt, tmp_path, capsys):
+        # 10^-12 (1, 3) is far from a near-tie at any scale: GN, Sobolev
+        # and BL are decided on lhs / rhs, not on a tolerance floored at 1
+        entries = [{"z": [0, 0], "v": "1e-12"}, {"z": [1, 0], "v": "3e-12"}]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"dim": 2, "entries": entries}), encoding="utf-8")
+        code = main(["check", "--input", str(path), "--ineq", "gn,sobolev,bl",
+                     "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out.count("STRICT") == 3
+        assert "EQUAL_WITHIN_TOL" not in captured.out
+
     @pytest.mark.parametrize("values,args", [
+        # both sides of GN, Sobolev and BL underflow to 0.0
+        (["1e-400", "3e-400"], ["--ineq", "gn,sobolev,bl"]),
+        (["1e-400", "3e-400"], ["--ineq", "sobolev"]),
+        # the left side alone is subnormal: ||f||_2 = 10^-308, rhs 5.05e-308
+        (["1e-309"] * 100, ["--ineq", "sobolev"]),
         (["1e-400"], ["--normalize"]),
         (["1e-400", "1"], ["--normalize"]),
         (["1e-400", "1"], ["--ineq", "logsob", "--p", "3/2"]),
@@ -697,9 +716,10 @@ class TestExitCodeContract:
         path = tmp_path / "in.json"
         path.write_text(json.dumps({"dim": 2, "entries": entries}), encoding="utf-8")
         assert main(["check", "--input", str(path)] + args) == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.startswith("invalid input: ") and "underflows" in err
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and captured.out == ""
 
     @pytest.mark.parametrize("command", ["check", "table"])
     def test_tiny_p_exit_2(self, command, tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from latticeineq import certify, core, fuzz
+from latticeineq import core, fuzz
 from latticeineq.certify import DEFAULT_TOL, SET_INEQUALITIES, Inequality, check
 from latticeineq.fileio import load_input, summary_to_dict
 from latticeineq.fuzzing import P_CYCLE, _sample_function, _sample_support, run_instance
@@ -240,13 +240,13 @@ def test_instance_makes_2n_line_passes_and_one_float_norm(n, monkeypatch):
         calls["_line_pass"] += 1
         return _fn(*args)
 
-    def norms(f, a, b, _fn=certify._float_norm):
+    def norms(f, a, b, _fn=core._float_norm):
         if (a, b) == (n, n - 1):
             calls["_float_norm"] += 1
         return _fn(f, a, b)
 
     monkeypatch.setattr(core, "_line_pass", passes)
-    monkeypatch.setattr(certify, "_float_norm", norms)
+    monkeypatch.setattr(core, "_float_norm", norms)
     rng = random.Random()
     for index in range(12):
         calls.clear()

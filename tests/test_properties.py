@@ -30,15 +30,16 @@ from latticeineq import (
 )
 from latticeineq import fileio, kernels
 from latticeineq.certify import (
+    DEFAULT_TOL,
     SET_INEQUALITIES,
     Inequality,
-    _p_norm,
     check,
     classify_counts,
     function_counts,
     set_counts,
 )
-from latticeineq.core import SetCounts, axis_lines
+from latticeineq.core import SetCounts, axis_lines, kept_norm
+from latticeineq.fuzzing import _chain_holds
 
 from oracles import (
     oracle_axis_variation,
@@ -234,9 +235,10 @@ def test_line_pass_matches_oracles(f):
         lines = axis_lines(f, i)
         assert axis_lines(f, i) is lines
         passes.append(lines)
-        variation, mass = lines.totals
-        assert F(variation, f._den) == oracle_axis_variation(f, i)
-        assert F(mass, f._den) == sum(oracle_max_projection(f.abs(), i).values())
+        counts = function_counts(f)
+        assert F(counts.variations[i - 1], f._den) == oracle_axis_variation(f, i)
+        assert (F(counts.masses[i - 1], f._den)
+                == sum(oracle_max_projection(f.abs(), i).values()))
         check = pointwise_line_bound(f, i)
         assert (check.ok, check.lines_checked, check.worst_line, check.worst_max,
                 check.worst_half_variation) == oracle_line_bound(f, i)
@@ -354,6 +356,7 @@ def test_absolute_counts_match_a_fresh_abs(f, p):
     assert got.masses == want.masses
     assert got.support == want.support
     assert got.indicator == want.indicator
+    assert got.flips == want.flips == (0,) * f.dim
     assert all(F(v, f._den) == oracle_axis_variation(fresh, i)
                for i, v in enumerate(got.variations, 1))
     for ineq in Inequality:
@@ -386,7 +389,7 @@ def test_function_counts_match_oracles(f):
     assert tuple(F(m, f._den) for m in counts.masses) == tuple(
         sum(oracle_max_projection(f, i).values()) for i in axes
     )
-    assert math.isclose(_p_norm(f, n, n - 1), oracle_norm(f, F(n, n - 1)),
+    assert math.isclose(kept_norm(f, n, n - 1), oracle_norm(f, F(n, n - 1)),
                         rel_tol=1e-12)
     assert (counts.indicator is None) == (len({v for _, v in f.items()}) != 1)
     if counts.indicator is not None:
@@ -440,6 +443,23 @@ def test_sign_invariance(f, data):
 def test_scaling_leaves_relation_unchanged(f, lam):
     assert check_gn(f).relation is check_gn(f.scaled(lam)).relation
     assert check_sobolev(f).relation is check_sobolev(f.scaled(lam)).relation
+
+
+@pytest.mark.parametrize("f", [
+    SparseFunction(2, {(0, 0): 1, (1, 0): 3}),
+    SparseFunction(3, {(0, 0, 0): 1, (1, 0, 0): 3, (0, 1, 1): F(5, 2)}),
+], ids=["pair-2d", "three-points-3d"])
+def test_verdicts_do_not_change_with_the_scale_of_f(f):
+    # GN, Sobolev and BL are homogeneous of degree 1, and so are both links
+    # of fuzz's chain: 10^k f gets the verdicts of f, the small scales too
+    def verdicts(g):
+        gn, sobolev, bl = check_gn(g), check_sobolev(g), check_bl(g)
+        return gn.relation, sobolev.relation, bl.relation, _chain_holds(gn, bl, DEFAULT_TOL)
+
+    want = verdicts(f)
+    assert want == (Relation.STRICT,) * 3 + (True,)
+    for k in range(-100, 101):
+        assert verdicts(f.scaled(F(10) ** k)) == want, k
 
 
 @settings(max_examples=60)
