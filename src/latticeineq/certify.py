@@ -10,8 +10,8 @@ echoes the offending input.  `_relation` is the one reader of that
 tolerance: it refuses a tol that is not finite and positive, and it decides
 the log inequalities' unit-norm precondition wherever the integers do not.
 GN, Sobolev and BL are homogeneous of degree 1 in f, so they are decided
-on lhs / rhs against 1, and a side, or the product under GN's or BL's
-root, below the normal float range is refused rather than decided.
+on lhs / rhs against 1, and a side below the normal float range is refused
+rather than decided.
 
 The function checkers read only f's `FunctionCounts`
 (`core.function_counts`), which core alone fills from f's line passes and
@@ -26,7 +26,8 @@ What is decided per call, the unit-norm precondition and the tolerance, is
 never kept.  The record holds no reference to f, so checking makes no
 reference cycle.  Each float side divides ints once, correctly rounded,
 before any power or logarithm (prod_i v_i / D^n, sum_i v_i / D or v_i / D),
-which is the same double as the float of the exact rational.
+which is the same double as the float of the exact rational; `_root` first
+scales a prod_i v_i / D^n that may leave the float range by a power of 2.
 
 All checkers require ambient dimension n >= 2 and reject the zero function /
 empty set.
@@ -181,7 +182,10 @@ def _report(ineq, x, p, lhs, rhs, tol, cert, shape) -> InequalityReport:
     # has no verdict, and a JSON report cannot hold it
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise OverflowError(f"{ineq.value}: a side is not finite (lhs={lhs!r}, rhs={rhs!r})")
-    if ineq in HOMOGENEOUS_INEQUALITIES:  # both sides are normal floats
+    if ineq in HOMOGENEOUS_INEQUALITIES:
+        # a side below the normal float range has lost its relative precision
+        if min(lhs, rhs) < sys.float_info.min:
+            raise InvalidInputError(f"{ineq.value}: a side underflows the floating-point range")
         relation = _relation(lhs / rhs, 1.0, tol, cert)
     else:
         relation = _relation(lhs, rhs, tol, cert)
@@ -191,12 +195,14 @@ def _report(ineq, x, p, lhs, rhs, tol, cert, shape) -> InequalityReport:
     )
 
 
-def _normal(x: float, what: str) -> float:
-    """x, refused where it is below the normal float range and so has lost
-    its relative precision."""
-    if x < sys.float_info.min:
-        raise InvalidInputError(f"{what} underflows the floating-point range")
-    return x
+def _root(num: int, den: int, n: int) -> float:
+    """(num / den) ** (1/n) for ints num, den > 0.  Where the quotient may
+    leave the normal float range it is scaled by 2^(-n k) first and the root
+    by 2^k after; elsewhere k = 0, and the root is of one int division."""
+    d = num.bit_length() - den.bit_length()  # 2^(d-1) < num / den < 2^(d+1)
+    k = 0 if -1021 <= d <= 1022 else d // n
+    num, den = (num, den << n * k) if k > 0 else (num << -n * k, den)
+    return math.ldexp((num / den) ** (1.0 / n), k)
 
 
 def _require_checkable(f: SparseFunction):
@@ -278,9 +284,8 @@ def check_gn(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     scaled cuboid indicators."""
     _require_checkable(f)
     n = f.dim
-    q = math.prod(function_counts(f).variations) / f._den ** n
-    rhs = 0.5 * _normal(q, "GN: prod_i ||d_i f||_1") ** (1.0 / n)
-    lhs = _normal(kept_norm(f, n, n - 1), "GN: ||f||_{n/(n-1)}")
+    rhs = 0.5 * _root(math.prod(function_counts(f).variations), f._den ** n, n)
+    lhs = kept_norm(f, n, n - 1)
     return _function_report(Inequality.GN, f, None, lhs, rhs, tol, gn_certificate)
 
 
@@ -289,9 +294,8 @@ def check_sobolev(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityRepo
     indicators."""
     _require_checkable(f)
     n = f.dim
-    rhs = _normal(sum(function_counts(f).variations) / f._den / (2 * n),
-                  "SOBOLEV: ||df||_1 / 2n")
-    lhs = _normal(kept_norm(f, n, n - 1), "SOBOLEV: ||f||_{n/(n-1)}")
+    rhs = sum(function_counts(f).variations) / f._den / (2 * n)
+    lhs = kept_norm(f, n, n - 1)
     return _function_report(Inequality.SOBOLEV, f, None, lhs, rhs, tol,
                             sobolev_certificate)
 
@@ -309,9 +313,8 @@ def check_bl(f: SparseFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     _require_checkable(f)
     _require_nonnegative(f)
     n = f.dim
-    q = math.prod(function_counts(f).masses) / f._den ** n
-    rhs = _normal(q, "BL: prod_i ||f_i||_1") ** (1.0 / n)
-    lhs = _normal(kept_norm(f, n, n - 1), "BL: ||f||_{n/(n-1)}")
+    rhs = _root(math.prod(function_counts(f).masses), f._den ** n, n)
+    lhs = kept_norm(f, n, n - 1)
     return _function_report(Inequality.BL, f, None, lhs, rhs, tol, bl_certificate)
 
 

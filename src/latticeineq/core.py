@@ -22,19 +22,18 @@ per axis, with no sort and no difference function, since the entries of an
 axis-i line arrive in increasing order of coordinate i.  It keeps per line
 the 1-variation and the maximum of |f|, and per axis the runs, the
 coordinates and the sign flips (`LinePass`).  It is the one loop along
-an axis.  `axis_lines` caches the pass of a function per axis, and only
-`function_counts` and `pointwise_line_bound`, which needs each line, read
-it.
+an axis.
 `SetCounts` is the one record of a finite set's statistics (size,
 crossings, projections, shadows); `line_stats` builds it from the passes
 over keys that rise along every line, which is how kernels.subset_stats
-reads a bit-packed mask.  A function caches its line passes and, beside
-them, its `FunctionCounts`: the integers read off those passes and the
+reads a bit-packed mask.  A function keeps one cache, its
+`FunctionCounts`: its n line passes, the integers read off them and the
 memos of `kept_norm` and `kept_entropy` (the checkers' one way to
 `_float_norm` and `_entropy_sum`), in a record that does not refer back
 to the function.  Core alone fills that record, and `axis_variation`,
-`boundary_count`, `SparseFunction.abs` and the checkers read it: `abs`
-builds |f|'s record from f's, with no line pass.
+`boundary_count`, `pointwise_line_bound` (the one reader of the passes
+themselves), `SparseFunction.abs` and the checkers read it: `abs` builds
+|f|'s record from f's, with no line pass and so with no passes.
 
 Axis indices are 1-based throughout: ``i`` ranges over ``1..dim``.
 """
@@ -62,7 +61,8 @@ def as_ratio(value) -> tuple:
     Accepts int, Fraction and strings ("3/4", "0.25", "-2"); decimal strings
     parse exactly as scaled integers.  A string of ASCII digits with an
     optional leading "-" and "/digits" is read by int arithmetic; every
-    other spelling goes through `Fraction`.  A decimal exponent past the
+    other spelling but one with an underscore, refused on every Python,
+    goes through `Fraction`.  A decimal exponent past the
     interpreter's int digit limit (4300 by default) is refused before
     10**e is expanded.  Floats are rejected: they would silently poison the
     exact track.
@@ -80,6 +80,8 @@ def as_ratio(value) -> tuple:
         if "e" in value or "E" in value:
             _check_decimal_exponent(value)
         try:
+            if "_" in value:  # Fraction reads "1_0" from Python 3.11 on only
+                raise ValueError(value)
             return Fraction(value).as_integer_ratio()
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"cannot parse rational value {value!r}") from exc
@@ -217,12 +219,12 @@ class SparseFunction:
     numerator) = 1, so it is the lcm of the reduced value denominators and
     equal functions have equal (dim, _den, _nums).  Zero entries are pruned,
     so the stored keys *are* the support, kept in lexicographic order.
-    Instances are immutable by convention.  The line passes are cached,
-    per axis, and the `_counts` slot keeps the `FunctionCounts`, a record
-    of plain numbers read off those passes (see `function_counts`).
+    Instances are immutable by convention.  The `_counts` slot is the one
+    cache: the `FunctionCounts`, f's line passes and the plain numbers read
+    off them (see `function_counts`).
     """
 
-    __slots__ = ("dim", "_nums", "_den", "_lines", "_counts")
+    __slots__ = ("dim", "_nums", "_den", "_counts")
 
     def __init__(self, dim: int, entries: Union[Mapping, Iterable] = ()):
         dim = _check_dim(dim)
@@ -265,7 +267,6 @@ class SparseFunction:
         f.dim = dim
         f._nums = nums
         f._den = den
-        f._lines = {}
         f._counts = None
         return f
 
@@ -284,7 +285,6 @@ class SparseFunction:
         self.dim = dim
         self._nums = {z: nums[z] for z in sorted(nums)}
         self._den = den
-        self._lines: dict = {}
         self._counts = None
 
     # -- basic queries -----------------------------------------------------
@@ -313,9 +313,9 @@ class SparseFunction:
 
     def abs(self) -> "SparseFunction":
         """|f|, its FunctionCounts read off f's, with no line pass of its
-        own: each axis variation less 2 * flips (see LinePass), no flips,
-        f's masses, support counts and float p-norm memo (each float norm
-        reads |a|), and a fresh entropy memo."""
+        own: each axis variation less 2 * flips (see LinePass), no flips
+        and no passes, f's masses, support counts and float p-norm memo
+        (each float norm reads |a|), and a fresh entropy memo."""
         # |f| keeps f's keys, in order, and its denominator and gcd
         nums = self._nums
         g = SparseFunction._from_reduced(
@@ -325,6 +325,7 @@ class SparseFunction:
         g._counts = counts._replace(
             variations=tuple(v - 2 * k for v, k in zip(counts.variations, counts.flips)),
             flips=(0,) * self.dim,
+            passes=None,
             indicator=counts.support if len(set(g._nums.values())) == 1 else None,
             entropies={})
         return g
@@ -525,9 +526,10 @@ def _float_norm(f: SparseFunction, a: int, b: int) -> float:
 
     At p = 1 it is sum |c| / D over the numerators c, one int division.
     Otherwise each |value| is the correctly rounded |c| / D; when a term
-    |value|^p overflows, or the sum of the terms falls below the normal
-    float range, the largest |c|, top, is factored out:
-    (top / D) * (sum (|c| / top)^p)^(1/p).
+    |value|^p overflows, or the sum of the terms overflows to inf or falls
+    below the normal float range, the largest |c|, top, is factored out:
+    (top / D) * (sum (|c| / top)^p)^(1/p), inf only where the norm itself
+    is past the float range.
     """
     nums = f._nums.values()
     den = f._den
@@ -542,7 +544,7 @@ def _float_norm(f: SparseFunction, a: int, b: int) -> float:
             total += (abs(c) / den) ** pf
     except OverflowError:
         total = 0.0
-    if total >= sys.float_info.min:
+    if sys.float_info.min <= total < math.inf:
         return total ** (1.0 / pf)
     top = max(map(abs, nums))
     return top / den * sum((abs(c) / top) ** pf for c in nums) ** (1.0 / pf)
@@ -557,8 +559,9 @@ class LinePass(NamedTuple):
     variation, max |numerator|], where the variation so far counts |a| at
     the line's first entry, |a - a_prev| between neighbours and
     |a_prev| + |a| across a gap, but not yet the |a| of its last entry.
-    `function_counts` sums the lines' variations and maxima over each axis,
-    and `pointwise_line_bound` reads them line by line.
+    `function_counts` sums the lines' variations and maxima over each axis
+    and keeps the passes in f's record, where `pointwise_line_bound` reads
+    them line by line.
     `flips` sums min(|a_prev|, |a|) over the neighbours of opposite sign,
     the only terms where |a - a_prev| exceeds ||a| - |a_prev||, by twice
     that: the axis variation of |f| is the variation of f less 2 * flips.
@@ -615,15 +618,6 @@ def _line_pass(nums: dict, ax: int, n: int) -> LinePass:
     return LinePass(runs, coords, lines, flips)
 
 
-def axis_lines(f: SparseFunction, i: int) -> LinePass:
-    """The line pass of f along axis i, made on first use and kept on f."""
-    ax = _check_axis(f.dim, i)
-    lines = f._lines.get(ax)
-    if lines is None:
-        lines = f._lines[ax] = _line_pass(f._nums, ax, f.dim)
-    return lines
-
-
 class SetCounts(NamedTuple):
     """Exact combinatorial statistics of a finite set; each field but
     `size` holds one entry per axis i."""
@@ -667,14 +661,16 @@ def line_stats(nums: dict, n: int) -> SetCounts:
 
 class FunctionCounts(NamedTuple):
     """What the function checkers read of f, built once from f's line
-    passes (one axis_lines per axis) and holding no reference to f.
+    passes, one `_line_pass` per axis, and holding no reference to f.
 
     `variations` (||d_i f||_1, the sum of the lines' variations) and
     `masses` (the 1-norm of the max projection of |f|, the sum of the
     lines' maxima, read only once f is known to be nonnegative) are int
     numerators over f's denominator D, one per axis, and so are `flips`,
     the passes' flips, which `SparseFunction.abs` subtracts twice from the
-    variations (0 for |f| itself).  `support` is the SetCounts of supp f,
+    variations (0 for |f| itself).  `passes` holds those n LinePasses,
+    read by `pointwise_line_bound`; it is None on the record `abs` derives,
+    which was read off another's.  `support` is the SetCounts of supp f,
     from the runs, coordinates and line counts; `indicator` is `support`
     when f is a scaled indicator, else None.  `norms` and `entropies` are
     the memos of `kept_norm` and `kept_entropy`, so the three log checkers
@@ -684,6 +680,7 @@ class FunctionCounts(NamedTuple):
     variations: tuple
     masses: tuple
     flips: tuple
+    passes: Optional[tuple]
     support: SetCounts
     indicator: Optional[SetCounts]
     norms: dict
@@ -694,7 +691,8 @@ def function_counts(f: SparseFunction) -> FunctionCounts:
     """The FunctionCounts of f, made on first use and kept on f."""
     counts = f._counts
     if counts is None:
-        passes = [axis_lines(f, i) for i in range(1, f.dim + 1)]
+        nums, n = f._nums, f.dim
+        passes = tuple([_line_pass(nums, ax, n) for ax in range(n)])
         variations, masses = [], []
         for p in passes:
             variation = mass = 0
@@ -703,11 +701,10 @@ def function_counts(f: SparseFunction) -> FunctionCounts:
                 mass += top
             variations.append(variation)
             masses.append(mass)
-        nums = f._nums
         support = SetCounts.from_lines(len(nums), passes)
         constant = len(set(nums.values())) == 1
         counts = f._counts = FunctionCounts(
-            tuple(variations), tuple(masses), tuple(p.flips for p in passes),
+            tuple(variations), tuple(masses), tuple(p.flips for p in passes), passes,
             support, support if constant else None, {}, {})
     return counts
 
@@ -790,10 +787,13 @@ def pointwise_line_bound(f: SparseFunction, i: int) -> LineBoundCheck:
     maximum of |f| is at most half the 1-variation of f along the line.
 
     Exact: the comparison is variation >= 2 * max on numerators over f's
-    denominator, read off the line pass; lines not meeting the support are
-    skipped.
+    denominator, read off the axis-i pass kept in f's FunctionCounts, or
+    off a pass made for this call alone where the record has none (|f|
+    from `abs`); lines not meeting the support are skipped.
     """
-    lines = axis_lines(f, i).lines
+    ax = _check_axis(f.dim, i)
+    passes = function_counts(f).passes
+    lines = (passes[ax] if passes else _line_pass(f._nums, ax, f.dim)).lines
     # (margin, line) of the line of least margin, the least line on a tie;
     # the margin is 2 * denominator * (half variation - max)
     worst = None

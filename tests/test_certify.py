@@ -636,9 +636,9 @@ class TestFunctionCounts:
         assert calls == {F(2): 1, F(3, 2): 1}
 
     def test_norm_past_the_float_range_is_not_unit(self):
-        # each (10^205)^(3/2) is finite but the sum of six is not, so the
+        # ||f||_{3/2} = 2^(2/3) * 1.5e308 is past the float range, so the
         # float norm is inf: not 1 within any tol, and no rescaling factor
-        f = SparseFunction(2, {(i, 0): "1e205" for i in range(6)})
+        f = SparseFunction(2, {(i, 0): "15e307" for i in range(2)})
         for tol in (DEFAULT_TOL, 1e300):
             with pytest.raises(PreconditionError, match=r"\(got inf\)"):
                 check_log_sobolev(f, F(3, 2), tol=tol)

@@ -448,6 +448,8 @@ class TestMalformedInput:
         (None, "table --n 2 --max-side 2 --p 1e2000000000",
          "invalid p: decimal exponent of '1e2000000000' is over the limit of 4300"),
         (SET2, "--p x", "invalid p: cannot parse rational value 'x'"),
+        (SET2, "--ineq logbl --p 1_0", "invalid p: cannot parse rational value '1_0'"),
+        (_function(v="1_000"), "", "cannot parse rational value '1_000'"),
         (_function(z=5), "", "point 5 does not have dimension 2"),
         (_function(z=[0]), "", "point [0] does not have dimension 2"),
         (_function(z=[0, "1"]), "", "point [0, '1'] has a non-integer coordinate"),
@@ -467,6 +469,7 @@ class TestMalformedInput:
     ], ids=[
         "non-utf8", "5000-digit-int", "deep-nesting", "huge-value-exponent",
         "huge-p-exponent", "tiny-p-exponent", "table-huge-p-exponent", "bad-p",
+        "underscore-p", "underscore-value",
         "int-z", "short-z", "string-coordinate", "float-v", "list-v", "dim-0",
         "dim-true", "dim-missing", "entries-not-list", "entry-without-v",
         "points-not-list", "int-point",
@@ -629,7 +632,10 @@ class TestLogChecksFromCli:
         assert "LOG_BL" in names and "LOG_SOBOLEV_DIR" in names
 
 
+# the float sum of |f|^2 overflows, though ||f||_2 ~ 1.49e154 does not
 BIG_PAIR = {"dim": 2, "entries": [{"z": [0, 0], "v": "1e154"}, {"z": [5, 5], "v": "11e153"}]}
+# ||f||_2 ~ 2.1e308 is itself past the float range
+HUGE_PAIR = {"dim": 2, "entries": [{"z": [0, 0], "v": "15e307"}, {"z": [5, 5], "v": "15e307"}]}
 
 
 class TestExitCodeContract:
@@ -645,10 +651,10 @@ class TestExitCodeContract:
         ({"dim": 2, "entries": [{"z": [0, 0], "v": "1e400"}]}, []),
         ({"dim": 2, "points": [[0, 0], [0, 1]]},
          ["--ineq", "logsob", "--p", "1/1000000000000000000000"]),
-        # the float sum of |f|^2 overflows to inf, though ||f||_2 ~ 1.49e154
-        # is finite; as JSON, inf is no number, and as CSV, no verdict
-        (BIG_PAIR, ["--ineq", "sobolev"]),
-        (BIG_PAIR, ["--ineq", "sobolev", "--format", "csv"]),
+        # both sides of Sobolev are past the float range; as JSON, inf is
+        # no number, and as CSV, no verdict
+        (HUGE_PAIR, ["--ineq", "sobolev"]),
+        (HUGE_PAIR, ["--ineq", "sobolev", "--format", "csv"]),
     ])
     def test_float_overflow_exit_2(self, payload, args, tmp_path, capsys):
         path = tmp_path / "in.json"
@@ -661,10 +667,10 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("ineq", ["logsob", "logsob-dir", "logbl"])
     def test_normalizing_norm_overflow_exit_2(self, ineq, fmt, tmp_path, capsys):
-        # the float sum of |f|^2 overflows, so the norm to divide by is inf:
-        # refused as an overflow, before any entropy is taken of f / inf
+        # ||f||_2 overflows, so the norm to divide by is inf: refused as an
+        # overflow, before any entropy is taken of f / inf
         path = tmp_path / "in.json"
-        path.write_text(json.dumps(BIG_PAIR), encoding="utf-8")
+        path.write_text(json.dumps(HUGE_PAIR), encoding="utf-8")
         assert main(["check", "--input", str(path), "--normalize", "--p", "2",
                      "--ineq", ineq, "--format", fmt]) == 2
         captured = capsys.readouterr()
@@ -689,16 +695,21 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_tiny_function_decided_on_its_ratio(self, fmt, tmp_path, capsys):
         # 10^-12 (1, 3) is far from a near-tie at any scale: GN, Sobolev
-        # and BL are decided on lhs / rhs, not on a tolerance floored at 1
-        entries = [{"z": [0, 0], "v": "1e-12"}, {"z": [1, 0], "v": "3e-12"}]
-        path = tmp_path / "in.json"
-        path.write_text(json.dumps({"dim": 2, "entries": entries}), encoding="utf-8")
-        code = main(["check", "--input", str(path), "--ineq", "gn,sobolev,bl",
-                     "--format", fmt])
-        captured = capsys.readouterr()
-        assert code == 0 and captured.err == ""
-        assert captured.out.count("STRICT") == 3
-        assert "EQUAL_WITHIN_TOL" not in captured.out
+        # and BL are decided on lhs / rhs, not on a tolerance floored at 1;
+        # at 10^160 (1, 3) and on BIG_PAIR the sides are in range, though
+        # prod_i v_i / D^n or the float sum of |f|^2 is not
+        pair = [{"z": [0, 0], "v": "1e-12"}, {"z": [1, 0], "v": "3e-12"}]
+        huge = [{"z": [0, 0], "v": "1e160"}, {"z": [1, 0], "v": "3e160"}]
+        for payload in ({"dim": 2, "entries": pair}, {"dim": 2, "entries": huge},
+                        BIG_PAIR):
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            code = main(["check", "--input", str(path), "--ineq", "gn,sobolev,bl",
+                         "--format", fmt])
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == "", payload
+            assert captured.out.count("STRICT") == 3
+            assert "EQUAL_WITHIN_TOL" not in captured.out
 
     @pytest.mark.parametrize("values,args", [
         # both sides of GN, Sobolev and BL underflow to 0.0

@@ -21,7 +21,7 @@ from latticeineq import (
 )
 from latticeineq import core
 from latticeineq.certify import set_counts
-from latticeineq.core import as_fraction, axis_lines, function_counts
+from latticeineq.core import as_fraction, function_counts
 
 from oracles import (
     oracle_axis_variation,
@@ -44,10 +44,15 @@ def chi(region, scale=1):
     return indicator(region, scale)
 
 
+def line_pass(f, i):
+    """f's line pass along axis i, as its FunctionCounts keeps it."""
+    return function_counts(f).passes[i - 1]
+
+
 def line_maxima(f, i):
     """The max |f| of each axis-i line, keyed by the line: the max
     projection of |f|, read off the line pass."""
-    return {key: F(line[3], f._den) for key, line in axis_lines(f, i).lines.items()}
+    return {key: F(line[3], f._den) for key, line in line_pass(f, i).lines.items()}
 
 
 def entropy(f, p):
@@ -154,10 +159,13 @@ class TestLatticeSet:
 
 class TestAsRatio:
     """A string of ASCII digits, with an optional "-" and "/digits", is read
-    by int arithmetic; the pair and every refusal match Fraction's."""
+    by int arithmetic; the pair and every refusal match Fraction's, but for
+    a string with an underscore, which Fraction reads from Python 3.11 on
+    and which is refused on every Python without asking Fraction."""
 
     SPELLINGS = ["-0", "0/5", "007/010", "3/0", "1/-2", "--1", "", "/", "1/", "+3",
-                 " 3", "1_0", "\u0663", "7" * 5000, "-37/64", "12", "-6/4"]
+                 " 3", "1_0", "\u0663", "7" * 5000, "-37/64", "12", "-6/4",
+                 "1_000/3", "1e1_0"]
 
     @staticmethod
     def _fraction_calls(monkeypatch):
@@ -174,7 +182,7 @@ class TestAsRatio:
                              ids=lambda t: t if len(t) < 40 else f"{len(t)}-digits")
     def test_agrees_with_fraction(self, text, monkeypatch):
         try:
-            expected = Fraction(text).as_integer_ratio()
+            expected = None if "_" in text else Fraction(text).as_integer_ratio()
         except (ValueError, ZeroDivisionError):
             expected = None
         calls = self._fraction_calls(monkeypatch)
@@ -184,9 +192,9 @@ class TestAsRatio:
             assert str(err.value) == f"cannot parse rational value {text!r}"
         else:
             assert core.as_ratio(text) == expected
-        # only the int path's own spellings skip Fraction
+        # only the int path's own spellings and an underscore skip Fraction
         int_path = text in ("-0", "0/5", "007/010", "-37/64", "12", "-6/4")
-        assert calls == ([] if int_path else [(text,)])
+        assert calls == ([] if int_path or "_" in text else [(text,)])
 
     @settings(max_examples=300)
     @given(st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True))
@@ -310,6 +318,14 @@ class TestNorms:
         f = SparseFunction(2, {(0, 0): "1e-160", (1, 0): "3e-160"})
         assert math.isclose(norm(f, 2), math.sqrt(10) * 1e-160, rel_tol=1e-15)
 
+    def test_overflowing_sum_is_factored(self):
+        # each (10^154)^2 is finite but their sum is not: the largest entry
+        # is taken out, and the norm is inf only past the float range
+        f = SparseFunction(2, {(i, 0): "1e154" for i in range(3)})
+        assert math.isclose(norm(f, 2), math.sqrt(3) * 1e154, rel_tol=1e-15)
+        huge = SparseFunction(2, {(0, 0): "15e307", (1, 0): "15e307"})
+        assert norm(huge, 2) == math.inf
+
     def test_bad_p(self):
         with pytest.raises(InvalidInputError):
             norm(TWO_POINT, 0)
@@ -400,7 +416,7 @@ class TestMaxProjection:
         with pytest.raises(DomainError):
             check_bl(f)
         with pytest.raises(InvalidInputError):
-            axis_lines(f, 0)
+            pointwise_line_bound(f, 0)
 
     def test_dim1_rejected(self):
         for value in (1, -1):
@@ -414,16 +430,16 @@ class TestSetOperations:
     # line-pass coordinates and line keys
 
     def test_coord_projection(self):
-        assert axis_lines(chi(RECT), 2).coords == {0, 1, 2}
-        assert axis_lines(chi(L_SHAPE), 1).coords == {0, 1}
+        assert line_pass(chi(RECT), 2).coords == {0, 1, 2}
+        assert line_pass(chi(L_SHAPE), 1).coords == {0, 1}
         B = LatticeSet(2, [(0, 0), (0, 2), (1, 0), (1, 2)])
-        assert axis_lines(chi(B), 2).coords == {0, 2}
+        assert line_pass(chi(B), 2).coords == {0, 2}
         assert set_counts(B).proj_size == (2, 2)
 
     def test_shadow_projection(self):
         A = LatticeSet(3, [(0, 0, 0), (1, 1, 0), (0, 1, 0)])
-        assert axis_lines(chi(A), 3).lines.keys() == {(0, 0), (1, 1), (0, 1)}
-        assert axis_lines(chi(A), 1).lines.keys() == {(0, 0), (1, 0)}
+        assert line_pass(chi(A), 3).lines.keys() == {(0, 0), (1, 1), (0, 1)}
+        assert line_pass(chi(A), 1).lines.keys() == {(0, 0), (1, 0)}
         assert set_counts(A).shadow_size == (2, 2, 3)
 
     def test_boundary_counts(self):
@@ -475,7 +491,7 @@ class TestOneLinePassPerAxis:
             (1, 0, 2): F(5, 4),
         }), (
             on_each_axis(axis_variation),
-            on_each_axis(axis_lines),
+            lambda f: function_counts(f).passes,
             on_each_axis(pointwise_line_bound),
             function_counts,
         ))
@@ -487,8 +503,21 @@ class TestOneLinePassPerAxis:
         ]), (
             boundary_count,
             set_counts,
-            lambda A: on_each_axis(axis_lines)(chi(A)),
+            lambda A: function_counts(chi(A)).passes,
         ))
+
+    def test_line_bound_of_abs_makes_one_pass_and_keeps_none(self, calls):
+        # |f|'s record is read off f's and has no passes: each call on |f|
+        # makes the one pass it reads, and the record keeps no pass
+        f = SparseFunction(3, {(0, 0, 0): -2, (1, 0, 0): 1, (1, 1, 1): F(3, 2)})
+        fresh = SparseFunction(3, {z: abs(v) for z, v in f.items()})
+        want = {i: pointwise_line_bound(fresh, i) for i in (1, 2, 3)}
+        g = f.abs()
+        for i in (1, 2, 3, 1):
+            calls.clear()
+            assert pointwise_line_bound(g, i) == want[i]
+            assert calls == {"_line_pass": 1}
+        assert function_counts(g).passes is None
 
 
 class TestCuboid:
