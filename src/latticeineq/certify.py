@@ -232,13 +232,15 @@ def _function_report(ineq, f, p, lhs, rhs, tol, certificate) -> InequalityReport
 def _set_report(ineq: Inequality, A, tol: float, certificate,
                 divisor: int) -> InequalityReport:
     """Shared body of the set checkers, on a set or the support of a
-    function: both sides are the certificate's integers over `divisor`."""
+    function: both sides are the certificate's integers over `divisor`,
+    each one int / int, so an integer past the float range still gives a
+    side in range."""
     f = indicator(A) if isinstance(A, LatticeSet) else A
     _require_checkable(f)
     counts = function_counts(f).support
     cert = certificate(counts, A.dim)
     return _report(ineq, A, None, cert.lhs_integer / divisor,
-                   cert.rhs_integer / float(divisor), tol, cert, classify_counts(counts))
+                   cert.rhs_integer / divisor, tol, cert, classify_counts(counts))
 
 
 def gn_certificate(counts: SetCounts, n: int) -> ExactCertificate:
@@ -375,10 +377,7 @@ def _norm_factor(f: SparseFunction, p: Fraction, tol: float, normalize: bool) ->
         unit = (nf < math.inf
                 and _relation(nf, 1.0, tol, None) is Relation.EQUAL_WITHIN_TOL)
     if not unit:
-        try:
-            nf = kept_norm(f, p.numerator, p.denominator)
-        except OverflowError:  # a norm past the float range
-            nf = math.inf
+        nf = kept_norm(f, p.numerator, p.denominator)
         raise PreconditionError(
             f"||f||_{p} must be 1 (got {nf!r}); pass normalize=True"
         )

@@ -48,21 +48,15 @@ INEQ_TOKENS = {
 def _parse_ineqs(raw: Optional[str]):
     if raw is None:
         return None
-    out = []
-    for token in raw.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        if token == "all":
-            return list(Inequality)
-        if token not in INEQ_TOKENS:
+    tokens = [t for t in map(str.strip, raw.lower().split(",")) if t]
+    for token in tokens:
+        if token != "all" and token not in INEQ_TOKENS:
             raise InvalidInputError(
                 f"unknown inequality {token!r}; choose from {', '.join(sorted(INEQ_TOKENS))}"
             )
-        out.append(INEQ_TOKENS[token])
-    if not out:
+    if not tokens:
         raise InvalidInputError("empty --ineq selection")
-    return out
+    return list(Inequality) if "all" in tokens else [INEQ_TOKENS[t] for t in tokens]
 
 
 def _parse_p(raw: str) -> Fraction:
@@ -112,17 +106,7 @@ def cmd_check(args) -> int:
                     "on this input (not a scaled indicator)"
                 )
 
-    if args.format == "csv":
-        lines = [f"# tol={tol!r}", fileio.REPORT_CSV_HEADER]
-        lines += [fileio.report_csv_row(r) for r in reports]
-        _write("\n".join(lines), args.out)
-    else:
-        _write(
-            fileio.dumps(
-                {"tol": tol, "reports": [fileio.report_to_dict(r) for r in reports]}
-            ),
-            args.out,
-        )
+    _write(fileio.reports_text(reports, tol, args.format), args.out)
     return 1 if any(r.relation is Relation.VIOLATED for r in reports) else 0
 
 
@@ -142,17 +126,19 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_search(args) -> int:
+    # each mode's own default applies unless --iters is given
+    iters = {} if args.iters is None else {"iters": args.iters}
     if args.mode == "anneal":
         if args.size is None:
             raise InvalidInputError("--size is required for --mode anneal")
         trace = anneal_sets(
             n=args.n,
             size=args.size,
-            iters=args.iters,
             seed=args.seed,
             t0=args.t0,
             alpha=args.alpha,
             box_side=args.box_side,
+            **iters,
         )
     else:
         if args.window_side is None:
@@ -160,9 +146,9 @@ def cmd_search(args) -> int:
         trace = ascend_function(
             n=args.n,
             window=args.window_side,
-            iters=args.iters,
             seed=args.seed,
             start=args.start,
+            **iters,
         )
     _write(fileio.dumps(fileio.trace_to_dict(trace)), args.out)
     return 0
@@ -293,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--mode", choices=("anneal", "ascend"), required=True)
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--size", type=int, help="set cardinality (anneal)")
-    ps.add_argument("--iters", type=int, default=100_000)
+    ps.add_argument("--iters", type=int, help="iterations (default: the mode's own)")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--t0", type=float, default=0.05)
     ps.add_argument("--alpha", type=float, default=0.999)

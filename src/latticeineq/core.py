@@ -528,26 +528,29 @@ def _float_norm(f: SparseFunction, a: int, b: int) -> float:
     Otherwise each |value| is the correctly rounded |c| / D; when a term
     |value|^p overflows, or the sum of the terms overflows to inf or falls
     below the normal float range, the largest |c|, top, is factored out:
-    (top / D) * (sum (|c| / top)^p)^(1/p), inf only where the norm itself
-    is past the float range.
+    (top / D) * (sum (|c| / top)^p)^(1/p).  A norm itself past the float
+    range, where a division or power overflows, reads inf.
     """
     nums = f._nums.values()
     den = f._den
-    if a == b:
-        return sum(map(abs, nums)) / den
-    if not nums:
-        return 0.0
-    pf = a / b
-    total = 0.0
     try:
-        for c in nums:
-            total += (abs(c) / den) ** pf
-    except OverflowError:
+        if a == b:
+            return sum(map(abs, nums)) / den
+        if not nums:
+            return 0.0
+        pf = a / b
         total = 0.0
-    if sys.float_info.min <= total < math.inf:
-        return total ** (1.0 / pf)
-    top = max(map(abs, nums))
-    return top / den * sum((abs(c) / top) ** pf for c in nums) ** (1.0 / pf)
+        try:
+            for c in nums:
+                total += (abs(c) / den) ** pf
+        except OverflowError:
+            total = 0.0
+        if sys.float_info.min <= total < math.inf:
+            return total ** (1.0 / pf)
+        top = max(map(abs, nums))
+        return top / den * sum((abs(c) / top) ** pf for c in nums) ** (1.0 / pf)
+    except OverflowError:  # ||f||_p >= max |f|, itself past the float range
+        return math.inf
 
 
 class LinePass(NamedTuple):

@@ -13,6 +13,11 @@ Values are exact: rational strings ("3/4"), decimal strings ("0.25",
 parsed as scaled integers) or JSON integers.  JSON floats are rejected — a
 binary float cannot round-trip the exact track.  Serialization is canonical
 (entries sorted by point), so equal objects produce identical bytes.
+
+The report format lives here alone: REPORT_FIELDS names a report's columns
+once, in order, for its JSON object and its CSV row, floats at 17
+significant digits and an absent value empty; `reports_text` writes the
+whole `check` document in either format.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ if TYPE_CHECKING:
     from .lab import RigidityReport
     from .search import SearchTrace
 
-REPORT_CSV_HEADER = "inequality,n,p,lhs,rhs,deficit,relation,extremal_class"
+REPORT_FIELDS = ("inequality", "n", "p", "lhs", "rhs", "deficit", "relation", "extremal_class")
 
 
 def format_float(x: float) -> str:
@@ -118,17 +123,16 @@ def certificate_to_dict(cert: ExactCertificate) -> dict:
     }
 
 
+def _report_values(report: InequalityReport) -> tuple:
+    """A report's values in the order of REPORT_FIELDS; None where it has none."""
+    p, shape = report.p, report.extremal_class
+    return (report.inequality.value, report.n, None if p is None else str(p),
+            report.lhs, report.rhs, report.deficit, report.relation.value,
+            None if shape is None else shape.value)
+
+
 def report_to_dict(report: InequalityReport) -> dict:
-    out = {
-        "inequality": report.inequality.value,
-        "n": report.n,
-        "p": None if report.p is None else str(report.p),
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "deficit": report.deficit,
-        "relation": report.relation.value,
-        "extremal_class": None if report.extremal_class is None else report.extremal_class.value,
-    }
+    out = dict(zip(REPORT_FIELDS, _report_values(report)))
     if report.exact_certificate is not None:
         out["exact_certificate"] = certificate_to_dict(report.exact_certificate)
     if report.input_echo is not None:
@@ -137,18 +141,17 @@ def report_to_dict(report: InequalityReport) -> dict:
 
 
 def report_csv_row(report: InequalityReport) -> str:
-    return ",".join(
-        [
-            report.inequality.value,
-            str(report.n),
-            "" if report.p is None else str(report.p),
-            format_float(report.lhs),
-            format_float(report.rhs),
-            format_float(report.deficit),
-            report.relation.value,
-            "" if report.extremal_class is None else report.extremal_class.value,
-        ]
-    )
+    return ",".join("" if v is None else format_float(v) if isinstance(v, float) else str(v)
+                    for v in _report_values(report))
+
+
+def reports_text(reports, tol: float, fmt: str) -> str:
+    """The document `check` writes: a JSON object of tol and the reports, or
+    a "# tol=" comment line, the CSV header and a row per report."""
+    if fmt == "csv":
+        rows = [report_csv_row(r) for r in reports]
+        return "\n".join([f"# tol={tol!r}", ",".join(REPORT_FIELDS), *rows])
+    return dumps({"tol": tol, "reports": [report_to_dict(r) for r in reports]})
 
 
 # ---------------------------------------------------------------------------

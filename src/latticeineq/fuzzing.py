@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import random
 from dataclasses import dataclass, field
@@ -46,20 +47,23 @@ P_CYCLE = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 @dataclass
 class IneqStats:
+    """One inequality's tally.  Every range of instances updates every
+    inequality, so no field is read before its first update."""
+
     count: int = 0
     violations: int = 0
-    min_deficit: Optional[float] = None
-    max_deficit: Optional[float] = None
-    worst_index: Optional[int] = None
+    min_deficit: float = math.inf
+    max_deficit: float = -math.inf
+    worst_index: int = -1
     worst_input: Optional[dict] = None  # the input itself until its range ends
 
     def update(self, deficit: float, violated: bool, index: int, checked):
         self.count += 1
         if violated:
             self.violations += 1
-        if self.max_deficit is None or deficit > self.max_deficit:
+        if deficit > self.max_deficit:
             self.max_deficit = deficit
-        if self.min_deficit is None or (deficit, index) < (self.min_deficit, self.worst_index):
+        if (deficit, index) < (self.min_deficit, self.worst_index):
             self.min_deficit = deficit
             self.worst_index = index
             self.worst_input = checked
@@ -67,14 +71,9 @@ class IneqStats:
     def merge(self, other: "IneqStats"):
         self.count += other.count
         self.violations += other.violations
-        if other.max_deficit is not None and (
-            self.max_deficit is None or other.max_deficit > self.max_deficit
-        ):
+        if other.max_deficit > self.max_deficit:
             self.max_deficit = other.max_deficit
-        if other.min_deficit is not None and (
-            self.min_deficit is None
-            or (other.min_deficit, other.worst_index) < (self.min_deficit, self.worst_index)
-        ):
+        if (other.min_deficit, other.worst_index) < (self.min_deficit, self.worst_index):
             self.min_deficit = other.min_deficit
             self.worst_index = other.worst_index
             self.worst_input = other.worst_input
@@ -89,7 +88,8 @@ class FuzzSummary:
     q: float
     denominator: int
     tol: float
-    per_inequality: dict = field(default_factory=dict)
+    per_inequality: dict = field(
+        default_factory=lambda: {key.value: IneqStats() for key in Inequality})
     line_bound_failures: int = 0
     chain_failures: int = 0
 
@@ -104,7 +104,7 @@ class FuzzSummary:
     def merge(self, other: "FuzzSummary"):
         self.count += other.count
         for key, stats in other.per_inequality.items():
-            self.per_inequality.setdefault(key, IneqStats()).merge(stats)
+            self.per_inequality[key].merge(stats)
         self.line_bound_failures += other.line_bound_failures
         self.chain_failures += other.chain_failures
 
@@ -181,8 +181,6 @@ def _fuzz_range(seed, n, window, q, denominator, tol, start, stop) -> FuzzSummar
         seed=seed, n=n, count=stop - start, window=window, q=q,
         denominator=denominator, tol=tol,
     )
-    for key in Inequality:
-        summary.per_inequality[key.value] = IneqStats()
     rng = random.Random()
     for index in range(start, stop):
         outcome = run_instance(seed, index, n, window, q, denominator, tol, rng)

@@ -163,6 +163,14 @@ class TestCheckCommand:
         assert main(["check", "--input", rect_file, "--ineq", "nope"]) == 2
         assert "unknown inequality" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["all,bogus", "bogus,all"])
+    def test_unknown_ineq_beside_all_exit_2(self, raw, rect_file, capsys):
+        # every token is checked, wherever 'all' stands
+        assert main(["check", "--input", rect_file, "--ineq", raw]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input: unknown inequality 'bogus';")
+
     def test_byte_stable_output(self, rect_file, capsys):
         main(["check", "--input", rect_file, "--format", "csv", "--ineq", "all",
               "--normalize"])
@@ -510,6 +518,43 @@ class TestMalformedInput:
             f"input of dimension {dim} is over the limit of dimension 64", tmp_path)
 
 
+class TestDefaultsAreTheFunctions:
+    """An option left unset passes its function's own default: the CLI
+    spells no default of its own."""
+
+    COMMANDS = [
+        ("fuzz", ["fuzz", "--count", "1", "--n", "2"]),
+        ("anneal_sets", ["search", "--mode", "anneal", "--n", "2", "--size", "3"]),
+        ("ascend_function", ["search", "--mode", "ascend", "--n", "2", "--window-side", "2"]),
+        ("enumerate_rigidity", ["enumerate", "--n", "2", "--box", "2"]),
+    ]
+
+    @pytest.mark.parametrize("name,argv", COMMANDS, ids=[name for name, _ in COMMANDS])
+    def test_unset_options_pass_the_defaults(self, name, argv, monkeypatch):
+        import inspect
+
+        import latticeineq.cli as cli
+
+        class Called(Exception):
+            pass
+
+        params = inspect.signature(getattr(cli, name)).parameters
+        passed = {}
+
+        def record(**kwargs):
+            passed.update(kwargs)
+            raise Called
+
+        monkeypatch.setattr(cli, name, record)
+        args = build_parser().parse_args(argv)
+        with pytest.raises(Called):
+            args.func(args)
+        defaults = {key: p.default for key, p in params.items() if p.default is not p.empty}
+        assert set(passed) - set(defaults) == set(params) - set(defaults)
+        assert {key: passed[key] for key in passed if key in defaults} == {
+            key: defaults[key] for key in passed if key in defaults}
+
+
 class TestParserReuse:
     def test_built_once(self):
         assert build_parser() is build_parser()
@@ -678,6 +723,39 @@ class TestExitCodeContract:
         assert captured.err == ("overflow: input out of floating-point range: "
                                 "||f||_2 overflows the floating-point range; "
                                 "cannot normalize\n")
+
+    @pytest.mark.parametrize("flags,err", [
+        ([], "precondition: ||f||_1/1000000 must be 1 (got inf); pass normalize=True\n"),
+        (["--normalize"], "overflow: input out of floating-point range: "
+                          "||f||_1/1000000 overflows the floating-point range; "
+                          "cannot normalize\n"),
+    ])
+    def test_norm_past_the_float_range_at_tiny_p(self, flags, err, tmp_path, capsys):
+        # ||(1, 2)||_{1/10^6} is about 2^(10^6): it reads inf, and each
+        # refusal names that norm
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [
+            {"z": [0, 0], "v": "1"}, {"z": [0, 1], "v": "2"}]}), encoding="utf-8")
+        assert main(["check", "--input", str(path), "--ineq", "logsob",
+                     "--p", "1/1000000"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
+    @pytest.mark.parametrize("args", [["--ineq", "iso"], []])
+    def test_isoperimetry_whose_integers_pass_the_float_range(self, args, tmp_path, capsys):
+        # 600 points (2i, 0, ..., 0) in Z^64: |dA|^64 is past 1.8e308, but
+        # its quotient, one int / int, is not
+        path = tmp_path / "z64.json"
+        path.write_text(json.dumps({"dim": 64, "points": [
+            [2 * i] + [0] * 63 for i in range(600)]}), encoding="utf-8")
+        assert main(["check", "--input", str(path)] + args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports = {r["inequality"]: r for r in json.loads(captured.out)["reports"]}
+        iso = reports["ISOPERIMETRIC"]
+        assert iso["relation"] == "STRICT"
+        assert (iso["lhs"], iso["rhs"]) == (1.055671444382888e+175, 6.334028666297328e+177)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("name", ["pair_2_1.json", "pair_1-2_1-4.json"])

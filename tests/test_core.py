@@ -326,6 +326,15 @@ class TestNorms:
         huge = SparseFunction(2, {(0, 0): "15e307", (1, 0): "15e307"})
         assert norm(huge, 2) == math.inf
 
+    def test_norm_past_the_float_range_reads_inf(self):
+        # ||(2, 1)||_{1/2000} = (2^{1/2000} + 1)^2000 > 2^2000: the final
+        # power overflows.  10^400 / 1 overflows as a division, in the
+        # terms and in the factored form at p = 2, and in the sum at p = 1
+        assert norm(TWO_POINT, F(1, 2000)) == math.inf
+        huge = SparseFunction(2, {(0, 0): "1e400", (1, 0): 1})
+        assert norm(huge, 2) == math.inf
+        assert core.kept_norm(huge, 1, 1) == math.inf
+
     def test_bad_p(self):
         with pytest.raises(InvalidInputError):
             norm(TWO_POINT, 0)

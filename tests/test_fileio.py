@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from latticeineq import (
     indicator,
 )
 from latticeineq import fileio
+from latticeineq.certify import DEFAULT_TOL, Inequality, check
 
 F = Fraction
 
@@ -288,3 +290,68 @@ class TestReportSerialization:
     def test_float_formatting(self):
         assert fileio.format_float(1.0) == "1"
         assert fileio.format_float(2.449489742783178) == "2.4494897427831779"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (input file, --normalize, its golden `check --ineq all` outputs)
+CHECK_GOLDENS = [
+    ("mixed_function.json", True,
+     ("check_mixed_all_normalize.json", "check_mixed_all_normalize.csv")),
+    ("set_3d.json", False, ("check_set3d_all.json", "check_set3d_all.csv")),
+    ("square_2d.json", False, ("check_square2d_all_exact.json",)),
+]
+DOCUMENTS = [(name, normalize, golden)
+             for name, normalize, goldens in CHECK_GOLDENS for golden in goldens]
+
+
+def _golden_reports(name, normalize):
+    obj = fileio.load_input(str(GOLDEN / name))
+    return [check(ineq, obj, Fraction(2), DEFAULT_TOL, normalize) for ineq in Inequality]
+
+
+LABELLED = [(f"{name.removesuffix('.json')}-{r.inequality.value}", r)
+            for name, normalize, _ in CHECK_GOLDENS
+            for r in _golden_reports(name, normalize)]
+ALL_REPORTS = [r for _, r in LABELLED]
+REPORT_IDS = [label for label, _ in LABELLED]
+
+
+class TestReportFields:
+    """REPORT_FIELDS is the one spelling of a report's columns."""
+
+    def test_reports_cover_every_kind_of_value(self):
+        for absent in ("p", "exact_certificate", "extremal_class"):
+            values = {getattr(r, absent) is None for r in ALL_REPORTS}
+            assert values == {True, False}, absent
+
+    @pytest.mark.parametrize("report", ALL_REPORTS, ids=REPORT_IDS)
+    def test_json_keys_open_with_the_fields(self, report):
+        keys = list(fileio.report_to_dict(report))
+        assert tuple(keys[:len(fileio.REPORT_FIELDS)]) == fileio.REPORT_FIELDS
+        assert set(keys[len(fileio.REPORT_FIELDS):]) <= {"exact_certificate", "input_echo"}
+
+    @pytest.mark.parametrize("report", ALL_REPORTS, ids=REPORT_IDS)
+    def test_csv_cells_are_the_json_values_formatted(self, report):
+        obj = fileio.report_to_dict(report)
+        cells = fileio.report_csv_row(report).split(",")
+        assert len(cells) == len(fileio.REPORT_FIELDS)
+        for name, cell in zip(fileio.REPORT_FIELDS, cells):
+            value = obj[name]
+            if value is None:
+                assert cell == "", name
+            elif isinstance(value, float):
+                assert cell == fileio.format_float(value), name
+            else:
+                assert cell == str(value), name
+
+    def test_csv_header_is_the_fields(self):
+        lines = fileio.reports_text(ALL_REPORTS[:1], DEFAULT_TOL, "csv").splitlines()
+        assert lines[1].split(",") == list(fileio.REPORT_FIELDS)
+
+    @pytest.mark.parametrize("name,normalize,golden", DOCUMENTS,
+                             ids=[golden for *_, golden in DOCUMENTS])
+    def test_document_matches_the_golden(self, name, normalize, golden):
+        fmt = golden.rsplit(".", 1)[1]
+        text = fileio.reports_text(_golden_reports(name, normalize), DEFAULT_TOL, fmt)
+        assert (text + "\n").encode() == (GOLDEN / golden).read_bytes()
